@@ -25,7 +25,7 @@ from .core import (
     symplectic_inverse,
     symmetrized_form,
 )
-from .elliptic import elliptic_angles, is_positively_elliptic, log_elliptic
+from .elliptic import _normal_form, is_positively_elliptic, log_elliptic
 from .exceptions import (
     NotCausalError,
     NotConnectableError,
@@ -129,6 +129,10 @@ def dist_formula(W: np.ndarray) -> float:
     region (angles in [0, pi]; eigenvalues +-1 contribute 0 and pi).
     """
     W = require_symplectic(W, tol=1e-7)
+    nf = _normal_form(W)
+    if nf is not None:
+        return float(np.exp(np.mean(np.log(nf[0]))))
+    # closure points with eigenvalues +-1, out of the Cayley transform's reach
     spec = _spectrum(W, on_degenerate="mark")
     angles: list[float] = []
     for c in spec.clusters:

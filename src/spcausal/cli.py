@@ -259,19 +259,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, nfiles=0, **kw):
+    def add(name, handler, nfiles=0, tol_symp=1e-7, **kw):
+        # tol_symp: the symplectic tolerance of the subcommand's library calls
         sp = sub.add_parser(name, **kw)
-        sp.set_defaults(handler=handler)
+        sp.set_defaults(handler=handler, tol=None, tol_symp=tol_symp)
         if nfiles:
             sp.add_argument(
                 "files", nargs="*",
                 help="matrix document file(s); omit or '-' for stdin",
             )
-        sp.add_argument("--tol", type=float, default=None,
-                        help="override the default tolerance")
         return sp
 
-    sp = add("check", _cmd_check, nfiles=1, help="predicate checks on a matrix")
+    sp = add("check", _cmd_check, nfiles=1, tol_symp=TOL_SYMP,
+             help="predicate checks on a matrix")
+    sp.add_argument("--tol", type=float, default=None,
+                    help="override the default tolerance")
     grp = sp.add_mutually_exclusive_group()
     grp.add_argument("--symplectic", action="store_true")
     grp.add_argument("--hamiltonian", action="store_true")
@@ -297,18 +299,19 @@ def build_parser() -> argparse.ArgumentParser:
              help="exit parameters of exp(tX) W0 from the region")
     sp.add_argument("--t-max", type=float, default=1e3)
 
-    sp = add("geodesic", _cmd_geodesic, nfiles=2,
+    sp = add("geodesic", _cmd_geodesic, nfiles=2, tol_symp=TOL_SYMP,
              help="evaluate exp(tX) W0")
     sp.add_argument("--t", type=float, required=True)
 
-    sp = add("path-verify", _cmd_path_verify,
+    sp = add("path-verify", _cmd_path_verify, tol_symp=TOL_SYMP,
              help="generate a seeded causal path and verify its invariants")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--steps", type=int, default=50)
     sp.add_argument("--step-size", type=float, default=0.05)
 
-    sp = add("suite", _cmd_suite, help="run the verification suite")
+    sp = add("suite", _cmd_suite, tol_symp=TOL_SYMP,
+             help="run the verification suite")
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--trials", type=int, default=100)
@@ -317,8 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tolerances(args) -> dict:
+    tol_symp = args.tol_symp if args.tol is None else args.tol
+    if args.command == "check" and not (
+        args.symplectic or args.hamiltonian or args.cone
+    ):
+        # the elliptic check defaults to 1e-7 and checks at min(tol, 1e-7)
+        tol_symp = 1e-7 if args.tol is None else min(args.tol, 1e-7)
     return {
-        "tol_symp": TOL_SYMP if args.tol is None else args.tol,
+        "tol_symp": tol_symp,
         "tol_ham": TOL_HAM if args.tol is None else args.tol,
         "tol_cone": TOL_CONE if args.tol is None else args.tol,
     }

@@ -14,6 +14,8 @@ a tangent A at W is classified through ``X = A @ W^{-1}``.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -83,6 +85,14 @@ def omega_matrix(n: int) -> np.ndarray:
     return O
 
 
+@functools.lru_cache(maxsize=16)
+def _omega(n: int) -> np.ndarray:
+    """Read-only `omega_matrix(n)`, built once per n for internal callers."""
+    O = omega_matrix(n)
+    O.setflags(write=False)
+    return O
+
+
 def standard_J(n: int) -> np.ndarray:
     """Standard omega-compatible complex structure; Omega @ J = I."""
     if n < 1:
@@ -123,15 +133,18 @@ def block_rotation(angles) -> np.ndarray:
 def symplectic_residual(M: np.ndarray) -> float:
     """Frobenius norm of M^T Omega M - Omega."""
     M = np.asarray(M, dtype=float)
-    O = omega_matrix(half_dim(M))
+    O = _omega(half_dim(M))
     return float(np.linalg.norm(M.T @ O @ M - O))
 
 
 def is_symplectic(M: np.ndarray, tol: float = TOL_SYMP) -> CheckResult:
     """Test the symplectic relation; residual is compared to tol * ||M||_F^2."""
     M = np.asarray(M, dtype=float)
+    norm = float(np.linalg.norm(M))
+    if not math.isfinite(norm):  # non-finite entries
+        return CheckResult(False, float("inf"))
     r = symplectic_residual(M)
-    scale = max(float(np.linalg.norm(M)) ** 2, _TINY)
+    scale = max(norm**2, _TINY)
     return CheckResult(r <= tol * scale, r)
 
 
@@ -139,6 +152,9 @@ def require_symplectic(M: np.ndarray, tol: float = TOL_SYMP) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     chk = is_symplectic(M, tol)
     if not chk:
+        if not np.isfinite(M).all():
+            bad = [tuple(ij) for ij in np.argwhere(~np.isfinite(M)).tolist()]
+            raise NotSymplecticError(f"non-finite entries at {bad}")
         raise NotSymplecticError(
             f"symplectic residual {chk.residual:.3e} exceeds tolerance"
         )
@@ -148,14 +164,14 @@ def require_symplectic(M: np.ndarray, tol: float = TOL_SYMP) -> np.ndarray:
 def symplectic_inverse(W: np.ndarray) -> np.ndarray:
     """Exact group inverse W^{-1} = Omega^{-1} W^T Omega of a symplectic W."""
     W = np.asarray(W, dtype=float)
-    O = omega_matrix(half_dim(W))
+    O = _omega(half_dim(W))
     return -O @ W.T @ O
 
 
 def hamiltonian_asymmetry(X: np.ndarray) -> float:
     """Frobenius norm of the antisymmetric part of Omega @ X (doubled)."""
     X = np.asarray(X, dtype=float)
-    S = omega_matrix(half_dim(X)) @ X
+    S = _omega(half_dim(X)) @ X
     return float(np.linalg.norm(S - S.T))
 
 
@@ -180,7 +196,7 @@ def require_hamiltonian(X: np.ndarray, tol: float = TOL_HAM) -> np.ndarray:
 def symmetrized_form(X: np.ndarray) -> np.ndarray:
     """Symmetric part of Omega @ X, the quadratic form omega(., X .)."""
     X = np.asarray(X, dtype=float)
-    S = omega_matrix(half_dim(X)) @ X
+    S = _omega(half_dim(X)) @ X
     return (S + S.T) / 2
 
 

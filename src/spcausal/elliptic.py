@@ -6,7 +6,9 @@ unit circle away from +-1 and the Krein form is positive definite exactly on
 the eigenspaces with positive imaginary part.  Such W splits R^{2n} into
 symplectic planes on which it rotates by angles theta_k in (0, pi); every
 quantity in this module is a function of those angles and of the adapted
-basis realising the splitting.
+basis realising the splitting.  Both come from one Cayley-Williamson normal
+form (`_normal_form`); the Krein spectrum names the reason for a rejection
+and serves general spectra.
 """
 
 from __future__ import annotations
@@ -17,18 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _omega,
     block_rotation_generator,
-    half_dim,
-    omega_matrix,
     require_symplectic,
     symmetrized_form,
     symplectic_inverse,
 )
 from .exceptions import IllConditionedWarning, NotEllipticError
 # krein_spectrum stays importable from this module, which the benchmark's
-# tracer rebinds; the functions here call the unchecked kernel _spectrum
+# tracer rebinds; the rejection diagnosis calls the unchecked kernel _spectrum
 from .krein import (  # noqa: F401
-    DELTA_CLUSTER,
     KreinSpectrum,
     Location,
     _spectrum,
@@ -37,8 +37,6 @@ from .krein import (  # noqa: F401
 
 #: Angles within this band of {0, pi} are classified as boundary.
 ANGLE_BOUNDARY_BAND = 1e-8
-#: Relative tolerance for the exp/log roundtrip.
-TOL_EXP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -100,83 +98,86 @@ def _check_from_spectrum(spec: KreinSpectrum) -> EllipticCheck:
     return EllipticCheck(True, None)
 
 
+def _normal_form(W: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Ascending angles of a checked symplectic W and its kappa-orthonormal
+    eigenvectors V, column k for exp(i theta_k); None outside the region.
+
+    With the Cayley transform C = (W - I)^{-1} (W + I), W is positively
+    elliptic exactly when S = -sym(Omega C) is positive definite.  For
+    S = L L^T the Hermitian i L^T Omega L has eigenvalues +-d_k, the
+    Williamson symplectic eigenvalues d_k = cot(theta_k / 2) of S (Williamson
+    1936); its eigenvector u_k for d_k gives v_k = sqrt(d_k) L^{-T} u_k.
+    """
+    n = W.shape[0] // 2
+    O = _omega(n)
+    I = np.eye(2 * n)
+    try:
+        M = O @ np.linalg.solve(W - I, W + I)
+        L = np.linalg.cholesky(-(M + M.T) / 2)
+        d, U = np.linalg.eigh(1j * (L.T @ O @ L))
+    except np.linalg.LinAlgError:
+        return None
+    # the largest d_k gives the smallest angle
+    d, U = d[n:][::-1], U[:, n:][:, ::-1]
+    theta = 2 * np.arctan2(1.0, d)
+    lo, hi = ANGLE_BOUNDARY_BAND, np.pi - ANGLE_BOUNDARY_BAND
+    if not np.all((lo <= theta) & (theta <= hi)):  # also false for NaN
+        return None
+    return theta, np.linalg.solve(L.T, U) * np.sqrt(d)
+
+
+def _region_normal_form(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_normal_form` of a checked W.  A rejection raises NotEllipticError
+    naming the first condition the Krein spectrum finds violated, or
+    "boundary" when it finds none (W is within roundoff of the boundary)."""
+    nf = _normal_form(W)
+    if nf is None:
+        chk = _check_from_spectrum(_spectrum(W, on_degenerate="mark"))
+        raise NotEllipticError(chk.reason or "boundary")
+    return nf
+
+
 def is_positively_elliptic(W: np.ndarray, tol: float = 1e-7) -> EllipticCheck:
     """Membership test for the positively elliptic region with diagnosis.
 
-    The diagnosis names the first violated condition: "off-circle
-    eigenvalue", "eigenvalue +1" / "eigenvalue -1", "boundary" (angle or
-    Krein Gram within the boundary band) or "indefinite Krein signature".
+    The normal form gives the verdict.  The diagnosis names the first
+    violated condition: "off-circle eigenvalue", "eigenvalue +1" /
+    "eigenvalue -1", "boundary" (angle or Krein Gram within the boundary
+    band) or "indefinite Krein signature".
     """
-    # the spectrum kernel is unchecked, so the 1e-7 bound of krein_spectrum
+    # the kernels are unchecked, so the 1e-7 bound of krein_spectrum
     # applies here too
     W = require_symplectic(W, tol=min(tol, 1e-7))
-    return _check_from_spectrum(_spectrum(W, on_degenerate="mark"))
+    try:
+        _region_normal_form(W)
+    except NotEllipticError as exc:
+        return EllipticCheck(False, exc.reason)
+    return EllipticCheck(True, None)
 
 
 def elliptic_angles(W: np.ndarray) -> np.ndarray:
     """Sorted rotation angles theta_1 <= ... <= theta_n in (0, pi)."""
     W = require_symplectic(W, tol=1e-7)
-    spec = _spectrum(W, on_degenerate="mark")
-    chk = _check_from_spectrum(spec)
-    if not chk:
-        raise NotEllipticError(chk.reason)
-    angles: list[float] = []
-    for c in spec.clusters:
-        if c.value.imag > 0:
-            angles.extend([c.angle] * c.alg_mult)
-    th = np.sort(np.array(angles))
-    if th.size != spec.n:
-        raise NotEllipticError("eigenvalue count off the real axis is not n")
-    return th
-
-
-def _kappa(v: np.ndarray, w: np.ndarray, O: np.ndarray) -> complex:
-    # Hermitian Krein form, linear in the first slot.
-    return complex(-1j * (v @ O @ w.conj()))
+    return _region_normal_form(W)[0]
 
 
 def elliptic_splitting(W: np.ndarray) -> EllipticSplitting:
     """Adapted symplectic basis and angles realising the plane splitting.
 
-    The basis is built from kappa-normalised eigenvectors: for a unit
-    eigenvector v of the angle theta the plane is spanned by
-    p = sqrt(2) Re v and q = -sqrt(2) Im v, which makes the basis symplectic
-    by construction up to roundoff.  Within a repeated angle the eigenvectors
-    are kappa-orthonormalised in input order (the splitting is non-unique
-    there; ties are broken deterministically).
+    For the normal form's kappa-normalised eigenvector v of the angle theta
+    the plane is spanned by p = sqrt(2) Re v and q = -sqrt(2) Im v, which
+    makes the basis symplectic by construction up to roundoff.  Within a
+    repeated angle the splitting is non-unique; the Hermitian eigensolver
+    breaks the tie.
     """
     W = require_symplectic(W, tol=1e-7)
-    chk = _check_from_spectrum(_spectrum(W, on_degenerate="mark"))
-    if not chk:
-        raise NotEllipticError(chk.reason)
-    n = half_dim(W)
-    O = omega_matrix(n)
-    evals, evecs = np.linalg.eig(W)
-    pos = np.where(evals.imag > 0)[0]
-    if pos.size != n:
-        raise NotEllipticError("eigenvalue count off the real axis is not n")
-    args = np.angle(evals[pos])
-    order = np.argsort(args, kind="stable")
-    accepted: list[tuple[np.ndarray, float]] = []
-    for k in order:
-        v = evecs[:, pos[k]].astype(complex)
-        th = float(args[k])
-        for w, th_w in accepted:
-            if abs(th - th_w) <= DELTA_CLUSTER * 10:
-                v = v - w * _kappa(v, w, O)
-        c = _kappa(v, v, O).real
-        if c <= 0:
-            raise NotEllipticError("indefinite Krein signature")
-        v = v / np.sqrt(c)
-        accepted.append((v, th))
-    P = np.column_stack([np.sqrt(2) * v.real for v, _ in accepted])
-    Q = np.column_stack([-np.sqrt(2) * v.imag for v, _ in accepted])
-    B = np.hstack([P, Q])
+    angles, V = _region_normal_form(W)
+    B = np.sqrt(2) * np.hstack([V.real, -V.imag])
+    O = _omega(angles.size)
     residual = np.linalg.norm(B.T @ O @ B - O)
     if residual > 1e-6 * max(1.0, np.linalg.norm(B) ** 2):
         raise RuntimeError(f"splitting basis lost symplecticity: {residual:.3e}")
-    angles = np.array([th for _, th in accepted])
-    return EllipticSplitting(n=n, angles=angles, basis=B)
+    return EllipticSplitting(n=angles.size, angles=angles, basis=B)
 
 
 def log_elliptic(W: np.ndarray) -> np.ndarray:
@@ -194,8 +195,7 @@ def log_elliptic(W: np.ndarray) -> np.ndarray:
             IllConditionedWarning,
         )
     X = split.generator()
-    O = omega_matrix(split.n)
-    return -O @ symmetrized_form(X)
+    return -_omega(split.n) @ symmetrized_form(X)
 
 
 def tau(W: np.ndarray) -> float:

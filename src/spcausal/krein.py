@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .core import omega_matrix, require_symplectic
+from .core import _omega, require_symplectic
 from .exceptions import DimensionMismatchError, SignatureDegenerateError
 
 #: Relative gap below which eigenvalues are merged into one cluster.
@@ -92,7 +92,7 @@ def krein_gram(vectors) -> np.ndarray:
     U = np.column_stack([np.asarray(v, dtype=complex) for v in vectors])
     if U.shape[0] % 2:
         raise DimensionMismatchError(f"vectors of odd length {U.shape[0]}")
-    O = omega_matrix(U.shape[0] // 2)
+    O = _omega(U.shape[0] // 2)
     K = -1j * (U.T @ O @ U.conj())
     return (K + K.conj().T) / 2
 

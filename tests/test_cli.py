@@ -130,6 +130,27 @@ def test_connect_and_exit_times(tmp_path, capsys):
     assert out["result"]["backward_reason"] == "eigenvalue +1"
 
 
+def test_tol_only_on_check_and_reported_as_in_force(tmp_path, capsys):
+    f = write_doc(tmp_path, "w.json", rot(np.pi / 3))
+    with pytest.raises(SystemExit) as exc:
+        main(["tau", "--tol", "1e-5", f])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    cases = [
+        (["tau", f], 1e-7),
+        (["spectrum", f], 1e-7),
+        (["check", "--elliptic", f], 1e-7),
+        (["check", f], 1e-7),
+        (["check", "--elliptic", "--tol", "1e-9", f], 1e-9),
+        (["check", "--elliptic", "--tol", "1e-5", f], 1e-7),
+        (["check", "--symplectic", f], 1e-9),
+    ]
+    for argv, tol_symp in cases:
+        code, out = run_cli(capsys, argv)
+        assert code == 0
+        assert out["tolerances"]["tol_symp"] == tol_symp, argv
+
+
 def test_domain_error_exit_code_1(tmp_path, capsys):
     f = write_doc(tmp_path, "w.json", np.diag([2.0, 0.5]))
     code, out = run_cli(capsys, ["tau", f])

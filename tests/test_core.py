@@ -1,17 +1,23 @@
 """Tests for conventions, predicates and cone classification."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from spcausal import (
+    CheckResult,
     ConeStatus,
     block_rotation,
     block_rotation_generator,
     cone_membership_tangent,
     cone_status,
+    elliptic_angles,
     is_hamiltonian,
+    is_positively_elliptic,
     is_symplectic,
+    krein_spectrum,
     omega_matrix,
     standard_J,
     symplectic_inverse,
@@ -19,6 +25,7 @@ from spcausal import (
 from spcausal.exceptions import (
     DimensionMismatchError,
     NotHamiltonianError,
+    NotSymplecticError,
     OddDimensionError,
 )
 
@@ -200,3 +207,17 @@ def test_tangent_shape_mismatch():
     W = np.eye(2)
     with pytest.raises(DimensionMismatchError):
         cone_membership_tangent(W, np.eye(4))
+
+
+def test_non_finite_input_typed_error_without_warning():
+    for bad in (np.nan, np.inf, -np.inf):
+        M = np.eye(4)
+        M[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_symplectic(M) == CheckResult(False, float("inf"))
+            for f in (is_positively_elliptic, elliptic_angles, krein_spectrum):
+                with pytest.raises(
+                    NotSymplecticError, match=r"non-finite entries at \[\(1, 2\)\]"
+                ):
+                    f(M)

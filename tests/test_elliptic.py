@@ -10,6 +10,7 @@ from spcausal import (
     block_rotation,
     block_rotation_generator,
     cone_status,
+    dist_formula,
     elliptic_angles,
     elliptic_splitting,
     is_positively_elliptic,
@@ -17,13 +18,16 @@ from spcausal import (
     minus_inverse,
     mu_elliptic,
     omega_matrix,
+    random_cone_element,
     random_elliptic,
     random_symplectic,
     standard_J,
     symplectic_inverse,
     tau,
 )
+from spcausal.elliptic import _check_from_spectrum
 from spcausal.exceptions import IllConditionedWarning, NotEllipticError
+from spcausal.krein import krein_spectrum
 
 
 def rot(theta, n=1):
@@ -75,6 +79,57 @@ def test_region_exp_of_cone_generator():
         rho = float(np.max(np.abs(np.linalg.eigvals(X).imag)))
         X = X * rng.uniform(0.05, np.pi - 0.05) / rho
         assert is_positively_elliptic(scipy.linalg.expm(X))
+
+
+def _differential_sample(i: int) -> np.ndarray:
+    """Seeded mixed input for the differential test, inside and outside
+    the region."""
+    rng = np.random.default_rng([67, i])
+    n = 1 + i % 3
+    kind = (i // 3) % 6
+    if kind == 0:
+        return random_symplectic(rng, n, scale=rng.uniform(0.2, 2.0))
+    if kind == 1:
+        return random_elliptic(rng, n, margin=0.01)
+    if kind == 2:
+        # signed angles: a negative one makes the Krein signature indefinite
+        th = rng.uniform(0.01, np.pi - 0.01, n) * rng.choice([-1.0, 1.0], n)
+        S = random_symplectic(rng, n, scale=0.4)
+        return S @ block_rotation(th) @ symplectic_inverse(S)
+    if kind == 3:
+        # a cone flow through a region element, carried past its exit times
+        W = random_elliptic(rng, n, margin=0.05)
+        X = random_cone_element(rng, n)
+        rho = float(np.max(np.abs(np.linalg.eigvals(X).imag)))
+        return scipy.linalg.expm(rng.uniform(-2 * np.pi, 2 * np.pi) / rho * X) @ W
+    if kind == 4:
+        return minus_inverse(
+            random_elliptic(rng, n, margin=0.01)
+            if rng.random() < 0.5
+            else random_symplectic(rng, n, scale=rng.uniform(0.2, 1.0))
+        )
+    th = rng.uniform(0.01, np.pi - 0.01, n)
+    th[0] *= rng.choice([-1.0, 1.0])
+    S = random_symplectic(rng, n, scale=1.2)
+    return S @ block_rotation(th) @ symplectic_inverse(S)
+
+
+def test_normal_form_matches_krein_spectrum():
+    # the normal form's verdict and angles against the Krein spectrum
+    members = 0
+    for i in range(3000):
+        W = _differential_sample(i)
+        spec = krein_spectrum(W, on_degenerate="mark")
+        want = bool(_check_from_spectrum(spec))
+        assert bool(is_positively_elliptic(W)) is want, i
+        if not want:
+            continue
+        members += 1
+        ref = np.sort([c.angle for c in spec.clusters
+                       for _ in range(c.alg_mult) if c.value.imag > 0])
+        if np.all(np.diff(ref) > 1e-5):
+            np.testing.assert_allclose(elliptic_angles(W), ref, rtol=0, atol=1e-9)
+    assert 1000 < members < 2500
 
 
 # -- splitting --------------------------------------------------------------
@@ -137,6 +192,16 @@ def test_splitting_repeated_angles():
     np.testing.assert_allclose(split.angles, [1.1, 1.1, 1.1], atol=1e-9)
     O = omega_matrix(3)
     np.testing.assert_allclose(split.basis.T @ O @ split.basis, O, atol=1e-8)
+
+
+def test_clustered_angles_exact():
+    # angles 1e-7 apart come back to roundoff, not as the cluster mean
+    th = np.array([1.0, 1.0 + 1e-7, 1.0 + 2e-7])
+    S = random_symplectic(5, 3, scale=1.2)
+    W = S @ block_rotation(th) @ symplectic_inverse(S)
+    np.testing.assert_allclose(elliptic_angles(W), th, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(elliptic_splitting(W).angles, th, rtol=0, atol=1e-12)
+    assert abs(dist_formula(W) - np.exp(np.mean(np.log(th)))) <= 1e-12
 
 
 # -- logarithm --------------------------------------------------------------
