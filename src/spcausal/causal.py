@@ -89,13 +89,6 @@ def finsler_G(X: np.ndarray, tol: float = 1e-9) -> float:
     return float(np.exp(logdet / (2 * n)))
 
 
-def geodesic(X: np.ndarray, W0: np.ndarray, t: float) -> np.ndarray:
-    """Point exp(t X) @ W0 of the geodesic through W0 with direction X."""
-    X = require_hamiltonian(X)
-    W0 = np.asarray(W0, dtype=float)
-    return scipy.linalg.expm(t * X) @ W0
-
-
 def geodesic_flow(X: np.ndarray, W0: np.ndarray):
     """Return a callable t -> exp(t X) @ W0, diagonalising X once.
 
@@ -109,14 +102,7 @@ def geodesic_flow(X: np.ndarray, W0: np.ndarray):
         if np.linalg.cond(V) < 1e8:
             Vi = np.linalg.inv(V)
             VW = Vi @ W0.astype(complex)
-
-            def flow(t: float) -> np.ndarray:
-                return (V * np.exp(t * d)) @ VW
-
-            def flow_real(t: float) -> np.ndarray:
-                return np.real(flow(t))
-
-            return flow_real
+            return lambda t: np.real((V * np.exp(t * d)) @ VW)
     except np.linalg.LinAlgError:
         pass
     return lambda t: scipy.linalg.expm(t * X) @ W0

@@ -25,8 +25,9 @@ from .core import (
     cone_status,
     is_hamiltonian,
     is_symplectic,
+    require_symplectic,
 )
-from .causal import connect, dist_formula, exit_times, geodesic
+from .causal import connect, dist_formula, exit_times, geodesic_flow
 from .elliptic import (
     elliptic_splitting,
     is_positively_elliptic,
@@ -224,7 +225,9 @@ def _cmd_exit_times(args) -> dict:
 
 def _cmd_geodesic(args) -> dict:
     X, W0 = _load_docs(args.files, 2)
-    return {"point": geodesic(X, W0, args.t), "t": args.t}
+    # geodesic_flow leaves W0 unchecked: connect and exit_times check it
+    W0 = require_symplectic(W0, TOL_SYMP)
+    return {"point": geodesic_flow(X, W0)(args.t), "t": args.t}
 
 
 def _cmd_path_verify(args) -> dict:
@@ -232,7 +235,11 @@ def _cmd_path_verify(args) -> dict:
         args.seed, args.n, steps=args.steps, step_size=args.step_size,
         confine=False,
     )
-    path.validate()
+    try:
+        path.validate()
+        violation = None
+    except (SymplecticDomainError, DriftExceededError) as exc:
+        violation = str(exc)
     track = track_phases(path)
     return {
         "steps": path.steps,
@@ -241,7 +248,8 @@ def _cmd_path_verify(args) -> dict:
             is_symplectic(W, tol=1.0).residual for W in path.matrices
         ),
         "off_circle_points": int(np.sum(track.off_circle)),
-        "invariants_ok": True,
+        "invariants_ok": violation is None,
+        "violation": violation,
     }
 
 
@@ -303,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
              help="evaluate exp(tX) W0")
     sp.add_argument("--t", type=float, required=True)
 
-    sp = add("path-verify", _cmd_path_verify, tol_symp=TOL_SYMP,
+    sp = add("path-verify", _cmd_path_verify,
              help="generate a seeded causal path and verify its invariants")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--n", type=int, default=1)

@@ -15,7 +15,6 @@ a tangent A at W is classified through ``X = A @ W^{-1}``.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -138,12 +137,17 @@ def symplectic_residual(M: np.ndarray) -> float:
 
 
 def is_symplectic(M: np.ndarray, tol: float = TOL_SYMP) -> CheckResult:
-    """Test the symplectic relation; residual is compared to tol * ||M||_F^2."""
+    """Test the symplectic relation; residual is compared to tol * ||M||_F^2.
+
+    Non-finite entries, and entries so large that a norm overflows, fail
+    with residual inf and no numpy warning.
+    """
     M = np.asarray(M, dtype=float)
-    norm = float(np.linalg.norm(M))
-    if not math.isfinite(norm):  # non-finite entries
-        return CheckResult(False, float("inf"))
-    r = symplectic_residual(M)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(M))
+        if not norm < 1e154:  # non-finite, or too large to square safely
+            return CheckResult(False, float("inf"))
+        r = symplectic_residual(M)
     scale = max(norm**2, _TINY)
     return CheckResult(r <= tol * scale, r)
 

@@ -144,6 +144,9 @@ def is_positively_elliptic(W: np.ndarray, tol: float = 1e-7) -> EllipticCheck:
     violated condition: "off-circle eigenvalue", "eigenvalue +1" /
     "eigenvalue -1", "boundary" (angle or Krein Gram within the boundary
     band) or "indefinite Krein signature".
+
+    The symplectic relation is checked at min(tol, 1e-7), so ``tol`` can
+    only tighten that check, never loosen it.
     """
     # the kernels are unchecked, so the 1e-7 bound of krein_spectrum
     # applies here too

@@ -1,288 +1,74 @@
 """Acceptance criteria, one test per criterion.
 
-Each test prints a single pass/fail line with its worst-case margin and
-enforces the stated runtime budget.  All randomness is seeded, so the run
-is reproducible.
+Each criterion runs entries of the property registry
+`spcausal.pathlab.PROPERTIES` at seed 42 and acceptance sizes, prints a
+single pass/fail line with the worst-case margin of its first entry, and
+enforces the stated runtime budget.
 """
 
 import time
 
-import numpy as np
-import scipy.linalg
-
-from spcausal import (
-    ConeStatus,
-    ExitReason,
-    block_rotation,
-    connect,
-    cone_status,
-    dist_formula,
-    elliptic_angles,
-    exit_times,
-    finsler_G,
-    geodesic_flow,
-    geodesic_path,
-    is_positively_elliptic,
-    log_elliptic,
-    minus_inverse,
-    mu_along_path,
-    mu_elliptic,
-    random_causal_path,
-    random_cone_element,
-    random_elliptic,
-    random_elliptic_banded,
-    random_torus_pair,
-    standard_J,
-    tau,
-)
-from spcausal.exceptions import (
-    DriftExceededError,
-    NotConnectableError,
-    NotEllipticError,
-)
+from spcausal.pathlab import PROPERTIES
 
 SEED = 42
+DIMS = (1, 2, 3)
+
+#: criterion -> (registry names, label, trials, dims, budget in seconds)
+CRITERIA = {
+    1: (("dist_formula",), "dist formula vs G(log)", 1500, DIMS, 10),
+    2: (("broken_geodesic_max",), "broken geodesics never beat dist",
+        200, DIMS, 30),
+    3: (("tau_monotone",), "tau strictly increasing on 1000 paths",
+        1000, DIMS, 60),
+    4: (("exit_times",), "exit times finite, closed form, tau divergence",
+        300, DIMS, 60),
+    5: (("endpoint_connect",), "connect on 300 confined-path endpoints",
+        300, DIMS, 60),
+    6: (("angle_complement",), "both logs interior; angle complement",
+        500, DIMS, 10),
+    7: (("krein_calibration",), "Krein calibration set", 1, DIMS, 1),
+    8: (("maslov_consistency",), "mu lift vs closed form", 100, DIMS, 30),
+    9: (("diamond_bounded", "closed_timelike_loop"),
+        "bounded diamonds; closed timelike loop", 1000, (2,), 60),
+}
+
+#: registry entries that only `verify_suite` runs
+SUITE_ONLY = {"phase_monotone", "quasimorphism_defect"}
 
 
-def spawn(index):
-    return np.random.SeedSequence(entropy=SEED, spawn_key=(index,))
-
-
-def confined_trial(index, n, steps, step_size, from_id=False):
-    """Starting point and confined path, redrawn together on creep failures.
-
-    Ill-conditioned starting points amplify the eigenphase speed, and the
-    resulting walks can creep into the region boundary until the halving
-    budget is exhausted; redrawing the whole trial keeps the sample honest.
-    """
-    for r in range(50):
-        key = index + 900_000 * r
-        W0 = None if from_id else random_elliptic_banded(
-            spawn(key), n, lo=0.3, hi=1.8
-        )
-        try:
-            path = random_causal_path(
-                spawn(key + 450_000), n, steps=steps, W_start=W0,
-                step_size=step_size, confine=True,
-            )
-            return (np.eye(2 * n) if from_id else W0), path
-        except DriftExceededError:
-            continue
-    raise AssertionError("confined path generation failed 50 times")
-
-
-def report(num, name, ok, margin, limit, elapsed):
+def run_criterion(num):
+    names, label, trials, dims, budget = CRITERIA[num]
+    t0 = time.perf_counter()
+    results = [PROPERTIES[name](SEED, dims, trials) for name in names]
+    elapsed = time.perf_counter() - t0
+    ok = all(passed for passed, _, _ in results)
     line = (
-        f"[criterion {num}] {'PASS' if ok else 'FAIL'} {name}: "
-        f"margin={margin:.3e} runtime={elapsed:.1f}s/{limit:.0f}s"
+        f"[criterion {num}] {'PASS' if ok else 'FAIL'} {label}: "
+        f"margin={results[0][1]:.3e} runtime={elapsed:.1f}s/{budget:.0f}s"
     )
     print(line)
-    assert ok, line
-    assert elapsed < limit, line
+    assert ok, (line, results)
+    assert elapsed < budget, line
 
 
-def test_criterion_1_distance_formula():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for n in (1, 2, 3):
-        for k in range(500):
-            W = random_elliptic(spawn(1000 * n + k), n, margin=0.02)
-            d = dist_formula(W)
-            err = abs(d - finsler_G(log_elliptic(W)))
-            worst = max(worst, err / (1e-9 * (1 + d)))
-    elapsed = time.perf_counter() - t0
-    report(1, "dist formula vs G(log)", worst <= 1.0, worst, 10, elapsed)
+def test_registry_covered_by_gate_or_suite_only():
+    gated = {name for names, *_ in CRITERIA.values() for name in names}
+    assert not gated & SUITE_ONLY
+    assert set(PROPERTIES) == gated | SUITE_ONLY
 
 
-def test_criterion_2_maximality():
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(spawn(20_000))
-    worst_excess = -np.inf
-    pairs = 0
-    guard = 0
-    while pairs < 200 and guard < 10_000:
-        guard += 1
-        n = int(rng.integers(1, 4))
-        W = random_elliptic_banded(rng, n, lo=0.4, hi=2.6)
-        X = log_elliptic(W)
-        a = float(rng.uniform(0.2, 0.8))
-        Y = random_cone_element(rng, n)
-        M = scipy.linalg.expm(a * X + 0.05 * Y / np.linalg.norm(Y))
-        try:
-            if not is_positively_elliptic(M):
-                continue
-            conn_in = connect(np.eye(2 * n), M, samples=0)
-            conn_out = connect(M, W, samples=0)
-        except (NotConnectableError, NotEllipticError):
-            continue
-        if not (conn_in.status.causal and conn_out.status.causal):
-            continue
-        broken = finsler_G(conn_in.tangent) + finsler_G(conn_out.tangent)
-        worst_excess = max(worst_excess, broken - dist_formula(W))
-        pairs += 1
-    assert pairs == 200
-
-    # collinear midpoints achieve equality
-    worst_eq = 0.0
-    for k in range(50):
-        n = 1 + k % 3
-        W = random_elliptic_banded(spawn(21_000 + k), n, lo=0.4, hi=2.6)
-        X = log_elliptic(W)
-        a = 0.2 + 0.012 * k
-        broken = finsler_G(a * X) + finsler_G((1 - a) * X)
-        worst_eq = max(worst_eq, abs(broken - dist_formula(W)))
-    elapsed = time.perf_counter() - t0
-    ok = worst_excess <= 1e-9 and worst_eq <= 1e-9
-    report(2, "broken geodesics never beat dist", ok,
-           max(worst_excess, worst_eq), 30, elapsed)
+def criterion(num):
+    def test():
+        run_criterion(num)
+    return test
 
 
-def test_criterion_3_time_function():
-    t0 = time.perf_counter()
-    min_dtau = np.inf
-    for k in range(1000):
-        n = 1 + k % 3
-        _, path = confined_trial(30_000 + k, n, steps=50, step_size=0.02)
-        taus = np.array([tau(W) for W in path.matrices])
-        min_dtau = min(min_dtau, float(np.min(np.diff(taus))))
-    elapsed = time.perf_counter() - t0
-    report(3, "tau strictly increasing on 1000 paths", min_dtau > 0,
-           min_dtau, 60, elapsed)
-
-
-def test_criterion_4_exit_times():
-    t0 = time.perf_counter()
-    J = standard_J(1)
-
-    # closed-form rotation case
-    et = exit_times(scipy.linalg.expm(np.pi / 4 * J), J)
-    closed_ok = (
-        abs(et.c1 - np.pi / 4) <= 1e-8
-        and abs(et.c2 - 3 * np.pi / 4) <= 1e-8
-        and et.forward_reason is ExitReason.EIGENVALUE_MINUS_ONE
-        and et.backward_reason is ExitReason.EIGENVALUE_ONE
-    )
-
-    finite_ok = True
-    min_abs_tau = np.inf
-    for k in range(300):
-        n = 1 + k % 3
-        W0, X, _, _ = random_torus_pair(spawn(40_000 + k), n)
-        et = exit_times(W0, X, t_max=5e3)
-        if not et.finite:
-            finite_ok = False
-            continue
-        flow = geodesic_flow(X, W0)
-        min_abs_tau = min(
-            min_abs_tau,
-            abs(tau(flow(et.c2 - 1e-6))),
-            abs(tau(flow(-et.c1 + 1e-6))),
-        )
-    elapsed = time.perf_counter() - t0
-    ok = closed_ok and finite_ok and min_abs_tau > 10
-    report(4, "exit times finite, closed form, tau divergence", ok,
-           min_abs_tau, 60, elapsed)
-
-
-def test_criterion_5_geodesic_connectedness():
-    t0 = time.perf_counter()
-    ok = True
-    for k in range(300):
-        n = 1 + k % 3
-        W0, path = confined_trial(50_000 + k, n, steps=10, step_size=0.05)
-        try:
-            conn = connect(W0, path.endpoint, samples=64)
-        except (NotConnectableError, NotEllipticError):
-            ok = False
-            continue
-        ok = ok and conn.status.causal
-    elapsed = time.perf_counter() - t0
-    report(5, "connect on 300 confined-path endpoints", ok, 0.0, 60, elapsed)
-
-
-def test_criterion_6_theorem2_shadow():
-    t0 = time.perf_counter()
-    worst = 0.0
-    ok = True
-    for k in range(500):
-        n = 1 + k % 3
-        W = random_elliptic(spawn(60_000 + k), n, margin=0.02)
-        X = log_elliptic(W)
-        Xm = log_elliptic(minus_inverse(W))
-        ok = ok and cone_status(X) is ConeStatus.INTERIOR
-        ok = ok and cone_status(Xm) is ConeStatus.INTERIOR
-        ok = ok and float(np.max(np.abs(np.linalg.eigvals(X).imag))) < np.pi
-        th = elliptic_angles(W)
-        th_m = elliptic_angles(minus_inverse(W))
-        worst = max(worst, float(np.max(np.abs(th_m - (np.pi - th[::-1])))))
-    elapsed = time.perf_counter() - t0
-    ok = ok and worst <= 1e-8
-    report(6, "both logs interior; angle complement", ok, worst, 10, elapsed)
-
-
-def test_criterion_7_krein_calibration():
-    t0 = time.perf_counter()
-    J = standard_J(1)
-    ok = True
-    for theta in (0.1, np.pi / 3, np.pi / 2, 3.0):
-        ok = ok and bool(is_positively_elliptic(scipy.linalg.expm(theta * J)))
-    for theta in (0.0, np.pi):
-        ok = ok and not is_positively_elliptic(scipy.linalg.expm(theta * J))
-    chk = is_positively_elliptic(block_rotation([0.7, -0.7]))
-    ok = ok and not chk and chk.reason == "indefinite Krein signature"
-    elapsed = time.perf_counter() - t0
-    report(7, "Krein calibration set", ok, 0.0, 1, elapsed)
-
-
-def test_criterion_8_maslov_consistency():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for k in range(100):
-        n = 1 + k % 3
-        _, path = confined_trial(80_000 + k, n, steps=20, step_size=0.05,
-                                 from_id=True)
-        mu = mu_along_path(path, start=0.0)
-        worst = max(worst, abs(mu[-1] - mu_elliptic(path.endpoint)))
-    path_ok = worst <= 1e-6
-
-    loop = geodesic_path(standard_J(1), np.eye(2), 0.0, 2 * np.pi, 128)
-    mu = mu_along_path(loop)
-    lift_err = float(np.max(np.abs(mu - loop.grid / (2 * np.pi))))
-    elapsed = time.perf_counter() - t0
-    ok = path_ok and lift_err <= 1e-8
-    report(8, "mu lift vs closed form", ok, max(worst, lift_err), 30, elapsed)
-
-
-def test_criterion_9_global_hyperbolicity_evidence():
-    t0 = time.perf_counter()
-    W0 = block_rotation([0.2, 0.3])
-    rng = np.random.default_rng(spawn(90_000))
-    Z = random_cone_element(rng, 2)
-    Z = Z / np.linalg.norm(Z)
-    W1 = scipy.linalg.expm(0.8 * Z) @ W0
-
-    max_norm = 0.0
-    accepted = 0
-    guard = 0
-    while accepted < 1000 and guard < 100_000:
-        guard += 1
-        Y = random_cone_element(rng, 2)
-        Y = Y / np.linalg.norm(Y)
-        M = scipy.linalg.expm(float(rng.uniform(0.0, 0.5)) * Y) @ W0
-        try:
-            if not is_positively_elliptic(M):
-                continue
-            connect(M, W1, samples=0)
-        except (NotConnectableError, NotEllipticError):
-            continue
-        max_norm = max(max_norm, float(np.linalg.norm(M)))
-        accepted += 1
-    diamond_ok = accepted == 1000 and np.isfinite(max_norm)
-
-    loop = geodesic_path(standard_J(2), W0, 0.0, 2 * np.pi, 64)
-    closure = float(np.linalg.norm(loop.endpoint - loop.matrices[0]))
-    tangents_ok = all(cone_status(X) is ConeStatus.INTERIOR for X in loop.tangents)
-    elapsed = time.perf_counter() - t0
-    ok = diamond_ok and closure <= 1e-9 and tangents_ok
-    report(9, "bounded diamonds; closed timelike loop", ok,
-           max_norm, 60, elapsed)
+test_criterion_1_distance_formula = criterion(1)
+test_criterion_2_maximality = criterion(2)
+test_criterion_3_time_function = criterion(3)
+test_criterion_4_exit_times = criterion(4)
+test_criterion_5_geodesic_connectedness = criterion(5)
+test_criterion_6_theorem2_shadow = criterion(6)
+test_criterion_7_krein_calibration = criterion(7)
+test_criterion_8_maslov_consistency = criterion(8)
+test_criterion_9_global_hyperbolicity_evidence = criterion(9)

@@ -13,7 +13,6 @@ from spcausal import (
     dist_formula,
     exit_times,
     finsler_G,
-    geodesic,
     geodesic_flow,
     is_positively_elliptic,
     log_elliptic,
@@ -86,19 +85,21 @@ def test_G_homogeneous():
 
 def test_geodesic_half_turn():
     np.testing.assert_allclose(
-        geodesic(standard_J(1), np.eye(2), np.pi), -np.eye(2), atol=1e-12
+        geodesic_flow(standard_J(1), np.eye(2))(np.pi), -np.eye(2), atol=1e-12
     )
 
 
 def test_geodesic_at_zero():
     W0 = rot(0.4)
-    np.testing.assert_allclose(geodesic(standard_J(1), W0, 0.0), W0, atol=1e-14)
+    np.testing.assert_allclose(
+        geodesic_flow(standard_J(1), W0)(0.0), W0, atol=1e-14
+    )
 
 
 def test_geodesic_flow_property():
     X = block_rotation_generator([0.5, 1.2])
-    a = geodesic(X, np.eye(4), 0.7)
-    b = geodesic(X, geodesic(X, np.eye(4), 0.3), 0.4)
+    a = geodesic_flow(X, np.eye(4))(0.7)
+    b = geodesic_flow(X, geodesic_flow(X, np.eye(4))(0.3))(0.4)
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -216,7 +217,7 @@ def test_connect_endpoint_and_interior_samples():
             continue
         conn = connect(W0, W1, samples=16)
         np.testing.assert_allclose(
-            geodesic(conn.tangent, W0, 1.0), W1, atol=1e-8 * np.linalg.norm(W1)
+            geodesic_flow(conn.tangent, W0)(1.0), W1, atol=1e-8 * np.linalg.norm(W1)
         )
 
 
@@ -267,8 +268,9 @@ def test_exit_times_torus_closed_form():
 def test_exit_tau_divergence():
     W0, X = rot(np.pi / 4), standard_J(1)
     et = exit_times(W0, X)
-    assert tau(geodesic(X, W0, et.c2 - 1e-6)) > 10
-    assert tau(geodesic(X, W0, -et.c1 + 1e-6)) < -10
+    flow = geodesic_flow(X, W0)
+    assert tau(flow(et.c2 - 1e-6)) > 10
+    assert tau(flow(-et.c1 + 1e-6)) < -10
 
 
 def test_exit_times_generic_interior_finite():

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from spcausal import standard_J
+from spcausal import CausalPath, geodesic_path, standard_J
 from spcausal.cli import main
+from spcausal.exceptions import DimensionMismatchError, OutsideConeError
 
 
 def rot(theta, n=1):
@@ -111,6 +112,14 @@ def test_log_geodesic_roundtrip(tmp_path, capsys):
     np.testing.assert_allclose(np.array(out["result"]["point"]), W, atol=1e-10)
 
 
+def test_geodesic_rejects_non_symplectic_start(tmp_path, capsys):
+    g = write_doc(tmp_path, "x.json", standard_J(1))
+    h = write_doc(tmp_path, "w.json", 2 * np.eye(2))
+    code, out = run_cli(capsys, ["geodesic", "--t", "0.5", g, h])
+    assert code == 1
+    assert "symplectic residual" in out["error"]
+
+
 def test_connect_and_exit_times(tmp_path, capsys):
     f = write_doc(tmp_path, "a.json", rot(0.3))
     g = write_doc(tmp_path, "b.json", rot(1.0))
@@ -196,12 +205,31 @@ def test_path_verify_and_suite(capsys):
                                  "--steps", "10"])
     assert code == 0
     assert out["result"]["invariants_ok"] is True
+    assert out["result"]["violation"] is None
     assert out["provenance"]["seed"] == 3
 
     code, out = run_cli(capsys, ["suite", "--seed", "11", "--n", "1",
                                  "--trials", "3"])
     assert code == 0
     assert out["result"]["all_passed"] is True
+
+
+def test_path_verify_reports_violation(monkeypatch, capsys):
+    # e^{-tJ} runs backwards in time, so its tangents leave the cone
+    backwards = geodesic_path(-standard_J(1), np.eye(2), 0.0, 1.0, 4)
+    short = CausalPath(backwards.grid, backwards.tangents[:-1], backwards.matrices)
+    for path, error, message in (
+        (backwards, OutsideConeError, "not cone-admissible"),
+        (short, DimensionMismatchError, "counts are inconsistent"),
+    ):
+        with pytest.raises(error):
+            path.validate()
+        monkeypatch.setattr("spcausal.cli.random_causal_path",
+                            lambda *args, path=path, **kw: path)
+        code, out = run_cli(capsys, ["path-verify"])
+        assert code == 0
+        assert out["result"]["invariants_ok"] is False
+        assert message in out["result"]["violation"]
 
 
 def test_determinism(tmp_path, capsys):

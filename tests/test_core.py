@@ -210,14 +210,14 @@ def test_tangent_shape_mismatch():
 
 
 def test_non_finite_input_typed_error_without_warning():
-    for bad in (np.nan, np.inf, -np.inf):
+    non_finite = r"non-finite entries at \[\(1, 2\)\]"
+    for bad, message in ((np.nan, non_finite), (np.inf, non_finite),
+                         (-np.inf, non_finite), (1e160, "residual inf")):
         M = np.eye(4)
-        M[1, 2] = bad
+        M[1, 2] = bad  # 1e160 is finite, but its square overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert is_symplectic(M) == CheckResult(False, float("inf"))
             for f in (is_positively_elliptic, elliptic_angles, krein_spectrum):
-                with pytest.raises(
-                    NotSymplecticError, match=r"non-finite entries at \[\(1, 2\)\]"
-                ):
+                with pytest.raises(NotSymplecticError, match=message):
                     f(M)
