@@ -132,6 +132,14 @@ def _load_docs(paths: list[str], expected: int) -> list[np.ndarray]:
     return [_parse_matrix_doc(d) for d in raw]
 
 
+def _positive_finite(text: str) -> float:
+    """argparse type: a float with 0 < value < inf."""
+    value = float(text)
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns the result dict
 
@@ -305,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("exit-times", _cmd_exit_times, nfiles=2,
              help="exit parameters of exp(tX) W0 from the region")
-    sp.add_argument("--t-max", type=float, default=1e3)
+    sp.add_argument("--t-max", type=_positive_finite, default=1e3)
 
     sp = add("geodesic", _cmd_geodesic, nfiles=2, tol_symp=TOL_SYMP,
              help="evaluate exp(tX) W0")
@@ -318,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=50)
     sp.add_argument("--step-size", type=float, default=0.05)
 
-    sp = add("suite", _cmd_suite, tol_symp=TOL_SYMP,
+    sp = add("suite", _cmd_suite,
              help="run the verification suite")
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--n", type=int, default=1)

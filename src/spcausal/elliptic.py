@@ -126,6 +126,41 @@ def _normal_form(W: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return theta, np.linalg.solve(L.T, U) * np.sqrt(d)
 
 
+def _stack_membership(Ws: np.ndarray) -> np.ndarray:
+    """Membership verdicts, a boolean (N,) array, for an (N, 2n, 2n) stack.
+
+    The computation of `_normal_form`, run as batched calls: the Cayley
+    solve, a screen on the least eigenvalue of S, the Cholesky factor of the
+    screened S and the Williamson eigenvalues against the boundary band.
+    Each matrix's symplectic relation is checked at the 1e-7 bound of
+    `is_positively_elliptic`; the first that fails raises NotSymplecticError.
+    """
+    Ws = np.asarray(Ws, dtype=float)
+    n = Ws.shape[-1] // 2
+    O = _omega(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(Ws, axis=(1, 2))
+        r = np.linalg.norm(np.swapaxes(Ws, 1, 2) @ O @ Ws - O, axis=(1, 2))
+        symplectic = (norm < 1e154) & (r <= 1e-7 * norm**2)
+    for W in Ws[~symplectic]:
+        require_symplectic(W, tol=1e-7)  # raises with the single-matrix message
+    I = np.eye(2 * n)
+    try:
+        M = O @ np.linalg.solve(Ws - I, Ws + I)
+        S = -(M + np.swapaxes(M, 1, 2)) / 2
+        # cholesky raises for the whole stack when one factor fails
+        inside = np.linalg.eigvalsh(S)[:, 0] > 0
+        L = np.linalg.cholesky(S[inside])
+    except np.linalg.LinAlgError:
+        # W - I singular, or a factor that passed the screen
+        return np.array([_normal_form(W) is not None for W in Ws], dtype=bool)
+    d = np.linalg.eigvalsh(1j * (np.swapaxes(L, 1, 2) @ O @ L))[:, n:]
+    theta = 2 * np.arctan2(1.0, d)
+    lo, hi = ANGLE_BOUNDARY_BAND, np.pi - ANGLE_BOUNDARY_BAND
+    inside[inside] = np.all((lo <= theta) & (theta <= hi), axis=1)
+    return inside
+
+
 def _region_normal_form(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`_normal_form` of a checked W.  A rejection raises NotEllipticError
     naming the first condition the Krein spectrum finds violated, or

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from spcausal import (
     ConeStatus,
@@ -26,6 +27,7 @@ from spcausal import (
     symplectic_inverse,
     tau,
 )
+from spcausal.causal import _boundary_gap, _exit_reason
 from spcausal.exceptions import (
     NotConnectableError,
     NotEllipticError,
@@ -115,6 +117,17 @@ def test_geodesic_flow_matches_expm():
             np.testing.assert_allclose(
                 flow(t), scipy.linalg.expm(t * X) @ W0, atol=1e-9
             )
+    # an array of t gives the stack of points, on the eigenbasis path and on
+    # the expm fallback of a nilpotent X
+    ts = np.array([-1.3, 0.0, 0.4, 2.1])
+    for X, W0 in ((block_rotation_generator([0.5, 1.2]), random_symplectic(5, 2)),
+                  (np.array([[0.0, -1.0], [0.0, 0.0]]), rot(0.4))):
+        flow = geodesic_flow(X, W0)
+        points = flow(ts)
+        assert points.shape == (ts.size, *W0.shape)
+        np.testing.assert_allclose(
+            points, [flow(t) for t in ts], rtol=0, atol=1e-14
+        )
 
 
 # -- distance ---------------------------------------------------------------
@@ -222,8 +235,28 @@ def test_connect_endpoint_and_interior_samples():
 
 
 def test_connect_rejects_non_elliptic_quotient():
-    with pytest.raises(NotConnectableError):
+    with pytest.raises(
+        NotConnectableError,
+        match="^quotient not positively elliptic: off-circle eigenvalue$",
+    ):
         connect(rot(0.3), np.diag([2.0, 0.5]) @ rot(0.3))
+
+
+def test_connect_names_the_first_sample_outside():
+    # the quotient is elliptic, but the geodesic from W0 leaves the region;
+    # the message is the one a sample-by-sample check gives
+    cases = [(rot(2.5), rot(3.5)),
+             (block_rotation([2.0, 0.3]), block_rotation([3.5, 0.5])),
+             (np.diag([2.0, 0.5]), rot(0.6) @ np.diag([2.0, 0.5]))]
+    for W0, W1 in cases:
+        X = log_elliptic(W1 @ symplectic_inverse(W0))
+        flow = geodesic_flow(X, W0)
+        s = next(s for s in np.linspace(0.0, 1.0, 66)[1:-1]
+                 if not is_positively_elliptic(flow(float(s))))
+        reason = is_positively_elliptic(flow(float(s))).reason
+        with pytest.raises(NotConnectableError) as exc:
+            connect(W0, W1, samples=64)
+        assert str(exc.value) == f"geodesic leaves the region at s={s:.4f}: {reason}"
 
 
 # -- exit times -------------------------------------------------------------
@@ -293,6 +326,70 @@ def test_exit_times_errors():
         exit_times(rot(0.5), -standard_J(1))
     with pytest.raises(NotEllipticError):
         exit_times(np.diag([2.0, 0.5]), standard_J(1))
+    for kwargs in ({"t_max": -1.0}, {"t_max": 0.0}, {"t_max": np.inf},
+                   {"t_max": np.nan}, {"tol": 0.0}, {"tol": -1e-8},
+                   {"tol": np.inf}):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            exit_times(rot(0.5), standard_J(1), **kwargs)
+
+
+def _sequential_exit_times(W0, X, t_max=1e3, tol=1e-8):
+    """Reference: exit_times as it was before stacked membership, doubling
+    and bisecting with one membership test per point."""
+    flow = geodesic_flow(X, W0)
+
+    def member(t):
+        return bool(is_positively_elliptic(flow(t)))
+
+    def bisect(t_lo, t_hi, sign, width):
+        while t_hi - t_lo > width:
+            mid = 0.5 * (t_lo + t_hi)
+            if member(sign * mid):
+                t_lo = mid
+            else:
+                t_hi = mid
+        return t_lo, t_hi
+
+    def locate(sign):
+        t_lo, t_hi = 0.0, min(1.0, t_max)
+        while member(sign * t_hi):
+            t_lo = t_hi
+            t_hi *= 2.0
+            if t_hi > t_max:
+                return float("inf"), None
+        t_lo, t_hi = bisect(t_lo, t_hi, sign, max(tol, 1e-6))
+        reason = _exit_reason(flow(sign * t_hi))
+        if reason in (ExitReason.EIGENVALUE_MINUS_ONE, ExitReason.EIGENVALUE_ONE):
+            pi_crossing = reason is ExitReason.EIGENVALUE_MINUS_ONE
+
+            def gap(t):
+                return _boundary_gap(flow(sign * t), pi_crossing)
+
+            pad = 10 * (t_hi - t_lo)
+            a, b = max(t_lo - pad, 0.0), t_hi + pad
+            if gap(a) > 0 > gap(b):
+                return scipy.optimize.brentq(gap, a, b, xtol=min(tol, 1e-10)), reason
+        t_lo, t_hi = bisect(t_lo, t_hi, sign, tol)
+        return 0.5 * (t_lo + t_hi), reason
+
+    c2, fwd = locate(1.0)
+    c1, bwd = locate(-1.0)
+    return c1, c2, bwd, fwd
+
+
+def test_exit_times_match_sequential_reference():
+    cases = [random_torus_pair((101, k, n), n)[:2] for k in range(3) for n in (1, 2, 3)]
+    rng = np.random.default_rng(103)
+    for k in range(36):
+        n = 1 + k % 3
+        X = random_cone_element(rng, n)
+        cases.append((random_elliptic(rng, n, margin=0.2), X / np.linalg.norm(X)))
+    for W0, X in cases:
+        et = exit_times(W0, X, t_max=5e3)
+        c1, c2, bwd, fwd = _sequential_exit_times(W0, X, t_max=5e3)
+        assert et.finite
+        assert abs(et.c1 - c1) <= 1e-8 and abs(et.c2 - c2) <= 1e-8
+        assert (et.backward_reason, et.forward_reason) == (bwd, fwd)
 
 
 def test_exit_times_t_max_flag():

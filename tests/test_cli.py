@@ -137,6 +137,12 @@ def test_connect_and_exit_times(tmp_path, capsys):
     assert abs(out["result"]["c2"] - 3 * np.pi / 4) <= 1e-8
     assert out["result"]["forward_reason"] == "eigenvalue -1"
     assert out["result"]["backward_reason"] == "eigenvalue +1"
+    # --t-max outside (0, inf) is rejected at parse time
+    for t_max in ("0", "-1", "inf", "nan"):
+        with pytest.raises(SystemExit) as exc:
+            main(["exit-times", "--t-max", t_max, w, x])
+        assert exc.value.code == 2
+        assert "must be positive and finite" in capsys.readouterr().err
 
 
 def test_tol_only_on_check_and_reported_as_in_force(tmp_path, capsys):
@@ -153,6 +159,8 @@ def test_tol_only_on_check_and_reported_as_in_force(tmp_path, capsys):
         (["check", "--elliptic", "--tol", "1e-9", f], 1e-9),
         (["check", "--elliptic", "--tol", "1e-5", f], 1e-7),
         (["check", "--symplectic", f], 1e-9),
+        # verify_suite's library calls check at 1e-7
+        (["suite", "--seed", "1", "--n", "1", "--trials", "1"], 1e-7),
     ]
     for argv, tol_symp in cases:
         code, out = run_cli(capsys, argv)

@@ -1,6 +1,8 @@
 """Tests for the positively elliptic region: membership, splitting, log,
 time function, Maslov value and the -W^{-1} involution."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -25,8 +27,13 @@ from spcausal import (
     symplectic_inverse,
     tau,
 )
-from spcausal.elliptic import _check_from_spectrum
-from spcausal.exceptions import IllConditionedWarning, NotEllipticError
+from spcausal.core import require_symplectic
+from spcausal.elliptic import _check_from_spectrum, _stack_membership
+from spcausal.exceptions import (
+    IllConditionedWarning,
+    NotEllipticError,
+    NotSymplecticError,
+)
 from spcausal.krein import krein_spectrum
 
 
@@ -115,13 +122,18 @@ def _differential_sample(i: int) -> np.ndarray:
 
 
 def test_normal_form_matches_krein_spectrum():
-    # the normal form's verdict and angles against the Krein spectrum
+    # the normal form's verdict and angles against the Krein spectrum, and
+    # the stacked verdicts, one stack per n, against the single-matrix ones
     members = 0
+    by_n: dict[int, tuple[list, list]] = {1: ([], []), 2: ([], []), 3: ([], [])}
     for i in range(3000):
         W = _differential_sample(i)
         spec = krein_spectrum(W, on_degenerate="mark")
         want = bool(_check_from_spectrum(spec))
         assert bool(is_positively_elliptic(W)) is want, i
+        stack, verdicts = by_n[W.shape[0] // 2]
+        stack.append(W)
+        verdicts.append(want)
         if not want:
             continue
         members += 1
@@ -130,6 +142,37 @@ def test_normal_form_matches_krein_spectrum():
         if np.all(np.diff(ref) > 1e-5):
             np.testing.assert_allclose(elliptic_angles(W), ref, rtol=0, atol=1e-9)
     assert 1000 < members < 2500
+    for n, (stack, verdicts) in by_n.items():
+        got = _stack_membership(np.array(stack))
+        assert got.dtype == bool and got.tolist() == verdicts, n
+
+
+def test_stack_membership_along_a_flow_across_both_exits():
+    rng = np.random.default_rng(97)
+    for n in (1, 2, 3):
+        W0 = random_elliptic(rng, n, margin=0.3)
+        X = random_cone_element(rng, n)
+        rho = float(np.max(np.abs(np.linalg.eigvals(X).imag)))
+        ts = np.linspace(-np.pi, np.pi, 401) / rho
+        Ws = np.array([scipy.linalg.expm(t * X) @ W0 for t in ts])
+        want = [bool(is_positively_elliptic(W)) for W in Ws]
+        assert _stack_membership(Ws).tolist() == want
+        # the flow starts inside and leaves on both sides
+        assert want[200] and not want[0] and not want[-1]
+
+
+def test_stack_membership_rejects_a_bad_matrix_without_warning():
+    good = np.array([rot(0.5 + 0.1 * k, 2) for k in range(5)])
+    for bad in (np.nan, np.inf, 1e160, 2.0):
+        Ws = good.copy()
+        Ws[3, 1, 2] = bad
+        with pytest.raises(NotSymplecticError) as single:
+            require_symplectic(Ws[3], tol=1e-7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotSymplecticError) as stacked:
+                _stack_membership(Ws)
+        assert str(stacked.value) == str(single.value)
 
 
 # -- splitting --------------------------------------------------------------
