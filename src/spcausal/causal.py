@@ -18,6 +18,7 @@ import scipy.optimize
 
 from .core import (
     ConeStatus,
+    _omega,
     cone_status,
     half_dim,
     require_hamiltonian,
@@ -38,20 +39,24 @@ from .exceptions import (
     OutsideConeError,
     ZeroDirectionError,
 )
-from .krein import Location, _spectrum, krein_spectrum
-
-#: Interior points of each stacked narrowing round of `exit_times`; seven
-#: equally spaced points shrink the bracket eightfold, three bisection steps.
-_NARROW_POINTS = 7
+# krein_spectrum stays importable here: the benchmark's tracer rebinds it
+from .krein import Location, _spectrum, krein_spectrum  # noqa: F401
 
 
 class ExitReason(Enum):
-    """Boundary feature reached when a geodesic leaves the elliptic region."""
+    """Eigenvalue through which a geodesic leaves the elliptic region.
+
+    Inside the region the eigenvalues on the upper half circle are
+    Krein-positive and their conjugates Krein-negative.  An eigenvalue can
+    leave the circle, or change its Krein signature, only by colliding with
+    one of opposite signature (Krein's strong-stability theory, see
+    Yakubovich and Starzhinskii 1975), which is first possible at +1 or -1.
+    So an off-circle pair or an indefinite signature is never the first
+    boundary feature reached from inside.
+    """
 
     EIGENVALUE_MINUS_ONE = "eigenvalue -1"
     EIGENVALUE_ONE = "eigenvalue +1"
-    KREIN_DEGENERACY = "krein degeneracy"
-    OFF_CIRCLE = "off-circle"
 
 
 @dataclass(frozen=True)
@@ -213,54 +218,6 @@ def connect(
     return GeodesicConnection(tangent=X, status=status)
 
 
-def _exit_reason(W: np.ndarray) -> ExitReason:
-    # W sits just past the exit, so the offending eigenvalue pair is still
-    # near the boundary feature it crossed; spectral proximity to +-1 is a
-    # more reliable witness than the membership diagnosis (a hyperbolic
-    # pair reads as "off-circle" immediately after a -1 collision).
-    evals = np.linalg.eigvals(W)
-    d_minus = float(np.min(np.abs(evals + 1.0)))
-    d_plus = float(np.min(np.abs(evals - 1.0)))
-    if min(d_minus, d_plus) <= 0.1:
-        if d_minus <= d_plus:
-            return ExitReason.EIGENVALUE_MINUS_ONE
-        return ExitReason.EIGENVALUE_ONE
-    chk = is_positively_elliptic(W)
-    if chk.reason == "off-circle eigenvalue":
-        return ExitReason.OFF_CIRCLE
-    return ExitReason.KREIN_DEGENERACY
-
-
-def _boundary_gap(W: np.ndarray, pi_crossing: bool) -> float:
-    """Signed distance-like indicator of the elliptic boundary.
-
-    Positive strictly inside the region, negative past an exit.  For a
-    pi-crossing (eigenvalue -1) the indicator is pi minus the largest
-    Krein-positive phase taken mod 2 pi; for a 0-crossing (eigenvalue +1)
-    it is the smallest Krein-positive phase in (-pi, pi].  Off-circle
-    eigenvalues subtract their radial deviation, which keeps the sign
-    correct when the exiting pair turns hyperbolic.
-    """
-    spec = krein_spectrum(W, on_degenerate="mark")
-    phases: list[float] = []
-    off = 0.0
-    for c in spec.clusters:
-        if c.location is Location.OFF_CIRCLE:
-            off = max(off, abs(float(np.log(abs(c.value)))))
-        elif c.location is Location.MINUS_ONE:
-            phases.append(np.pi)
-        elif c.location is Location.PLUS_ONE:
-            phases.append(0.0)
-        elif c.krein_signature is not None and c.krein_signature[0] > 0:
-            phases.append(c.angle)
-    if not phases:
-        return -off
-    if pi_crossing:
-        phi = max(a % (2 * np.pi) for a in phases)
-        return (np.pi - phi) - off
-    return min(phases) - off
-
-
 def exit_times(
     W0: np.ndarray,
     X: np.ndarray,
@@ -269,14 +226,19 @@ def exit_times(
 ) -> ExitTimes:
     """Locate the exit parameters of exp(t X) W0 from the elliptic region.
 
-    Brackets each exit between the last member and the first non-member of
-    the doubling sequence 1, 2, 4, ... <= t_max, evaluated as one stack,
-    then narrows the bracket with stacked membership verdicts on a grid of
-    interior points, to width 1e-6 (or tol, if larger).  Exits through an
-    eigenvalue +-1 (the generic case for causal directions) are refined by
-    root-finding on a signed boundary indicator, which removes the bias of
-    the membership detection bands; other exits are narrowed to width tol.
-    Raises ValueError unless 0 < t_max < inf and 0 < tol < inf.
+    W is in the region exactly when sym(Omega W) is positive definite (the
+    congruence 2 sym(Omega W) = (W - I)^T (-sym(Omega C)) (W - I) with the
+    Cayley transform C of `elliptic._normal_form`).  Each exit is the first
+    root of g(t) = lambda_min(sym(Omega exp(+-t X) W0)): g is evaluated as
+    one stack on 0 and the doubling sequence 1, 2, 4, ... <= t_max, its
+    first sign change brackets the root, and brentq locates it to
+    min(tol, 1e-10).  An exit is 0 when the flow is clearly outside before
+    it is clearly inside, g being resolved to about eps |sym(Omega W0)|.
+    By Krein continuity (see ExitReason) the flow leaves backward through +1
+    and forward through -1, as Krein-positive eigenvalues turn
+    counterclockwise along a causal flow.  Raises ValueError unless
+    0 < t_max < inf and 0 < tol < inf, and NotEllipticError when W0 fails
+    `is_positively_elliptic`.
     """
     if not 0 < t_max < np.inf:
         raise ValueError("t_max must be positive and finite")
@@ -292,48 +254,36 @@ def exit_times(
     if not is_positively_elliptic(W0):
         raise NotEllipticError("starting point is not positively elliptic")
     flow = geodesic_flow(X, W0)
+    O = _omega(half_dim(W0))
 
-    def bracket(t_lo: float, ts: np.ndarray, sign: float):
-        # [last member, first non-member] of t_lo < ts[0] < ts[1] < ...,
-        # where t_lo is a member; None when every ts is a member
-        inside = _stack_membership(flow(sign * ts))
-        if inside.all():
-            return None
-        k = int(np.argmin(inside))
-        return (float(ts[k - 1]) if k else t_lo), float(ts[k])
+    def gap(t):
+        M = O @ flow(t)
+        return np.linalg.eigvalsh(M + np.swapaxes(M, -1, -2))[..., 0]
 
-    def narrow(t_lo: float, t_hi: float, sign: float, width: float):
-        while t_hi - t_lo > width:
-            grid = np.linspace(t_lo, t_hi, _NARROW_POINTS + 2)
-            lo, hi = bracket(t_lo, grid[1:-1], sign) or (float(grid[-2]), t_hi)
-            if hi - lo >= t_hi - t_lo:  # the grid no longer resolves the bracket
-                break
-            t_lo, t_hi = lo, hi
-        return t_lo, t_hi
+    ts = [0.0, min(1.0, t_max)]
+    while 2.0 * ts[-1] <= t_max:
+        ts.append(2.0 * ts[-1])
+    # 4 eps |sym(Omega W0)| bounds the noise in g with margin; g(0) is noise
+    # for an ill-conditioned W0 with an angle near 0 or pi, and then the
+    # halvings of ts[1] down to 2^-52 ts[1] join the grid
+    noise = 4 * np.finfo(float).eps * np.linalg.norm(O @ W0 - W0.T @ O, 2)
+    if gap(0.0) <= noise:
+        ts[1:1] = list(ts[1] * 2.0 ** np.arange(-52.0, 0.0))
+    ts = np.array(ts)
 
-    def locate(sign: float) -> tuple[float, ExitReason | None]:
-        ts = [min(1.0, t_max)]
-        while 2.0 * ts[-1] <= t_max:
-            ts.append(2.0 * ts[-1])
-        found = bracket(0.0, np.array(ts), sign)
-        if found is None:
-            return float("inf"), None
-        t_lo, t_hi = narrow(*found, sign, max(tol, 1e-6))
-        reason = _exit_reason(flow(sign * t_hi))
-        if reason in (ExitReason.EIGENVALUE_MINUS_ONE, ExitReason.EIGENVALUE_ONE):
-            pi_crossing = reason is ExitReason.EIGENVALUE_MINUS_ONE
+    def locate(sign: float) -> float:
+        g = gap(sign * ts)
+        first = int(np.argmax(np.abs(g) > noise))
+        if g[first] <= noise:
+            return 0.0
+        k = first + int(np.argmax(g[first:] <= 0))
+        if g[k] > 0:
+            return float("inf")
+        return scipy.optimize.brentq(
+            lambda t: gap(sign * t), ts[k - 1], ts[k], xtol=min(tol, 1e-10)
+        )
 
-            def gap(t: float) -> float:
-                return _boundary_gap(flow(sign * t), pi_crossing)
-
-            pad = 10 * (t_hi - t_lo)
-            a, b = max(t_lo - pad, 0.0), t_hi + pad
-            if gap(a) > 0 > gap(b):
-                t_star = scipy.optimize.brentq(gap, a, b, xtol=min(tol, 1e-10))
-                return float(t_star), reason
-        t_lo, t_hi = narrow(t_lo, t_hi, sign, tol)
-        return 0.5 * (t_lo + t_hi), reason
-
-    c2, fwd = locate(1.0)
-    c1, bwd = locate(-1.0)
+    c1, c2 = locate(-1.0), locate(1.0)
+    bwd = ExitReason.EIGENVALUE_ONE if c1 < np.inf else None
+    fwd = ExitReason.EIGENVALUE_MINUS_ONE if c2 < np.inf else None
     return ExitTimes(c1=c1, c2=c2, backward_reason=bwd, forward_reason=fwd)

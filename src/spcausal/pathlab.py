@@ -177,7 +177,7 @@ def geodesic_path(
     """Uniform-grid discretisation of the geodesic t -> exp(t X) W0."""
     grid = np.linspace(t0, t1, steps + 1)
     flow = geodesic_flow(X, W0)
-    matrices = tuple(flow(float(t)) for t in grid)
+    matrices = tuple(flow(grid))
     tangents = tuple(X.copy() for _ in range(steps))
     return CausalPath(grid=grid, tangents=tangents, matrices=matrices)
 

@@ -8,14 +8,17 @@ import scipy.optimize
 from spcausal import (
     ConeStatus,
     ExitReason,
+    Location,
     block_rotation,
     block_rotation_generator,
+    cone_status,
     connect,
     dist_formula,
     exit_times,
     finsler_G,
     geodesic_flow,
     is_positively_elliptic,
+    krein_spectrum,
     log_elliptic,
     omega_matrix,
     path_length,
@@ -27,7 +30,6 @@ from spcausal import (
     symplectic_inverse,
     tau,
 )
-from spcausal.causal import _boundary_gap, _exit_reason
 from spcausal.exceptions import (
     NotConnectableError,
     NotEllipticError,
@@ -307,16 +309,26 @@ def test_exit_tau_divergence():
 
 
 def test_exit_times_generic_interior_finite():
+    # interior cone directions, then cone-boundary ones -Omega B B^T with
+    # rank(B) < 2n; by Krein continuity every exit is through +1 or -1, and
+    # as Krein-positive eigenvalues turn counterclockwise along a causal
+    # flow, backward through +1 and forward through -1
     rng = np.random.default_rng(89)
+    cases = []
     for k in range(10):
         n = int(rng.integers(1, 4))
-        W0 = random_elliptic(rng, n, margin=0.2)
-        X = random_cone_element(rng, n)
-        X = X / np.linalg.norm(X)
-        et = exit_times(W0, X, t_max=5e3)
+        cases.append((random_elliptic(rng, n, margin=0.2), random_cone_element(rng, n)))
+    for k in range(12):
+        n = 1 + k % 3
+        B = rng.standard_normal((2 * n, 1 + k % (2 * n - 1)))
+        X = -omega_matrix(n) @ B @ B.T
+        assert cone_status(X) is ConeStatus.BOUNDARY
+        cases.append((random_elliptic(rng, n, margin=0.2), X))
+    for W0, X in cases:
+        et = exit_times(W0, X / np.linalg.norm(X), t_max=5e3)
         assert et.finite
-        assert et.forward_reason is not None
-        assert et.backward_reason is not None
+        assert et.backward_reason is ExitReason.EIGENVALUE_ONE
+        assert et.forward_reason is ExitReason.EIGENVALUE_MINUS_ONE
 
 
 def test_exit_times_errors():
@@ -333,9 +345,59 @@ def test_exit_times_errors():
             exit_times(rot(0.5), standard_J(1), **kwargs)
 
 
+def _exit_reason(W):
+    # W sits just past the exit, so the offending eigenvalue pair is still
+    # near the boundary feature it crossed; spectral proximity to +-1 is a
+    # more reliable witness than the membership diagnosis (a hyperbolic
+    # pair reads as "off-circle" immediately after a -1 collision).
+    evals = np.linalg.eigvals(W)
+    d_minus = float(np.min(np.abs(evals + 1.0)))
+    d_plus = float(np.min(np.abs(evals - 1.0)))
+    if min(d_minus, d_plus) <= 0.1:
+        if d_minus <= d_plus:
+            return ExitReason.EIGENVALUE_MINUS_ONE
+        return ExitReason.EIGENVALUE_ONE
+    chk = is_positively_elliptic(W)
+    if chk.reason == "off-circle eigenvalue":
+        return "off-circle"
+    return "krein degeneracy"
+
+
+def _boundary_gap(W, pi_crossing):
+    """Signed distance-like indicator of the elliptic boundary.
+
+    Positive strictly inside the region, negative past an exit.  For a
+    pi-crossing (eigenvalue -1) the indicator is pi minus the largest
+    Krein-positive phase taken mod 2 pi; for a 0-crossing (eigenvalue +1)
+    it is the smallest Krein-positive phase in (-pi, pi].  Off-circle
+    eigenvalues subtract their radial deviation, which keeps the sign
+    correct when the exiting pair turns hyperbolic.
+    """
+    spec = krein_spectrum(W, on_degenerate="mark")
+    phases = []
+    off = 0.0
+    for c in spec.clusters:
+        if c.location is Location.OFF_CIRCLE:
+            off = max(off, abs(float(np.log(abs(c.value)))))
+        elif c.location is Location.MINUS_ONE:
+            phases.append(np.pi)
+        elif c.location is Location.PLUS_ONE:
+            phases.append(0.0)
+        elif c.krein_signature is not None and c.krein_signature[0] > 0:
+            phases.append(c.angle)
+    if not phases:
+        return -off
+    if pi_crossing:
+        phi = max(a % (2 * np.pi) for a in phases)
+        return (np.pi - phi) - off
+    return min(phases) - off
+
+
 def _sequential_exit_times(W0, X, t_max=1e3, tol=1e-8):
     """Reference: exit_times as it was before stacked membership, doubling
-    and bisecting with one membership test per point."""
+    and bisecting with one membership test per point, then root-finding on
+    the Krein-phase indicator `_boundary_gap` (a `krein_spectrum` per
+    evaluation) with the reason read from the eigenvalues past the exit."""
     flow = geodesic_flow(X, W0)
 
     def member(t):
@@ -377,6 +439,15 @@ def _sequential_exit_times(W0, X, t_max=1e3, tol=1e-8):
     return c1, c2, bwd, fwd
 
 
+def _positive_definite(W):
+    M = omega_matrix(W.shape[0] // 2) @ W
+    try:
+        np.linalg.cholesky(M + M.T)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def test_exit_times_match_sequential_reference():
     cases = [random_torus_pair((101, k, n), n)[:2] for k in range(3) for n in (1, 2, 3)]
     rng = np.random.default_rng(103)
@@ -390,6 +461,41 @@ def test_exit_times_match_sequential_reference():
         assert et.finite
         assert abs(et.c1 - c1) <= 1e-8 and abs(et.c2 - c2) <= 1e-8
         assert (et.backward_reason, et.forward_reason) == (bwd, fwd)
+        # sym(Omega W) is positive definite exactly inside the region; each
+        # exit must sit within 1e-9 of where it stops being so
+        flow = geodesic_flow(X, W0)
+        for t in (et.c2, -et.c1):
+            inward = -1e-9 * np.sign(t)
+            assert _positive_definite(flow(t + inward))
+            assert not _positive_definite(flow(t - inward))
+
+
+def test_exit_times_ill_conditioned_start():
+    # starts within 1e-6 of an angle 0 or pi under conjugations of condition
+    # up to about 1e8, where sym(Omega W0) can be singular to roundoff while
+    # the start check accepts W0: each exit still brackets the sign change,
+    # and one at 0 (a start on the boundary to working precision) has the
+    # flow outside 1e-9 past it
+    for seed in range(24):
+        rng = np.random.default_rng((107, seed))
+        n = 1 + seed % 3
+        S = random_symplectic(rng, n, scale=4.0 + seed % 2)
+        Si = symplectic_inverse(S)
+        angles = np.sort(rng.uniform(0.5, 2.5, n))
+        for theta in (3e-8, 1e-6):
+            for a in (theta, np.pi - theta):
+                W0 = S @ block_rotation(np.r_[a, angles[1:]]) @ Si
+                if not is_positively_elliptic(W0):
+                    continue
+                X = random_cone_element(rng, n)
+                X = X / np.linalg.norm(X)
+                et = exit_times(W0, X, t_max=5e3)
+                assert et.finite
+                flow = geodesic_flow(X, W0)
+                for sign, c in ((1.0, et.c2), (-1.0, et.c1)):
+                    assert not _positive_definite(flow(sign * (c + 1e-9)))
+                    if c > 0:
+                        assert _positive_definite(flow(sign * (c - 1e-9)))
 
 
 def test_exit_times_t_max_flag():
