@@ -28,7 +28,7 @@ from .core import (
 )
 from .elliptic import (
     _normal_form,
-    _stack_membership,
+    _stack_normal_form,
     is_positively_elliptic,
     log_elliptic,
 )
@@ -208,7 +208,7 @@ def connect(
             )
         s = np.linspace(0.0, 1.0, samples + 2)[1:-1]
         points = flow(s)
-        inside = _stack_membership(points)
+        inside, _ = _stack_normal_form(points)
         if not inside.all():
             k = int(np.argmin(inside))
             reason = is_positively_elliptic(points[k]).reason

@@ -126,14 +126,17 @@ def _normal_form(W: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return theta, np.linalg.solve(L.T, U) * np.sqrt(d)
 
 
-def _stack_membership(Ws: np.ndarray) -> np.ndarray:
-    """Membership verdicts, a boolean (N,) array, for an (N, 2n, 2n) stack.
+def _stack_normal_form(Ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Membership verdicts, a boolean (N,) array, and ascending angles, an
+    (N, n) array that is NaN outside the region, for an (N, 2n, 2n) stack.
 
     The computation of `_normal_form`, run as batched calls: the Cayley
     solve, a screen on the least eigenvalue of S, the Cholesky factor of the
     screened S and the Williamson eigenvalues against the boundary band.
     Each matrix's symplectic relation is checked at the 1e-7 bound of
     `is_positively_elliptic`; the first that fails raises NotSymplecticError.
+    An entry with W - I exactly singular, or whose factor fails after
+    passing the screen, alone takes the single-matrix `_normal_form`.
     """
     Ws = np.asarray(Ws, dtype=float)
     n = Ws.shape[-1] // 2
@@ -145,20 +148,34 @@ def _stack_membership(Ws: np.ndarray) -> np.ndarray:
     for W in Ws[~symplectic]:
         require_symplectic(W, tol=1e-7)  # raises with the single-matrix message
     I = np.eye(2 * n)
+    single = np.zeros(len(Ws), dtype=bool)
     try:
-        M = O @ np.linalg.solve(Ws - I, Ws + I)
-        S = -(M + np.swapaxes(M, 1, 2)) / 2
-        # cholesky raises for the whole stack when one factor fails
-        inside = np.linalg.eigvalsh(S)[:, 0] > 0
-        L = np.linalg.cholesky(S[inside])
+        C = np.linalg.solve(Ws - I, Ws + I)
     except np.linalg.LinAlgError:
-        # W - I singular, or a factor that passed the screen
-        return np.array([_normal_form(W) is not None for W in Ws], dtype=bool)
+        # solve raises for the whole stack; det shares its LU pivots
+        single = np.linalg.det(Ws - I) == 0
+        C = np.linalg.solve(Ws[~single] - I, Ws[~single] + I)
+    M = O @ C
+    S = -(M + np.swapaxes(M, 1, 2)) / 2
+    screened = np.linalg.eigvalsh(S)[:, 0] > 0
+    rows = np.flatnonzero(~single)[screened]
+    try:
+        # cholesky raises for the whole stack when one factor fails
+        L = np.linalg.cholesky(S[screened])
+    except np.linalg.LinAlgError:  # a factor that passed the screen
+        single[rows] = True
+        rows, L = rows[:0], S[:0]
+    theta = np.full((len(Ws), n), np.nan)
     d = np.linalg.eigvalsh(1j * (np.swapaxes(L, 1, 2) @ O @ L))[:, n:]
-    theta = 2 * np.arctan2(1.0, d)
+    theta[rows] = 2 * np.arctan2(1.0, d[:, ::-1])  # largest d, smallest angle
+    for i in np.flatnonzero(single):
+        nf = _normal_form(Ws[i])
+        if nf is not None:
+            theta[i] = nf[0]
     lo, hi = ANGLE_BOUNDARY_BAND, np.pi - ANGLE_BOUNDARY_BAND
-    inside[inside] = np.all((lo <= theta) & (theta <= hi), axis=1)
-    return inside
+    inside = np.all((lo <= theta) & (theta <= hi), axis=1)  # false for NaN
+    theta[~inside] = np.nan
+    return inside, theta
 
 
 def _region_normal_form(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

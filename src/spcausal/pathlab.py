@@ -35,6 +35,8 @@ from .causal import (
     geodesic_flow,
 )
 from .elliptic import (
+    _normal_form,
+    _stack_normal_form,
     elliptic_angles,
     is_positively_elliptic,
     log_elliptic,
@@ -78,7 +80,7 @@ class CausalPath:
 
     def validate(self, drift_tol: float = DRIFT_TOL) -> None:
         """Check the CausalPath invariants; raises on violation."""
-        if len(self.matrices) != len(self.tangents) + 1:
+        if not len(self.grid) == len(self.matrices) == len(self.tangents) + 1:
             raise DimensionMismatchError("grid/tangent/matrix counts are inconsistent")
         for i, W in enumerate(self.matrices):
             chk = is_symplectic(W, tol=drift_tol)
@@ -195,7 +197,7 @@ def random_causal_path(
     Tangents are normalised to unit Frobenius norm.  With ``confine=True``
     steps that would leave the positively elliptic region are retried with
     halved step size (up to 20 halvings).  Symplecticity drift beyond
-    DRIFT_TOL raises DriftExceededError.
+    DRIFT_TOL raises DriftExceededError; it is checked before membership.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -210,17 +212,17 @@ def random_causal_path(
             X = random_cone_element(rng, n)
             X = X / np.linalg.norm(X)
             W_next = scipy.linalg.expm(dt * X) @ W
-            if not confine or is_positively_elliptic(W_next):
+            chk = is_symplectic(W_next, tol=DRIFT_TOL)
+            if not chk:
+                raise DriftExceededError(
+                    f"symplectic drift {chk.residual:.3e} exceeds {DRIFT_TOL}"
+                )
+            if not confine or _normal_form(W_next) is not None:
                 break
             dt /= 2
         else:
             raise DriftExceededError(
                 "could not confine step to the elliptic region"
-            )
-        chk = is_symplectic(W_next, tol=DRIFT_TOL)
-        if not chk:
-            raise DriftExceededError(
-                f"symplectic drift {chk.residual:.3e} exceeds {DRIFT_TOL}"
             )
         tangents.append(X)
         grid.append(grid[-1] + dt)
@@ -272,13 +274,24 @@ def _match(prev: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, float]:
     return new, jump
 
 
+def _grid_phases(path: CausalPath) -> list:
+    """`_labeled_args` of every grid matrix, whose symplectic relation is
+    checked once as a stack: a region member with angles theta has the raw
+    phases (theta, -theta), the other matrices go through the Krein spectrum."""
+    _, theta = _stack_normal_form(np.array(path.matrices))
+    return [_labeled_args(W) if np.isnan(th[0]) else (th, -th)
+            for W, th in zip(path.matrices, theta)]
+
+
 def track_phases(path: CausalPath) -> PhaseTrack:
     """Continuous-argument eigenphases with Krein labels along a path.
 
+    The phases at the grid points are read from the path's stored matrices.
     Consecutive grid points are joined by nearest-angle assignment per
     label; a step whose phase jump exceeds pi/4 is refined by inserting
-    midpoints through the stored tangent.  Off-circle grid points are
-    flagged and their phases set to NaN.
+    midpoints through the stored tangent.  Only refinement computes
+    matrices: the midpoints and the end of the refined step.  Off-circle
+    grid points are flagged and their phases set to NaN.
     """
     N = path.steps
     n = path.matrices[0].shape[0] // 2
@@ -286,16 +299,15 @@ def track_phases(path: CausalPath) -> PhaseTrack:
     minus = np.full((N + 1, n), np.nan)
     off = np.zeros(N + 1, dtype=bool)
     crossings: list[tuple[int, str, float]] = []
+    raw = _grid_phases(path)
 
-    first = _labeled_args(path.matrices[0])
+    first = raw[0]
     if first is None:
         off[0] = True
     else:
         plus[0], minus[0] = np.sort(first[0]), np.sort(first[1])
 
-    def advance(p, m, W_from, X, dt, depth):
-        W_to = scipy.linalg.expm(dt * X) @ W_from
-        labeled = _labeled_args(W_to)
+    def advance(p, m, W_from, X, dt, labeled, depth):
         if labeled is None:
             return None
         new_p, j1 = _match(p, labeled[0])
@@ -305,23 +317,25 @@ def track_phases(path: CausalPath) -> PhaseTrack:
                 raise MatchingAmbiguousError(
                     "phase jump above pi/4 after refinement is exhausted"
                 )
-            half = advance(p, m, W_from, X, dt / 2, depth + 1)
+            step = scipy.linalg.expm((dt / 2) * X)
+            W_mid = step @ W_from
+            half = advance(p, m, W_from, X, dt / 2, _labeled_args(W_mid), depth + 1)
             if half is None:
                 return None
-            W_mid = scipy.linalg.expm((dt / 2) * X) @ W_from
-            return advance(half[0], half[1], W_mid, X, dt / 2, depth + 1)
+            return advance(*half, W_mid, X, dt / 2, _labeled_args(step @ W_mid), depth + 1)
         return new_p, new_m
 
     for i in range(N):
         if off[i]:
-            nxt = _labeled_args(path.matrices[i + 1])
+            nxt = raw[i + 1]
             if nxt is None:
                 off[i + 1] = True
             else:
                 plus[i + 1], minus[i + 1] = np.sort(nxt[0]), np.sort(nxt[1])
             continue
         dt = path.grid[i + 1] - path.grid[i]
-        result = advance(plus[i], minus[i], path.matrices[i], path.tangents[i], dt, 0)
+        result = advance(plus[i], minus[i], path.matrices[i], path.tangents[i], dt,
+                         raw[i + 1], 0)
         if result is None:
             off[i + 1] = True
             continue
@@ -343,32 +357,39 @@ def track_phases(path: CausalPath) -> PhaseTrack:
 def mu_along_path(path: CausalPath, start: float | None = None) -> np.ndarray:
     """Continuous real lift of arg(nu) / 2 pi along the path.
 
-    Anchored at ``start`` when given; otherwise at the wrapped argument of
-    nu at the first grid point, which is 0 for paths starting at id.
+    arg(nu) at the grid points is read from the path's stored matrices,
+    checked once as a stack: a region member has nu = exp(i sum theta_k),
+    the other matrices go through `nu`.  A step on which arg(nu) turns by
+    more than pi/2 is refined by midpoints through the stored tangent; only
+    refinement computes matrices.  Anchored at ``start`` when given;
+    otherwise at the wrapped argument of nu at the first grid point, which
+    is 0 for paths starting at id.
     """
     def nu_arg(W):
         return float(np.angle(nu(W)))
 
-    def lift_segment(a_prev, W_from, X, dt, depth):
-        W_to = scipy.linalg.expm(dt * X) @ W_from
-        a_next = nu_arg(W_to)
+    def lift_segment(a_prev, W_from, X, dt, a_next, depth):
         d = float(_wrap(a_next - a_prev))
         if abs(d) > np.pi / 2:
             if depth >= _MAX_REFINE:
                 raise MatchingAmbiguousError("nu winds too fast for the grid")
-            d1, a_mid = lift_segment(a_prev, W_from, X, dt / 2, depth + 1)
-            W_mid = scipy.linalg.expm((dt / 2) * X) @ W_from
-            d2, a_end = lift_segment(a_mid, W_mid, X, dt / 2, depth + 1)
+            step = scipy.linalg.expm((dt / 2) * X)
+            W_mid = step @ W_from
+            d1, a_mid = lift_segment(a_prev, W_from, X, dt / 2, nu_arg(W_mid), depth + 1)
+            d2, a_end = lift_segment(a_mid, W_mid, X, dt / 2, nu_arg(step @ W_mid),
+                                     depth + 1)
             return d1 + d2, a_end
         return d, a_next
 
-    a0 = nu_arg(path.matrices[0])
-    cont = [float(_wrap(a0))]
-    a_prev = a0
+    _, theta = _stack_normal_form(np.array(path.matrices))
+    args = [nu_arg(W) if np.isnan(th[0]) else float(np.sum(th))
+            for W, th in zip(path.matrices, theta)]
+    cont = [float(_wrap(args[0]))]
+    a_prev = args[0]
     for i in range(path.steps):
         dt = path.grid[i + 1] - path.grid[i]
         d, a_prev = lift_segment(
-            a_prev, path.matrices[i], path.tangents[i], dt, 0
+            a_prev, path.matrices[i], path.tangents[i], dt, args[i + 1], 0
         )
         cont.append(cont[-1] + d)
     mu = np.array(cont) / (2 * np.pi)
@@ -463,8 +484,10 @@ def _tau_monotone(seed, dims, trials):
     min_dtau = np.inf
     for k, n in _schedule(dims, trials):
         _, path = _confined_trial(seed, 30_000 + k, n, steps=50, step_size=0.02)
-        taus = np.array([tau(W) for W in path.matrices])
-        min_dtau = min(min_dtau, float(np.min(np.diff(taus))))
+        _, th = _stack_normal_form(np.array(path.matrices))
+        taus = np.sum(np.log(th) - np.log(np.pi - th), axis=1)
+        # NaN, the angles of a non-member, fails the check
+        min_dtau = np.minimum(min_dtau, float(np.min(np.diff(taus))))
     return min_dtau > 0, min_dtau, "min per-step increment of tau on confined paths"
 
 

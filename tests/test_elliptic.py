@@ -28,7 +28,7 @@ from spcausal import (
     tau,
 )
 from spcausal.core import require_symplectic
-from spcausal.elliptic import _check_from_spectrum, _stack_membership
+from spcausal.elliptic import _check_from_spectrum, _normal_form, _stack_normal_form
 from spcausal.exceptions import (
     IllConditionedWarning,
     NotEllipticError,
@@ -143,7 +143,7 @@ def test_normal_form_matches_krein_spectrum():
             np.testing.assert_allclose(elliptic_angles(W), ref, rtol=0, atol=1e-9)
     assert 1000 < members < 2500
     for n, (stack, verdicts) in by_n.items():
-        got = _stack_membership(np.array(stack))
+        got, _ = _stack_normal_form(np.array(stack))
         assert got.dtype == bool and got.tolist() == verdicts, n
 
 
@@ -156,9 +156,54 @@ def test_stack_membership_along_a_flow_across_both_exits():
         ts = np.linspace(-np.pi, np.pi, 401) / rho
         Ws = np.array([scipy.linalg.expm(t * X) @ W0 for t in ts])
         want = [bool(is_positively_elliptic(W)) for W in Ws]
-        assert _stack_membership(Ws).tolist() == want
+        assert _stack_normal_form(Ws)[0].tolist() == want
         # the flow starts inside and leaves on both sides
         assert want[200] and not want[0] and not want[-1]
+
+
+def test_stack_normal_form_matches_the_single_matrix_form(monkeypatch):
+    # I, -I, a shear at +1, a hyperbolic matrix, a rotation through -1 and
+    # a general symplectic matrix among members; W - I is exactly singular
+    # for I and the shear, and only those two take the single-matrix form
+    B = np.array([[1.0, 0.3], [0.3, 2.0]])
+    shear = np.block([[np.eye(2), B], [np.zeros((2, 2)), np.eye(2)]])
+    outside = [np.eye(4), -np.eye(4), shear, np.diag([2.0, 3.0, 0.5, 1 / 3]),
+               block_rotation([np.pi, 0.5]), random_symplectic(1, 2)]
+    members = [random_elliptic(s, 2) for s in range(8)] + [rot(0.7, 2)]
+    Ws = np.array(outside[:3] + members[:4] + outside[3:] + members[4:])
+    calls = []
+
+    def counted(W):
+        calls.append(W)
+        return _normal_form(W)
+
+    monkeypatch.setattr("spcausal.elliptic._normal_form", counted)
+    inside, theta = _stack_normal_form(Ws)
+    assert len(calls) == 2
+    assert inside.dtype == bool and theta.shape == (len(Ws), 2)
+    for W, ok, th in zip(Ws, inside, theta):
+        nf = _normal_form(W)
+        assert bool(ok) is (nf is not None)
+        if nf is None:
+            assert np.all(np.isnan(th))
+        else:
+            np.testing.assert_allclose(th, nf[0], rtol=0, atol=1e-14)
+    assert inside.sum() == len(members)
+    # a stacked Cholesky failure sends the screened entries alone to the
+    # single-matrix form
+    cholesky = np.linalg.cholesky
+
+    def stacked_fails(S):
+        if S.ndim == 3:
+            raise np.linalg.LinAlgError("not positive definite")
+        return cholesky(S)
+
+    monkeypatch.setattr(np.linalg, "cholesky", stacked_fails)
+    calls.clear()
+    inside_fb, theta_fb = _stack_normal_form(Ws)
+    assert 2 + len(members) <= len(calls) < len(Ws)
+    np.testing.assert_array_equal(inside_fb, inside)
+    np.testing.assert_allclose(theta_fb, theta, rtol=0, atol=1e-14)
 
 
 def test_stack_membership_rejects_a_bad_matrix_without_warning():
@@ -171,7 +216,7 @@ def test_stack_membership_rejects_a_bad_matrix_without_warning():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NotSymplecticError) as stacked:
-                _stack_membership(Ws)
+                _stack_normal_form(Ws)
         assert str(stacked.value) == str(single.value)
 
 

@@ -9,6 +9,7 @@ import scipy.linalg
 from spcausal import (
     CausalPath,
     ConeStatus,
+    block_rotation,
     cone_status,
     geodesic_path,
     is_positively_elliptic,
@@ -24,6 +25,20 @@ from spcausal import (
     standard_J,
     track_phases,
     verify_suite,
+)
+from spcausal.core import require_symplectic
+from spcausal.exceptions import (
+    DimensionMismatchError,
+    DriftExceededError,
+    NotSymplecticError,
+)
+from spcausal.krein import nu
+from spcausal.pathlab import (
+    _MAX_REFINE,
+    PHASE_JUMP,
+    _labeled_args,
+    _match,
+    _wrap,
 )
 
 
@@ -97,6 +112,31 @@ def test_confined_path_stays_elliptic():
             assert is_positively_elliptic(W)
 
 
+def test_confined_step_drift_raises_drift_exceeded(monkeypatch):
+    # drift in a confined step is the documented DriftExceededError, which
+    # the redraw loops catch, and not the NotSymplecticError of a membership
+    # test
+    W0 = random_elliptic_banded(0, 2, lo=0.3, hi=1.8)
+    expm = scipy.linalg.expm
+
+    def drifting(A):
+        E = expm(A)
+        E[0, 1] += 1e-5
+        return E
+
+    monkeypatch.setattr(scipy.linalg, "expm", drifting)
+    with pytest.raises(DriftExceededError):
+        random_causal_path(0, 2, steps=3, W_start=W0, step_size=0.05, confine=True)
+
+
+def test_validate_rejects_a_short_grid():
+    path = random_causal_path(0, 1, steps=4, step_size=0.05)
+    short = CausalPath(grid=path.grid[:-1], tangents=path.tangents,
+                       matrices=path.matrices)
+    with pytest.raises(DimensionMismatchError):
+        short.validate()
+
+
 def test_confined_path_halves_near_boundary():
     # start close to the boundary: full steps must be rejected at least once
     W0 = scipy.linalg.expm((np.pi - 0.05) * standard_J(1))
@@ -161,6 +201,155 @@ def test_mu_lift_reversed_path():
     )
     mu_rev = mu_along_path(rev)
     np.testing.assert_allclose(np.diff(mu_rev), -np.diff(mu)[::-1], atol=1e-9)
+
+
+# -- differential: stored matrices against per-matrix recomputation ---------
+
+def _reference_track_phases(path):
+    """track_phases as it recomputed every grid matrix from its predecessor
+    and took each spectrum from krein_spectrum; returns (plus, minus,
+    crossings, off_circle)."""
+    N = path.steps
+    n = path.matrices[0].shape[0] // 2
+    plus = np.full((N + 1, n), np.nan)
+    minus = np.full((N + 1, n), np.nan)
+    off = np.zeros(N + 1, dtype=bool)
+    crossings = []
+    first = _labeled_args(path.matrices[0])
+    if first is None:
+        off[0] = True
+    else:
+        plus[0], minus[0] = np.sort(first[0]), np.sort(first[1])
+
+    def advance(p, m, W_from, X, dt, depth):
+        W_to = scipy.linalg.expm(dt * X) @ W_from
+        labeled = _labeled_args(W_to)
+        if labeled is None:
+            return None
+        new_p, j1 = _match(p, labeled[0])
+        new_m, j2 = _match(m, labeled[1])
+        if max(j1, j2) > PHASE_JUMP:
+            assert depth < _MAX_REFINE
+            half = advance(p, m, W_from, X, dt / 2, depth + 1)
+            if half is None:
+                return None
+            W_mid = scipy.linalg.expm((dt / 2) * X) @ W_from
+            return advance(half[0], half[1], W_mid, X, dt / 2, depth + 1)
+        return new_p, new_m
+
+    for i in range(N):
+        if off[i]:
+            nxt = _labeled_args(path.matrices[i + 1])
+            if nxt is None:
+                off[i + 1] = True
+            else:
+                plus[i + 1], minus[i + 1] = np.sort(nxt[0]), np.sort(nxt[1])
+            continue
+        dt = path.grid[i + 1] - path.grid[i]
+        result = advance(plus[i], minus[i], path.matrices[i], path.tangents[i], dt, 0)
+        if result is None:
+            off[i + 1] = True
+            continue
+        plus[i + 1], minus[i + 1] = result
+        for label, old, new in (("+", plus[i], plus[i + 1]),
+                                ("-", minus[i], minus[i + 1])):
+            for a, b in zip(old, new):
+                k0, k1 = np.floor(a / np.pi), np.floor(b / np.pi)
+                for k in range(int(min(k0, k1)) + 1, int(max(k0, k1)) + 1):
+                    crossings.append((i + 1, label, k * np.pi))
+    return plus, minus, crossings, off
+
+
+def _reference_mu_along_path(path, start=None):
+    """mu_along_path as it recomputed every grid matrix and called nu."""
+    def nu_arg(W):
+        return float(np.angle(nu(W)))
+
+    def lift_segment(a_prev, W_from, X, dt, depth):
+        a_next = nu_arg(scipy.linalg.expm(dt * X) @ W_from)
+        d = float(_wrap(a_next - a_prev))
+        if abs(d) > np.pi / 2:
+            assert depth < _MAX_REFINE
+            d1, a_mid = lift_segment(a_prev, W_from, X, dt / 2, depth + 1)
+            W_mid = scipy.linalg.expm((dt / 2) * X) @ W_from
+            d2, a_end = lift_segment(a_mid, W_mid, X, dt / 2, depth + 1)
+            return d1 + d2, a_end
+        return d, a_next
+
+    a_prev = nu_arg(path.matrices[0])
+    cont = [float(_wrap(a_prev))]
+    for i in range(path.steps):
+        dt = path.grid[i + 1] - path.grid[i]
+        d, a_prev = lift_segment(a_prev, path.matrices[i], path.tangents[i], dt, 0)
+        cont.append(cont[-1] + d)
+    mu = np.array(cont) / (2 * np.pi)
+    if start is not None:
+        mu += start - mu[0]
+    return mu
+
+
+def _differential_paths():
+    confined = [
+        random_causal_path(
+            seed, n, steps=30, step_size=0.05, confine=True,
+            W_start=random_elliptic_banded(seed, n, lo=0.3, hi=1.8),
+        )
+        for n in (1, 2, 3) for seed in range(4)
+    ]
+    free = [random_causal_path(seed, n, steps=25, step_size=0.4)
+            for n in (1, 2, 3) for seed in range(3)]
+    through_minus_one = [
+        geodesic_path(standard_J(n), block_rotation(0.3 + 0.1 * np.arange(n)),
+                      0.0, np.pi, 16)
+        for n in (1, 2)
+    ]
+    # steps of 2 pi / 3 refine both the phase match and the lift
+    coarse = geodesic_path(standard_J(1), np.eye(2), 0.0, 2 * np.pi, 3)
+    path = geodesic_path(standard_J(1), np.eye(2), 0.0, 1.5, 16)
+    reversed_path = CausalPath(
+        grid=path.grid,
+        tangents=tuple(-X for X in path.tangents[::-1]),
+        matrices=path.matrices[::-1],
+    )
+    return confined, free, through_minus_one + [coarse, reversed_path]
+
+
+def test_track_phases_and_mu_match_the_per_matrix_reference():
+    confined, free, special = _differential_paths()
+    off_points = crossing_count = 0
+    for path in confined + free + special:
+        got = track_phases(path)
+        plus, minus, crossings, off = _reference_track_phases(path)
+        # with interleaved same-label phases moving forward, the nearest-angle
+        # assignment ties and roundoff picks the column: compare each grid
+        # point's phases as a set
+        for new, ref in ((got.plus, plus), (got.minus, minus)):
+            np.testing.assert_allclose(np.sort(new, axis=1), np.sort(ref, axis=1),
+                                       rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(got.off_circle, off)
+        assert sorted(got.crossings) == sorted(crossings)
+        off_points += int(off.sum())
+        crossing_count += len(crossings)
+        for start in (None, 0.0):
+            np.testing.assert_allclose(mu_along_path(path, start=start),
+                                       _reference_mu_along_path(path, start=start),
+                                       rtol=0, atol=1e-12)
+    # the sample leaves the circle and crosses -1
+    assert off_points > 0 and crossing_count > 0
+
+
+def test_grid_matrices_are_checked_as_a_stack():
+    path = random_causal_path(3, 2, steps=6, step_size=0.05)
+    bad = path.matrices[4].copy()
+    bad[0, 1] += 1e-3
+    broken = CausalPath(grid=path.grid, tangents=path.tangents,
+                        matrices=path.matrices[:4] + (bad,) + path.matrices[5:])
+    with pytest.raises(NotSymplecticError) as single:
+        require_symplectic(bad, tol=1e-7)
+    for along in (track_phases, mu_along_path):
+        with pytest.raises(NotSymplecticError) as stacked:
+            along(broken)
+        assert str(stacked.value) == str(single.value)
 
 
 # -- suite ------------------------------------------------------------------
