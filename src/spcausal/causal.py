@@ -63,7 +63,8 @@ class ExitReason(Enum):
 class ExitTimes:
     """Exit parameters of t -> exp(t X) W0 from the elliptic region.
 
-    The flow stays in the region for t in (-c1, c2).  Infinite entries flag
+    The flow stays in the region for t in (-c1, c2); a start on the boundary
+    to working precision is not positively elliptic.  Infinite entries flag
     that no exit was bracketed before t_max (the region theory guarantees a
     finite exit for nonzero causal X, so the flag means t_max was too small).
     """
@@ -132,10 +133,10 @@ def dist_formula(W: np.ndarray) -> float:
     region (angles in [0, pi]; eigenvalues +-1 contribute 0 and pi).
     """
     W = require_symplectic(W, tol=1e-7)
-    nf = _normal_form(W)
-    if nf is not None:
-        return float(np.exp(np.mean(np.log(nf[0]))))
-    # closure points with eigenvalues +-1, out of the Cayley transform's reach
+    inside, theta, _, _ = _normal_form(W)
+    if inside:
+        return float(np.exp(np.mean(np.log(theta))))
+    # closure points with eigenvalues +-1, where sym(Omega W) is singular
     spec = _spectrum(W, on_degenerate="mark")
     angles: list[float] = []
     for c in spec.clusters:
@@ -226,19 +227,17 @@ def exit_times(
 ) -> ExitTimes:
     """Locate the exit parameters of exp(t X) W0 from the elliptic region.
 
-    W is in the region exactly when sym(Omega W) is positive definite (the
-    congruence 2 sym(Omega W) = (W - I)^T (-sym(Omega C)) (W - I) with the
-    Cayley transform C of `elliptic._normal_form`).  Each exit is the first
-    root of g(t) = lambda_min(sym(Omega exp(+-t X) W0)): g is evaluated as
-    one stack on 0 and the doubling sequence 1, 2, 4, ... <= t_max, its
-    first sign change brackets the root, and brentq locates it to
-    min(tol, 1e-10).  An exit is 0 when the flow is clearly outside before
-    it is clearly inside, g being resolved to about eps |sym(Omega W0)|.
-    By Krein continuity (see ExitReason) the flow leaves backward through +1
-    and forward through -1, as Krein-positive eigenvalues turn
-    counterclockwise along a causal flow.  Raises ValueError unless
-    0 < t_max < inf and 0 < tol < inf, and NotEllipticError when W0 fails
-    `is_positively_elliptic`.
+    W is in the region exactly when sym(Omega W) is positive definite (see
+    `elliptic._normal_form`).  Each exit is the first root of
+    g(t) = lambda_min(sym(Omega exp(+-t X) W0)): g is evaluated as one stack
+    on 0 and the doubling sequence 1, 2, 4, ... <= t_max, the first grid
+    point with g <= 0 brackets the root, and brentq locates it to
+    min(tol, 1e-10).  The start check puts g(0) above its roundoff,
+    4 eps |sym(Omega W0)|.  By Krein continuity (see ExitReason) the flow
+    leaves backward through +1 and forward through -1, as Krein-positive
+    eigenvalues turn counterclockwise along a causal flow.  Raises
+    ValueError unless 0 < t_max < inf and 0 < tol < inf, and
+    NotEllipticError when W0 fails `is_positively_elliptic`.
     """
     if not 0 < t_max < np.inf:
         raise ValueError("t_max must be positive and finite")
@@ -263,20 +262,11 @@ def exit_times(
     ts = [0.0, min(1.0, t_max)]
     while 2.0 * ts[-1] <= t_max:
         ts.append(2.0 * ts[-1])
-    # 4 eps |sym(Omega W0)| bounds the noise in g with margin; g(0) is noise
-    # for an ill-conditioned W0 with an angle near 0 or pi, and then the
-    # halvings of ts[1] down to 2^-52 ts[1] join the grid
-    noise = 4 * np.finfo(float).eps * np.linalg.norm(O @ W0 - W0.T @ O, 2)
-    if gap(0.0) <= noise:
-        ts[1:1] = list(ts[1] * 2.0 ** np.arange(-52.0, 0.0))
     ts = np.array(ts)
 
     def locate(sign: float) -> float:
         g = gap(sign * ts)
-        first = int(np.argmax(np.abs(g) > noise))
-        if g[first] <= noise:
-            return 0.0
-        k = first + int(np.argmax(g[first:] <= 0))
+        k = 1 + int(np.argmax(g[1:] <= 0))  # g(0) > 0 at an accepted start
         if g[k] > 0:
             return float("inf")
         return scipy.optimize.brentq(

@@ -6,9 +6,11 @@ unit circle away from +-1 and the Krein form is positive definite exactly on
 the eigenspaces with positive imaginary part.  Such W splits R^{2n} into
 symplectic planes on which it rotates by angles theta_k in (0, pi); every
 quantity in this module is a function of those angles and of the adapted
-basis realising the splitting.  Both come from one Cayley-Williamson normal
-form (`_normal_form`); the Krein spectrum names the reason for a rejection
-and serves general spectra.
+basis realising the splitting.  W is positively elliptic exactly when
+sym(Omega W) is positive definite, and one congruence normal form of that
+matrix (`_normal_form`), for a single matrix or a stack, gives the verdict,
+the angles and the basis; the Krein spectrum names the reason for a
+rejection and serves general spectra.
 """
 
 from __future__ import annotations
@@ -98,95 +100,75 @@ def _check_from_spectrum(spec: KreinSpectrum) -> EllipticCheck:
     return EllipticCheck(True, None)
 
 
-def _normal_form(W: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Ascending angles of a checked symplectic W and its kappa-orthonormal
-    eigenvectors V, column k for exp(i theta_k); None outside the region.
+def _normal_form(W: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Verdicts, ascending angles and eigenvectors of a checked symplectic W,
+    one (2n, 2n) matrix or a stack along leading axes: ``inside`` (of W's
+    leading shape), ``theta`` (..., n), and ``E`` (..., 2n, n) and ``Y``
+    (..., n, n) such that column k of E Y is an eigenvector for
+    exp(i theta_k), with (E Y)* Omega (E Y) = -i diag(1 / (2 sin theta)).
+    All but ``inside`` are meaningful only where ``inside`` holds.
 
-    With the Cayley transform C = (W - I)^{-1} (W + I), W is positively
-    elliptic exactly when S = -sym(Omega C) is positive definite.  For
-    S = L L^T the Hermitian i L^T Omega L has eigenvalues +-d_k, the
-    Williamson symplectic eigenvalues d_k = cot(theta_k / 2) of S (Williamson
-    1936); its eigenvector u_k for d_k gives v_k = sqrt(d_k) L^{-T} u_k.
+    W is positively elliptic exactly when P = 2 sym(Omega W) = M + M^T, with
+    M = Omega W, is positive definite (Krein's strong-stability theory, see
+    Yakubovich and Starzhinskii 1975), and W^T P W = P.  For P = Q diag(lam) Q^T
+    and G = Q diag(lam)^{-1/2}, W' = G^{-1} W G is orthogonal and commutes with
+    the skew Omega' = G^T Omega G, which it preserves, and the symmetric part
+    of G^T M G = Omega' W' is I/2.  On a common eigenvector with
+    W' v = exp(i theta) v, i Omega' then has the eigenvalue 1 / (2 sin theta)
+    and i G^T (M - M^T) G the eigenvalue cot theta (Williamson 1936).  So
+    E = G U, with U the positive eigenspace of i Omega', spans the
+    Krein-positive subspace, and the eigenvalues c_k of the Hermitian
+    i E* (M - M^T) E give theta_k = arctan2(1, c_k).  Membership asks
+    lam_min > 4 eps lam_max, the working-precision noise of P, and every
+    angle inside the boundary band.
     """
-    n = W.shape[0] // 2
+    n = W.shape[-1] // 2
     O = _omega(n)
-    I = np.eye(2 * n)
-    try:
-        M = O @ np.linalg.solve(W - I, W + I)
-        L = np.linalg.cholesky(-(M + M.T) / 2)
-        d, U = np.linalg.eigh(1j * (L.T @ O @ L))
-    except np.linalg.LinAlgError:
-        return None
-    # the largest d_k gives the smallest angle
-    d, U = d[n:][::-1], U[:, n:][:, ::-1]
-    theta = 2 * np.arctan2(1.0, d)
+    M = O @ W
+    Mt = M.swapaxes(-1, -2)
+    lam, Q = np.linalg.eigh(M + Mt)
+    positive = lam[..., 0] > 4 * np.finfo(float).eps * lam[..., -1]
+    # a non-member is carried along with its eigenvalues set to 1
+    G = Q / np.sqrt(np.where(positive[..., None], lam, 1.0))[..., None, :]
+    _, U = np.linalg.eigh(1j * (G.swapaxes(-1, -2) @ O @ G))
+    E = G @ U[..., n:]
+    c, Y = np.linalg.eigh(E.conj().swapaxes(-1, -2) @ (1j * (M - Mt)) @ E)
+    # the largest c_k gives the smallest angle, so theta is ascending
+    theta = np.arctan2(1.0, c[..., ::-1])
     lo, hi = ANGLE_BOUNDARY_BAND, np.pi - ANGLE_BOUNDARY_BAND
-    if not np.all((lo <= theta) & (theta <= hi)):  # also false for NaN
-        return None
-    return theta, np.linalg.solve(L.T, U) * np.sqrt(d)
+    inside = positive & (lo <= theta[..., 0]) & (theta[..., -1] <= hi)
+    return inside, theta, E, Y[..., ::-1]
 
 
 def _stack_normal_form(Ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Membership verdicts, a boolean (N,) array, and ascending angles, an
     (N, n) array that is NaN outside the region, for an (N, 2n, 2n) stack.
 
-    The computation of `_normal_form`, run as batched calls: the Cayley
-    solve, a screen on the least eigenvalue of S, the Cholesky factor of the
-    screened S and the Williamson eigenvalues against the boundary band.
     Each matrix's symplectic relation is checked at the 1e-7 bound of
-    `is_positively_elliptic`; the first that fails raises NotSymplecticError.
-    An entry with W - I exactly singular, or whose factor fails after
-    passing the screen, alone takes the single-matrix `_normal_form`.
+    `is_positively_elliptic`; the first that fails raises NotSymplecticError
+    before the stack goes through `_normal_form`.
     """
     Ws = np.asarray(Ws, dtype=float)
-    n = Ws.shape[-1] // 2
-    O = _omega(n)
+    O = _omega(Ws.shape[-1] // 2)
     with np.errstate(over="ignore", invalid="ignore"):
         norm = np.linalg.norm(Ws, axis=(1, 2))
         r = np.linalg.norm(np.swapaxes(Ws, 1, 2) @ O @ Ws - O, axis=(1, 2))
         symplectic = (norm < 1e154) & (r <= 1e-7 * norm**2)
     for W in Ws[~symplectic]:
         require_symplectic(W, tol=1e-7)  # raises with the single-matrix message
-    I = np.eye(2 * n)
-    single = np.zeros(len(Ws), dtype=bool)
-    try:
-        C = np.linalg.solve(Ws - I, Ws + I)
-    except np.linalg.LinAlgError:
-        # solve raises for the whole stack; det shares its LU pivots
-        single = np.linalg.det(Ws - I) == 0
-        C = np.linalg.solve(Ws[~single] - I, Ws[~single] + I)
-    M = O @ C
-    S = -(M + np.swapaxes(M, 1, 2)) / 2
-    screened = np.linalg.eigvalsh(S)[:, 0] > 0
-    rows = np.flatnonzero(~single)[screened]
-    try:
-        # cholesky raises for the whole stack when one factor fails
-        L = np.linalg.cholesky(S[screened])
-    except np.linalg.LinAlgError:  # a factor that passed the screen
-        single[rows] = True
-        rows, L = rows[:0], S[:0]
-    theta = np.full((len(Ws), n), np.nan)
-    d = np.linalg.eigvalsh(1j * (np.swapaxes(L, 1, 2) @ O @ L))[:, n:]
-    theta[rows] = 2 * np.arctan2(1.0, d[:, ::-1])  # largest d, smallest angle
-    for i in np.flatnonzero(single):
-        nf = _normal_form(Ws[i])
-        if nf is not None:
-            theta[i] = nf[0]
-    lo, hi = ANGLE_BOUNDARY_BAND, np.pi - ANGLE_BOUNDARY_BAND
-    inside = np.all((lo <= theta) & (theta <= hi), axis=1)  # false for NaN
-    theta[~inside] = np.nan
-    return inside, theta
+    inside, theta, _, _ = _normal_form(Ws)
+    return inside, np.where(inside[:, None], theta, np.nan)
 
 
-def _region_normal_form(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_normal_form` of a checked W.  A rejection raises NotEllipticError
-    naming the first condition the Krein spectrum finds violated, or
-    "boundary" when it finds none (W is within roundoff of the boundary)."""
-    nf = _normal_form(W)
-    if nf is None:
+def _region_normal_form(W: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`_normal_form` of a checked W without the verdict.  A rejection raises
+    NotEllipticError naming the first condition the Krein spectrum finds
+    violated, or "boundary" when it finds none."""
+    inside, theta, E, Y = _normal_form(W)
+    if not inside:
         chk = _check_from_spectrum(_spectrum(W, on_degenerate="mark"))
         raise NotEllipticError(chk.reason or "boundary")
-    return nf
+    return theta, E, Y
 
 
 def is_positively_elliptic(W: np.ndarray, tol: float = 1e-7) -> EllipticCheck:
@@ -194,8 +176,9 @@ def is_positively_elliptic(W: np.ndarray, tol: float = 1e-7) -> EllipticCheck:
 
     The normal form gives the verdict.  The diagnosis names the first
     violated condition: "off-circle eigenvalue", "eigenvalue +1" /
-    "eigenvalue -1", "boundary" (angle or Krein Gram within the boundary
-    band) or "indefinite Krein signature".
+    "eigenvalue -1", "boundary" (an angle or the Krein Gram within the
+    boundary band, or sym(Omega W) singular to working precision) or
+    "indefinite Krein signature".
 
     The symplectic relation is checked at min(tol, 1e-7), so ``tol`` can
     only tighten that check, never loosen it.
@@ -219,14 +202,15 @@ def elliptic_angles(W: np.ndarray) -> np.ndarray:
 def elliptic_splitting(W: np.ndarray) -> EllipticSplitting:
     """Adapted symplectic basis and angles realising the plane splitting.
 
-    For the normal form's kappa-normalised eigenvector v of the angle theta
-    the plane is spanned by p = sqrt(2) Re v and q = -sqrt(2) Im v, which
-    makes the basis symplectic by construction up to roundoff.  Within a
-    repeated angle the splitting is non-unique; the Hermitian eigensolver
-    breaks the tie.
+    The normal form's eigenvector of the angle theta, column k of E Y,
+    scaled to the kappa-normalised v = sqrt(2 sin theta) E Y e_k, spans the
+    plane with p = sqrt(2) Re v and q = -sqrt(2) Im v, which makes the basis
+    symplectic by construction up to roundoff.  Within a repeated angle the
+    splitting is non-unique; the Hermitian eigensolver breaks the tie.
     """
     W = require_symplectic(W, tol=1e-7)
-    angles, V = _region_normal_form(W)
+    angles, E, Y = _region_normal_form(W)
+    V = E @ Y * np.sqrt(2 * np.sin(angles))
     B = np.sqrt(2) * np.hstack([V.real, -V.imag])
     O = _omega(angles.size)
     residual = np.linalg.norm(B.T @ O @ B - O)

@@ -217,7 +217,7 @@ def random_causal_path(
                 raise DriftExceededError(
                     f"symplectic drift {chk.residual:.3e} exceeds {DRIFT_TOL}"
                 )
-            if not confine or _normal_form(W_next) is not None:
+            if not confine or _normal_form(W_next)[0]:
                 break
             dt /= 2
         else:
@@ -267,7 +267,8 @@ def _labeled_args(W: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 def _match(prev: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, float]:
     """Continuous continuation of prev onto the raw phases (mod 2 pi)."""
     diff = _wrap(raw[None, :] - prev[:, None])
-    rows, cols = scipy.optimize.linear_sum_assignment(np.abs(diff))
+    # unlike |diff|, the squared cost never ties phases that move together
+    rows, cols = scipy.optimize.linear_sum_assignment(diff**2)
     new = prev.copy()
     new[rows] = prev[rows] + diff[rows, cols]
     jump = float(np.max(np.abs(diff[rows, cols]))) if rows.size else 0.0

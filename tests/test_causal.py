@@ -472,10 +472,13 @@ def test_exit_times_match_sequential_reference():
 
 def test_exit_times_ill_conditioned_start():
     # starts within 1e-6 of an angle 0 or pi under conjugations of condition
-    # up to about 1e8, where sym(Omega W0) can be singular to roundoff while
-    # the start check accepts W0: each exit still brackets the sign change,
-    # and one at 0 (a start on the boundary to working precision) has the
-    # flow outside 1e-9 past it
+    # up to about 1e8, where sym(Omega W0) can be singular to roundoff: such a
+    # start is rejected, as "boundary" unless the Krein spectrum names a
+    # violated condition first (most split off the circle under roundoff),
+    # and exit_times refuses it; at every accepted start g(0) > 0, so each
+    # exit brackets the sign change from the inside (a start whose root lies
+    # within brentq's 1e-10 of 0 may report 0 for it)
+    singular = boundary = accepted = 0
     for seed in range(24):
         rng = np.random.default_rng((107, seed))
         n = 1 + seed % 3
@@ -485,17 +488,30 @@ def test_exit_times_ill_conditioned_start():
         for theta in (3e-8, 1e-6):
             for a in (theta, np.pi - theta):
                 W0 = S @ block_rotation(np.r_[a, angles[1:]]) @ Si
-                if not is_positively_elliptic(W0):
-                    continue
                 X = random_cone_element(rng, n)
                 X = X / np.linalg.norm(X)
+                M = omega_matrix(n) @ W0
+                P = M + M.T
+                noise = 4 * np.finfo(float).eps * np.linalg.norm(P, 2)
+                chk = is_positively_elliptic(W0)
+                if np.linalg.eigvalsh(P)[0] <= noise:
+                    singular += 1
+                    boundary += chk.reason == "boundary"
+                    assert chk.reason in ("boundary", "off-circle eigenvalue",
+                                          "eigenvalue +1", "eigenvalue -1")
+                    with pytest.raises(NotEllipticError):
+                        exit_times(W0, X, t_max=5e3)
+                    continue
+                if not chk:
+                    continue
+                accepted += 1
                 et = exit_times(W0, X, t_max=5e3)
-                assert et.finite
+                assert et.finite and et.c1 >= 0 and et.c2 >= 0
                 flow = geodesic_flow(X, W0)
                 for sign, c in ((1.0, et.c2), (-1.0, et.c1)):
                     assert not _positive_definite(flow(sign * (c + 1e-9)))
-                    if c > 0:
-                        assert _positive_definite(flow(sign * (c - 1e-9)))
+                    assert _positive_definite(flow(sign * (c - 1e-9)))
+    assert singular > 10 and boundary > 0 and accepted > 10
 
 
 def test_exit_times_t_max_flag():

@@ -27,8 +27,13 @@ from spcausal import (
     symplectic_inverse,
     tau,
 )
-from spcausal.core import require_symplectic
-from spcausal.elliptic import _check_from_spectrum, _normal_form, _stack_normal_form
+from spcausal.core import _omega, require_symplectic
+from spcausal.elliptic import (
+    ANGLE_BOUNDARY_BAND,
+    _check_from_spectrum,
+    _normal_form,
+    _stack_normal_form,
+)
 from spcausal.exceptions import (
     IllConditionedWarning,
     NotEllipticError,
@@ -161,49 +166,86 @@ def test_stack_membership_along_a_flow_across_both_exits():
         assert want[200] and not want[0] and not want[-1]
 
 
-def test_stack_normal_form_matches_the_single_matrix_form(monkeypatch):
+def test_stack_normal_form_matches_the_single_matrix_form():
     # I, -I, a shear at +1, a hyperbolic matrix, a rotation through -1 and
-    # a general symplectic matrix among members; W - I is exactly singular
-    # for I and the shear, and only those two take the single-matrix form
+    # a general symplectic matrix among members: the stacked kernel against
+    # the same kernel on each matrix alone
     B = np.array([[1.0, 0.3], [0.3, 2.0]])
     shear = np.block([[np.eye(2), B], [np.zeros((2, 2)), np.eye(2)]])
     outside = [np.eye(4), -np.eye(4), shear, np.diag([2.0, 3.0, 0.5, 1 / 3]),
                block_rotation([np.pi, 0.5]), random_symplectic(1, 2)]
     members = [random_elliptic(s, 2) for s in range(8)] + [rot(0.7, 2)]
     Ws = np.array(outside[:3] + members[:4] + outside[3:] + members[4:])
-    calls = []
-
-    def counted(W):
-        calls.append(W)
-        return _normal_form(W)
-
-    monkeypatch.setattr("spcausal.elliptic._normal_form", counted)
     inside, theta = _stack_normal_form(Ws)
-    assert len(calls) == 2
     assert inside.dtype == bool and theta.shape == (len(Ws), 2)
     for W, ok, th in zip(Ws, inside, theta):
-        nf = _normal_form(W)
-        assert bool(ok) is (nf is not None)
-        if nf is None:
-            assert np.all(np.isnan(th))
+        one, th_one, _, _ = _normal_form(W)
+        assert bool(ok) is bool(one)
+        if ok:
+            np.testing.assert_allclose(th, th_one, rtol=0, atol=1e-14)
         else:
-            np.testing.assert_allclose(th, nf[0], rtol=0, atol=1e-14)
+            assert np.all(np.isnan(th))
     assert inside.sum() == len(members)
-    # a stacked Cholesky failure sends the screened entries alone to the
-    # single-matrix form
-    cholesky = np.linalg.cholesky
 
-    def stacked_fails(S):
-        if S.ndim == 3:
-            raise np.linalg.LinAlgError("not positive definite")
-        return cholesky(S)
 
-    monkeypatch.setattr(np.linalg, "cholesky", stacked_fails)
-    calls.clear()
-    inside_fb, theta_fb = _stack_normal_form(Ws)
-    assert 2 + len(members) <= len(calls) < len(Ws)
-    np.testing.assert_array_equal(inside_fb, inside)
-    np.testing.assert_allclose(theta_fb, theta, rtol=0, atol=1e-14)
+# The Cayley-Williamson normal form the library used before the congruence
+# form, kept as the differential reference
+def _cayley_normal_form(W: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Ascending angles of a checked symplectic W and its kappa-orthonormal
+    eigenvectors V, column k for exp(i theta_k); None outside the region.
+
+    With the Cayley transform C = (W - I)^{-1} (W + I), W is positively
+    elliptic exactly when S = -sym(Omega C) is positive definite.  For
+    S = L L^T the Hermitian i L^T Omega L has eigenvalues +-d_k, the
+    Williamson symplectic eigenvalues d_k = cot(theta_k / 2) of S (Williamson
+    1936); its eigenvector u_k for d_k gives v_k = sqrt(d_k) L^{-T} u_k.
+    """
+    n = W.shape[0] // 2
+    O = _omega(n)
+    I = np.eye(2 * n)
+    try:
+        M = O @ np.linalg.solve(W - I, W + I)
+        L = np.linalg.cholesky(-(M + M.T) / 2)
+        d, U = np.linalg.eigh(1j * (L.T @ O @ L))
+    except np.linalg.LinAlgError:
+        return None
+    # the largest d_k gives the smallest angle
+    d, U = d[n:][::-1], U[:, n:][:, ::-1]
+    theta = 2 * np.arctan2(1.0, d)
+    lo, hi = ANGLE_BOUNDARY_BAND, np.pi - ANGLE_BOUNDARY_BAND
+    if not np.all((lo <= theta) & (theta <= hi)):  # also false for NaN
+        return None
+    return theta, np.linalg.solve(L.T, U) * np.sqrt(d)
+
+
+def test_normal_form_matches_the_cayley_reference():
+    # on the mixed sample, where both forms accept, the angles agree
+    both = 0
+    for i in range(3000):
+        W = _differential_sample(i)
+        inside, theta, _, _ = _normal_form(W)
+        ref = _cayley_normal_form(W)
+        if inside and ref is not None:
+            both += 1
+            np.testing.assert_allclose(theta, ref[0], rtol=0, atol=1e-9)
+    assert both > 1000
+
+
+def test_normal_form_near_a_zero_angle_under_conjugation():
+    # an angle from 1e-3 down to 3e-8 next to 0 or pi under conjugations of
+    # condition up to about 380: every member is accepted and its angles
+    # are exact to 1e-8
+    for seed in (7, 11, 3, 5):
+        S = random_symplectic(seed, 3, scale=1.2)
+        Si = symplectic_inverse(S)
+        for t1 in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 3e-8):
+            for angles in ((t1, 1.0, np.pi - t1), (t1, 1.0, 2.0),
+                           (1.0, 2.0, np.pi - t1)):
+                W = S @ block_rotation(np.array(angles)) @ Si
+                assert is_positively_elliptic(W), (seed, angles)
+                np.testing.assert_allclose(
+                    elliptic_angles(W), np.sort(angles), rtol=0, atol=1e-8
+                )
 
 
 def test_stack_membership_rejects_a_bad_matrix_without_warning():

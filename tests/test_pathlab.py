@@ -23,6 +23,7 @@ from spcausal import (
     random_symplectic,
     random_torus_pair,
     standard_J,
+    symplectic_inverse,
     track_phases,
     verify_suite,
 )
@@ -336,6 +337,23 @@ def test_track_phases_and_mu_match_the_per_matrix_reference():
                                        rtol=0, atol=1e-12)
     # the sample leaves the circle and crosses -1
     assert off_points > 0 and crossing_count > 0
+
+
+def test_track_phases_keeps_columns_on_equal_speed_geodesics():
+    # exp(t S J S^-1) S R(theta) S^-1 turns every angle at unit speed: the
+    # Krein-positive phases interleave and move together, and each column
+    # must follow its own angle theta_k + t
+    for seed in range(40):
+        n = 2 + seed % 2
+        rng = np.random.default_rng((131, seed))
+        S = random_symplectic(rng, n)
+        Si = symplectic_inverse(S)
+        theta = np.sort(rng.uniform(0.1, np.pi - 0.1, n))
+        path = geodesic_path(S @ standard_J(n) @ Si,
+                             S @ block_rotation(theta) @ Si, 0.0, 3.0, 60)
+        want = theta[None, :] + path.grid[:, None]
+        np.testing.assert_allclose(track_phases(path).plus, want, rtol=0,
+                                   atol=1e-9, err_msg=str(seed))
 
 
 def test_grid_matrices_are_checked_as_a_stack():
