@@ -64,9 +64,12 @@ class ExitTimes:
     """Exit parameters of t -> exp(t X) W0 from the elliptic region.
 
     The flow stays in the region for t in (-c1, c2); a start on the boundary
-    to working precision is not positively elliptic.  Infinite entries flag
-    that no exit was bracketed before t_max (the region theory guarantees a
-    finite exit for nonzero causal X, so the flag means t_max was too small).
+    to working precision is not positively elliptic, so an accepted start is
+    never on it.  An exit within brentq's xtol = min(tol, 1e-10) of the start
+    reads exactly 0.0: the root is that close, not at the start.  Infinite
+    entries flag that no exit was bracketed before t_max (the region theory
+    guarantees a finite exit for nonzero causal X, so the flag means t_max
+    was too small).
     """
 
     c1: float
@@ -232,11 +235,12 @@ def exit_times(
     g(t) = lambda_min(sym(Omega exp(+-t X) W0)): g is evaluated as one stack
     on 0 and the doubling sequence 1, 2, 4, ... <= t_max, the first grid
     point with g <= 0 brackets the root, and brentq locates it to
-    min(tol, 1e-10).  The start check puts g(0) above its roundoff,
-    4 eps |sym(Omega W0)|.  By Krein continuity (see ExitReason) the flow
-    leaves backward through +1 and forward through -1, as Krein-positive
-    eigenvalues turn counterclockwise along a causal flow.  Raises
-    ValueError unless 0 < t_max < inf and 0 < tol < inf, and
+    xtol = min(tol, 1e-10).  The start check puts g(0) above its roundoff,
+    4 eps |sym(Omega W0)|, so an accepted start is never on the boundary;
+    an exit within xtol of it reads exactly 0.0.  By Krein continuity (see
+    ExitReason) the flow leaves backward through +1 and forward through -1,
+    as Krein-positive eigenvalues turn counterclockwise along a causal flow.
+    Raises ValueError unless 0 < t_max < inf and 0 < tol < inf, and
     NotEllipticError when W0 fails `is_positively_elliptic`.
     """
     if not 0 < t_max < np.inf:

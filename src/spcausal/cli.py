@@ -12,7 +12,9 @@ is printed with 17 significant digits so doubles round-trip losslessly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -51,21 +53,32 @@ class MalformedInput(Exception):
 # ---------------------------------------------------------------------------
 # JSON with 17-significant-digit floats
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def _dumps(obj) -> str:
+    """JSON text of obj, floats with 17 significant digits, non-finite as null.
+
+    Strings and keys are escaped as `json.dumps` escapes them; numpy
+    scalars and arrays and complex numbers are written as their Python
+    values, a complex as {"re": ..., "im": ...}.
+    """
     if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_dumps(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_dumps(v) for v in obj) + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
+        items = [f"{_encode_str(str(k))}: {_dumps(v)}" for k, v in obj.items()]
+        return "{" + ", ".join(items) + "}"
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if not np.isfinite(x):
-            return json.dumps(None)
-        return f"{x:.17g}"
+        return f"{x:.17g}" if math.isfinite(x) else "null"
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join([_dumps(v) for v in obj]) + "]"
+    if obj is None:
+        return "null"
     if isinstance(obj, np.ndarray):
         return _dumps(obj.tolist())
     if isinstance(obj, complex):
@@ -132,12 +145,26 @@ def _load_docs(paths: list[str], expected: int) -> list[np.ndarray]:
     return [_parse_matrix_doc(d) for d in raw]
 
 
-def _positive_finite(text: str) -> float:
-    """argparse type: a float with 0 < value < inf."""
-    value = float(text)
-    if not 0 < value < np.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
+def _bounded(convert, ok, what: str):
+    """argparse type: convert(text), rejected at parse time unless ok(value)."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    # argparse names the type in its "invalid float value" message
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_finite = _bounded(float, math.isfinite, "finite")
+_positive_finite = _bounded(float, lambda x: 0 < x < math.inf, "positive and finite")
+_nonnegative_finite = _bounded(
+    float, lambda x: 0 <= x < math.inf, "non-negative and finite"
+)
+_positive_int = _bounded(int, lambda k: k >= 1, "a positive integer")
+_nonnegative_int = _bounded(int, lambda k: k >= 0, "a non-negative integer")
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +295,7 @@ def _cmd_suite(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh, independent parser; `main` builds one per process."""
     p = argparse.ArgumentParser(
         prog="spcausal",
         description="Causal geometry of the linear symplectic group.",
@@ -288,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("check", _cmd_check, nfiles=1, tol_symp=TOL_SYMP,
              help="predicate checks on a matrix")
-    sp.add_argument("--tol", type=float, default=None,
+    sp.add_argument("--tol", type=_nonnegative_finite, default=None,
                     help="override the default tolerance")
     grp = sp.add_mutually_exclusive_group()
     grp.add_argument("--symplectic", action="store_true")
@@ -308,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("connect", _cmd_connect, nfiles=2,
              help="geodesic connection between two region elements")
-    sp.add_argument("--samples", type=int, default=64,
+    sp.add_argument("--samples", type=_nonnegative_int, default=64,
                     help="interior samples verified to stay in the region")
 
     sp = add("exit-times", _cmd_exit_times, nfiles=2,
@@ -317,20 +345,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("geodesic", _cmd_geodesic, nfiles=2, tol_symp=TOL_SYMP,
              help="evaluate exp(tX) W0")
-    sp.add_argument("--t", type=float, required=True)
+    sp.add_argument("--t", type=_finite, required=True)
 
     sp = add("path-verify", _cmd_path_verify,
              help="generate a seeded causal path and verify its invariants")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--steps", type=int, default=50)
-    sp.add_argument("--step-size", type=float, default=0.05)
+    sp.add_argument("--seed", type=_nonnegative_int, default=0)
+    sp.add_argument("--n", type=_positive_int, default=1)
+    sp.add_argument("--steps", type=_positive_int, default=50)
+    sp.add_argument("--step-size", type=_positive_finite, default=0.05)
 
     sp = add("suite", _cmd_suite,
              help="run the verification suite")
-    sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--seed", type=_nonnegative_int, default=42)
+    sp.add_argument("--n", type=_positive_int, default=1)
+    sp.add_argument("--trials", type=_positive_int, default=100)
 
     return p
 
@@ -349,9 +377,18 @@ def _tolerances(args) -> dict:
     }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses for every call in this process.
+
+    parse_args keeps no state between calls, and argparse looks up
+    sys.stdout, sys.stderr and the terminal width when it prints.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     provenance = {
         "subcommand": args.command,
         "version": __version__,

@@ -19,11 +19,11 @@ import scipy.optimize
 from ._version import __version__
 from .core import (
     ConeStatus,
+    _omega,
     block_rotation,
     block_rotation_generator,
     cone_status,
     is_symplectic,
-    omega_matrix,
     standard_J,
 )
 from .causal import (
@@ -113,7 +113,7 @@ def random_cone_element(seed, n: int, scale: float = 1.0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((2 * n, 2 * n))
     S = A.T @ A + 1e-3 * np.eye(2 * n)
-    O = omega_matrix(n)
+    O = _omega(n)
     return -O @ S * scale
 
 
@@ -122,7 +122,7 @@ def random_symplectic(seed, n: int, scale: float = 1.0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((2 * n, 2 * n))
     S = (A + A.T) / 2
-    O = omega_matrix(n)
+    O = _omega(n)
     return scipy.linalg.expm(-O @ S * scale)
 
 
@@ -147,7 +147,7 @@ def random_elliptic_banded(
     rng = np.random.default_rng(seed)
     angles = np.sort(rng.uniform(lo, hi, n))
     S = random_symplectic(rng, n, scale=0.4)
-    O = omega_matrix(n)
+    O = _omega(n)
     return S @ block_rotation(angles) @ (-O @ S.T @ O)
 
 
@@ -166,7 +166,7 @@ def random_torus_pair(seed, n: int):
     angles = np.sort(rng.uniform(0.7, 2.2, n))
     speeds = rng.uniform(0.5, 1.0, n)
     S = random_symplectic(rng, n, scale=0.4)
-    O = omega_matrix(n)
+    O = _omega(n)
     Si = -O @ S.T @ O
     W0 = S @ block_rotation(angles) @ Si
     X = S @ block_rotation_generator(speeds) @ Si
@@ -198,9 +198,12 @@ def random_causal_path(
     steps that would leave the positively elliptic region are retried with
     halved step size (up to 20 halvings).  Symplecticity drift beyond
     DRIFT_TOL raises DriftExceededError; it is checked before membership.
+    Raises ValueError unless steps >= 1 and 0 < step_size < inf.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not 0 < step_size < np.inf:
+        raise ValueError("step_size must be positive and finite")
     rng = np.random.default_rng(seed)
     W = np.eye(2 * n) if W_start is None else np.asarray(W_start, dtype=float)
     grid = [0.0]

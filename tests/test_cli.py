@@ -1,5 +1,6 @@
 """Tests for the command-line interface: subcommands, JSON I/O, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -8,8 +9,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from spcausal import CausalPath, geodesic_path, standard_J
-from spcausal.cli import main
+from spcausal import (
+    CausalPath,
+    geodesic_path,
+    random_elliptic,
+    random_symplectic,
+    standard_J,
+)
+from spcausal import cli
+from spcausal.cli import build_parser, main
+from spcausal.core import TOL_CONE, TOL_HAM
 from spcausal.exceptions import DimensionMismatchError, OutsideConeError
 
 
@@ -258,3 +267,242 @@ def test_stdin_subprocess():
     assert proc.returncode == 0
     out = json.loads(proc.stdout)
     assert out["result"]["dist"] == np.pi / 2
+
+
+# ---------------------------------------------------------------------------
+# one parser per process, and the exact-type JSON writer
+
+
+def _dumps(obj) -> str:
+    # Moved code: the isinstance-chain writer that `spcausal.cli._dumps`
+    # replaced, kept unchanged as the reference of the differential tests.
+    if isinstance(obj, dict):
+        items = ", ".join(f"{json.dumps(str(k))}: {_dumps(v)}" for k, v in obj.items())
+        return "{" + items + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_dumps(v) for v in obj) + "]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not np.isfinite(x):
+            return json.dumps(None)
+        return f"{x:.17g}"
+    if isinstance(obj, np.ndarray):
+        return _dumps(obj.tolist())
+    if isinstance(obj, complex):
+        return _dumps({"re": obj.real, "im": obj.imag})
+    return json.dumps(obj)
+
+
+def _outcome(write, obj):
+    """write(obj), or the type and message of the exception it raised."""
+    try:
+        return write(obj)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _subcommand_files(tmp_path):
+    return {
+        "w": write_doc(tmp_path, "w.json", rot(np.pi / 3)),
+        "a": write_doc(tmp_path, "a.json", rot(0.3)),
+        "b": write_doc(tmp_path, "b.json", rot(1.0)),
+        "x": write_doc(tmp_path, "x.json", standard_J(1)),
+        "e3": write_doc(tmp_path, "e3.json", random_elliptic(3, 3)),
+        "g3": write_doc(tmp_path, "g3.json", random_symplectic(3, 3)),
+    }
+
+
+def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
+    f = _subcommand_files(tmp_path)
+    sequence = [
+        ["check", "--tol", "1e-5", f["w"]],
+        ["check", "--elliptic", f["w"]],
+        ["spectrum", f["g3"]],
+        ["exit-times", "--t-max", "0", f["w"], f["x"]],
+        ["exit-times", f["w"], f["x"]],
+        ["connect", "--samples", "8", f["a"], f["b"]],
+        ["connect", f["a"], f["b"]],
+        ["path-verify", "--seed", "3", "--steps", "5"],
+        ["nu", f["e3"]],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out
+
+    # the reference: a fresh parser for every call
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+
+    built, seen = [], []
+
+    def counting_build_parser():
+        parser = build_parser()
+        parse = parser.parse_args
+
+        def recording(args=None, namespace=None):
+            ns = parse(args, namespace)
+            seen.append(vars(ns))
+            return ns
+
+        parser.parse_args = recording
+        built.append(parser)
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        reused = [run(argv) for argv in sequence]
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert reused == fresh
+    assert reused[3] == (("exit", 2), "")
+
+    expected = []
+    for argv in sequence:
+        try:
+            expected.append(vars(build_parser().parse_args(argv)))
+        except SystemExit:
+            pass
+    capsys.readouterr()
+    assert seen == expected
+
+    # an option set in one call is back at its default in the next; the
+    # parse failure left no namespace, so seen[3:] are sequence[4:]
+    assert seen[0]["tol"] == 1e-5 and seen[1]["tol"] is None
+    assert seen[4]["samples"] == 8 and seen[5]["samples"] == 64
+    assert json.loads(reused[1][1])["tolerances"] == {
+        "tol_symp": 1e-7, "tol_ham": TOL_HAM, "tol_cone": TOL_CONE,
+    }
+    for code, out in reused[:3] + reused[4:]:
+        assert code == 0 and "result" in json.loads(out)
+
+
+def test_help_and_version_match_a_fresh_parser(capsys):
+    fresh = build_parser()
+    assert fresh is not build_parser()
+    check = next(
+        a for a in fresh._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices["check"]
+    for argv, text in (
+        (["--help"], fresh.format_help()),
+        (["check", "--help"], check.format_help()),
+        (["--version"], cli.__version__ + "\n"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == text
+
+
+class _Tag(str):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"), -float("inf"), -0.0, 0.1, 1e300, 5e-324, 2**70,
+    np.float64(np.nan), np.float64(np.inf), np.float64(-np.inf), np.float64(0.1),
+    np.float32(0.1), np.int64(-7), np.int32(3), np.bool_(True),
+    1 + 2j, complex(np.nan, -np.inf), np.complex128(3 - 0.5j),
+    np.array(2.5), np.array(7), np.array(np.nan),
+    np.arange(6.0).reshape(2, 3), np.array([[np.inf, 1.0]]), np.array([1 + 1j]),
+    ((1, (2.5, (None, "x"))), ()), [(), [[]], {}],
+    [True, 1, False, 0, 1.0], {"a": True, "b": 1, 1: "one", None: None},
+    "é ∞ 😀", 'say "hi"\\ \n\t ', {'k"ey': "vál", "ünï": ['"', _Tag("t")]},
+    _Tag('"'), {_Tag("k"): [np.float64(1.5), np.int64(2)]},
+    [np.bool_(False)], object(),
+], ids=lambda value: type(value).__name__)
+def test_writer_matches_the_reference(value):
+    # numpy booleans and arbitrary objects raise the same TypeError in both
+    for obj in (value, {"v": value}, [value, value]):
+        assert _outcome(cli._dumps, obj) == _outcome(_dumps, obj)
+
+
+def test_writer_matches_the_reference_on_every_result_document(
+    tmp_path, capsys, monkeypatch
+):
+    f = _subcommand_files(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    commands = [
+        ["check", f["w"]],
+        ["check", "--elliptic", f["g3"]],
+        ["check", "--symplectic", "--tol", "1e-12", f["w"]],
+        ["check", "--hamiltonian", f["x"]],
+        ["check", "--cone", f["x"]],
+        ["spectrum", f["w"]],
+        ["spectrum", f["g3"]],
+        ["splitting", f["e3"]],
+        ["log", f["e3"]],
+        ["tau", f["w"]],
+        ["mu", f["e3"]],
+        ["nu", f["g3"]],
+        ["dist", f["w"]],
+        ["connect", f["a"], f["b"]],
+        ["exit-times", f["w"], f["x"]],
+        ["geodesic", "--t", "0.5", f["x"], f["w"]],
+        ["path-verify", "--seed", "3", "--n", "2", "--steps", "5"],
+        ["suite", "--seed", "1", "--trials", "1"],
+        ["tau", f["g3"]],
+        ["dist", str(bad)],
+    ]
+    docs = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda doc: (docs.append(doc), emit(doc)))
+    for argv in commands:
+        main(argv)
+        out = capsys.readouterr().out
+        assert out == _dumps(docs[-1]) + "\n", argv
+    assert len(docs) == len(commands)
+
+
+def test_numeric_arguments_are_checked_at_parse_time(tmp_path, capsys):
+    f = _subcommand_files(tmp_path)
+    cases = [
+        (["geodesic", f"--t={value}", f["x"], f["w"]], "must be finite")
+        for value in ("nan", "inf", "-inf")
+    ] + [
+        (["check", "--tol", value, f["w"]], "must be non-negative and finite")
+        for value in ("nan", "inf", "-0.5")
+    ] + [
+        (["suite", "--trials", "0"], "must be a positive integer"),
+        (["suite", "--n", "0", "--trials", "1"], "must be a positive integer"),
+        (["suite", "--seed", "-1", "--trials", "1"], "must be a non-negative integer"),
+        (["path-verify", "--steps", "0"], "must be a positive integer"),
+        (["path-verify", "--n", "0"], "must be a positive integer"),
+        (["path-verify", "--seed", "-3"], "must be a non-negative integer"),
+        (["connect", "--samples", "-5", f["a"], f["b"]], "must be a non-negative integer"),
+    ] + [
+        (["path-verify", "--step-size", value], "must be positive and finite")
+        for value in ("-1", "0", "inf", "nan")
+    ] + [
+        # text that is no number keeps argparse's own message
+        (["path-verify", "--steps", "ten"], "invalid int value: 'ten'"),
+        (["geodesic", "--t", "half", f["x"], f["w"]], "invalid float value: 'half'"),
+    ]
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2, argv
+        assert message in captured.err, argv
+        assert captured.out == "", argv
+    # the bounds themselves are accepted; --tol 0 is an exact check
+    for argv in (
+        ["check", "--symplectic", "--tol", "0", f["w"]],
+        ["connect", "--samples", "0", f["a"], f["b"]],
+        ["geodesic", "--t", "-2.5", f["x"], f["w"]],
+        ["suite", "--seed", "0", "--trials", "1"],
+    ):
+        assert run_cli(capsys, argv)[0] == 0, argv

@@ -103,6 +103,15 @@ def test_random_causal_path_invariants():
         np.testing.assert_array_equal(path.endpoint, other.endpoint)
 
 
+def test_random_causal_path_rejects_steps_and_step_size():
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        random_causal_path(0, 1, steps=0)
+    # a non-positive step runs backward in time, a non-finite one is no step
+    for step_size in (0.0, -1.0, np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="step_size must be positive"):
+            random_causal_path(0, 1, steps=3, step_size=step_size)
+
+
 def test_confined_path_stays_elliptic():
     for seed in range(5):
         W0 = random_elliptic_banded(seed, 2, lo=0.3, hi=1.8)
