@@ -40,7 +40,7 @@ from .exceptions import (
     ZeroDirectionError,
 )
 # krein_spectrum stays importable here: the benchmark's tracer rebinds it
-from .krein import Location, _spectrum, krein_spectrum  # noqa: F401
+from .krein import _phases, _spectrum, krein_spectrum  # noqa: F401
 
 
 class ExitReason(Enum):
@@ -140,25 +140,16 @@ def dist_formula(W: np.ndarray) -> float:
     if inside:
         return float(np.exp(np.mean(np.log(theta))))
     # closure points with eigenvalues +-1, where sym(Omega W) is singular
-    spec = _spectrum(W, on_degenerate="mark")
-    angles: list[float] = []
-    for c in spec.clusters:
-        if c.location is Location.OFF_CIRCLE:
-            raise NotEllipticError("off-circle eigenvalue")
-        if c.location is Location.PLUS_ONE:
-            angles.extend([0.0] * (c.alg_mult // 2))
-        elif c.location is Location.MINUS_ONE:
-            angles.extend([np.pi] * (c.alg_mult // 2))
-        elif c.value.imag > 0:
-            if c.krein_signature is not None and c.krein_signature[1] > 0:
-                raise NotEllipticError("indefinite Krein signature")
-            angles.extend([c.angle] * c.alg_mult)
-    th = np.array(sorted(angles))
-    if th.size != spec.n:
+    ph = _phases(_spectrum(W, on_degenerate="mark"))
+    if ph.off_circle:
+        raise NotEllipticError("off-circle eigenvalue")
+    if any(a < 0 for a in ph.plus):
+        raise NotEllipticError("indefinite Krein signature")
+    if len(ph.plus) != theta.size:
         raise NotEllipticError("angle count is not n")
-    if np.any(th == 0.0):
+    if 0.0 in ph.plus:
         return 0.0
-    return float(np.exp(np.mean(np.log(th))))
+    return float(np.exp(np.mean(np.log(sorted(ph.plus)))))
 
 
 def path_length(path) -> float:
@@ -189,8 +180,10 @@ def connect(
     BOUNDARY as causal-null.  X is the logarithm of the quotient.  `samples`
     equally spaced interior points of the connecting geodesic are checked
     as one stack to stay in the region; the first that leaves it is named
-    in the error (0 disables the check).
+    in the error (0 disables the check, a negative count raises ValueError).
     """
+    if samples < 0:
+        raise ValueError("samples must be a non-negative integer")
     W0 = require_symplectic(W0, tol=1e-7)
     W1 = require_symplectic(W1, tol=1e-7)
     Q = W1 @ symplectic_inverse(W0)
@@ -254,7 +247,7 @@ def exit_times(
         raise ZeroDirectionError("direction is numerically zero")
     if not status.causal:
         raise OutsideConeError(f"direction has cone status {status.value}")
-    if not is_positively_elliptic(W0):
+    if not _normal_form(W0)[0]:
         raise NotEllipticError("starting point is not positively elliptic")
     flow = geodesic_flow(X, W0)
     O = _omega(half_dim(W0))

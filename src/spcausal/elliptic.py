@@ -30,12 +30,7 @@ from .core import (
 from .exceptions import IllConditionedWarning, NotEllipticError
 # krein_spectrum stays importable from this module, which the benchmark's
 # tracer rebinds; the rejection diagnosis calls the unchecked kernel _spectrum
-from .krein import (  # noqa: F401
-    KreinSpectrum,
-    Location,
-    _spectrum,
-    krein_spectrum,
-)
+from .krein import _phases, _spectrum, krein_spectrum  # noqa: F401
 
 #: Angles within this band of {0, pi} are classified as boundary.
 ANGLE_BOUNDARY_BAND = 1e-8
@@ -79,25 +74,23 @@ class EllipticSplitting:
         return self.basis @ S @ np.linalg.inv(self.basis)
 
 
-def _check_from_spectrum(spec: KreinSpectrum) -> EllipticCheck:
-    for c in spec.clusters:
-        if c.location is Location.OFF_CIRCLE:
-            return EllipticCheck(False, "off-circle eigenvalue")
-    for c in spec.clusters:
-        if c.location is Location.PLUS_ONE:
-            return EllipticCheck(False, "eigenvalue +1")
-        if c.location is Location.MINUS_ONE:
-            return EllipticCheck(False, "eigenvalue -1")
-    for c in spec.clusters:
-        th = abs(c.angle)
-        if th < ANGLE_BOUNDARY_BAND or th > np.pi - ANGLE_BOUNDARY_BAND:
-            return EllipticCheck(False, "boundary")
-        if c.degenerate:
-            return EllipticCheck(False, "boundary")
-    for c in spec.clusters:
-        if c.value.imag > 0 and c.krein_signature[1] > 0:
-            return EllipticCheck(False, "indefinite Krein signature")
-    return EllipticCheck(True, None)
+def _rejection_reason(W: np.ndarray) -> str:
+    """The first condition the Krein labelling of a checked non-member W
+    finds violated, in the order of `is_positively_elliptic`; "boundary"
+    when it finds none."""
+    ph = _phases(_spectrum(W, on_degenerate="mark"))
+    if ph.off_circle:
+        return "off-circle eigenvalue"
+    if ph.plus_one:
+        return "eigenvalue +1"
+    if ph.minus_one:
+        return "eigenvalue -1"
+    lo, hi = ANGLE_BOUNDARY_BAND, np.pi - ANGLE_BOUNDARY_BAND
+    if ph.degenerate or not all(lo <= abs(a) <= hi for a in ph.plus):
+        return "boundary"
+    if any(a < 0 for a in ph.plus):
+        return "indefinite Krein signature"
+    return "boundary"
 
 
 def _normal_form(W: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -166,8 +159,7 @@ def _region_normal_form(W: np.ndarray) -> tuple[np.ndarray, ...]:
     violated, or "boundary" when it finds none."""
     inside, theta, E, Y = _normal_form(W)
     if not inside:
-        chk = _check_from_spectrum(_spectrum(W, on_degenerate="mark"))
-        raise NotEllipticError(chk.reason or "boundary")
+        raise NotEllipticError(_rejection_reason(W))
     return theta, E, Y
 
 

@@ -14,6 +14,7 @@ eigenvalues).  Degenerate Gram matrices are reported, never silently resolved.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -61,7 +62,7 @@ class EigenCluster:
     @property
     def angle(self) -> float:
         """Argument of the representative in (-pi, pi]."""
-        return float(np.angle(self.value))
+        return cmath.phase(self.value)
 
 
 @dataclass(frozen=True)
@@ -74,13 +75,6 @@ class KreinSpectrum:
     @property
     def total_multiplicity(self) -> int:
         return sum(c.alg_mult for c in self.clusters)
-
-    def select(self, location: Location) -> list[EigenCluster]:
-        return [c for c in self.clusters if c.location is location]
-
-    @property
-    def all_on_circle(self) -> bool:
-        return all(c.location.on_circle for c in self.clusters)
 
 
 def krein_gram(vectors) -> np.ndarray:
@@ -97,15 +91,13 @@ def krein_gram(vectors) -> np.ndarray:
     return (K + K.conj().T) / 2
 
 
-def _cluster_indices(
-    evals: list, delta: float, delta_real: float = DELTA_REAL
-) -> list[list[int]]:
-    """Union-find clustering of eigenvalues with relative gap delta.
+def _cluster_indices(evals: list) -> list[list[int]]:
+    """Union-find clustering of eigenvalues with relative gap DELTA_CLUSTER.
 
     Eigenvalues on opposite sides of the real axis are never merged: a
     conjugate pair approaching -1 stays two clusters until each member is
-    within delta_real of the axis, so membership tests resolve the boundary
-    to delta_real rather than to the (coarser) clustering gap.  ``evals`` is
+    within DELTA_REAL of the axis, so membership tests resolve the boundary
+    to DELTA_REAL rather than to the (coarser) clustering gap.  ``evals`` is
     a list of Python scalars; groups come out in order of their first member.
     """
     m = len(evals)
@@ -117,12 +109,12 @@ def _cluster_indices(
             i = parent[i]
         return i
 
-    side = [(z.imag > delta_real) - (z.imag < -delta_real) for z in evals]
+    side = [(z.imag > DELTA_REAL) - (z.imag < -DELTA_REAL) for z in evals]
     for i in range(m):
         for j in range(i + 1, m):
             if side[i] != side[j]:
                 continue
-            gap = delta * max(1.0, abs(evals[i]), abs(evals[j]))
+            gap = DELTA_CLUSTER * max(1.0, abs(evals[i]), abs(evals[j]))
             if abs(evals[i] - evals[j]) <= gap:
                 parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
@@ -131,12 +123,12 @@ def _cluster_indices(
     return list(groups.values())
 
 
-def _classify(rep: complex, delta_circle: float, delta_real: float) -> Location:
-    if abs(rep - 1.0) <= delta_real:
+def _classify(rep: complex) -> Location:
+    if abs(rep - 1.0) <= DELTA_REAL:
         return Location.PLUS_ONE
-    if abs(rep + 1.0) <= delta_real:
+    if abs(rep + 1.0) <= DELTA_REAL:
         return Location.MINUS_ONE
-    if abs(abs(rep) - 1.0) <= delta_circle and abs(rep.imag) > delta_real:
+    if abs(abs(rep) - 1.0) <= DELTA_CIRCLE and abs(rep.imag) > DELTA_REAL:
         return Location.UNIT_CIRCLE_NONREAL
     return Location.OFF_CIRCLE
 
@@ -152,45 +144,34 @@ def _invariant_subspace(W: np.ndarray, rep: complex, radius: float) -> np.ndarra
     raise RuntimeError("ordered Schur reduction selected an empty subspace")
 
 
-def krein_spectrum(
-    W: np.ndarray,
-    delta_circle: float = DELTA_CIRCLE,
-    delta_real: float = DELTA_REAL,
-    on_degenerate: str = "raise",
-) -> KreinSpectrum:
+def krein_spectrum(W: np.ndarray, on_degenerate: str = "raise") -> KreinSpectrum:
     """Clustered eigenvalues of W with Krein signatures on on-circle clusters.
 
     Parameters
     ----------
     W : symplectic 2n x 2n matrix.
-    delta_circle, delta_real : detection tolerances for the unit circle and
-        for the eigenvalues +-1.
     on_degenerate : "raise" to signal SignatureDegenerateError when a Gram
-        eigenvalue lies within tolerance of zero, "mark" to record the
-        degeneracy on the cluster instead.
+        eigenvalue lies within tolerance of zero, or when the invariant
+        subspace of a cluster has another dimension than its multiplicity;
+        "mark" to record the degeneracy on the cluster instead.
     """
     if on_degenerate not in ("raise", "mark"):
         raise ValueError("on_degenerate must be 'raise' or 'mark'")
     W = require_symplectic(W, tol=1e-7)
-    return _spectrum(W, delta_circle, delta_real, on_degenerate)
+    return _spectrum(W, on_degenerate)
 
 
-def _spectrum(
-    W: np.ndarray,
-    delta_circle: float = DELTA_CIRCLE,
-    delta_real: float = DELTA_REAL,
-    on_degenerate: str = "raise",
-) -> KreinSpectrum:
+def _spectrum(W: np.ndarray, on_degenerate: str = "raise") -> KreinSpectrum:
     """krein_spectrum of a float matrix its caller has checked to be symplectic."""
     n = W.shape[0] // 2
     evals, evecs = np.linalg.eig(W)
     ev = evals.tolist()
-    groups = _cluster_indices(ev, DELTA_CLUSTER)
+    groups = _cluster_indices(ev)
     reps = [
         complex(ev[g[0]]) if len(g) == 1 else complex(evals[g].mean())
         for g in groups
     ]
-    locs = [_classify(rep, delta_circle, delta_real) for rep in reps]
+    locs = [_classify(rep) for rep in reps]
     # The 1 x 1 Krein Gram matrix of a normalised eigenvector v = x + iy is
     # kappa(v, v) / |v|^2 = 2 (y_top . x_bot - x_top . y_bot) / |v|^2; simple
     # clusters read it from this one product over all eigenvectors.
@@ -205,17 +186,16 @@ def _spectrum(
         degenerate = False
         if loc.on_circle:
             if mult == 1:
-                ew = [kappa[g[0]]]
+                ew, widened = [kappa[g[0]]], False
             else:
                 spread = float(np.max(np.abs(evals[g] - rep)))
                 radius = 2 * spread + DELTA_CLUSTER * max(1.0, abs(rep))
                 U = _invariant_subspace(W, rep, radius)
-                if U.shape[1] != mult:
-                    # widened selection; fall back to the selected dimension
-                    mult = U.shape[1]
+                # a selection of another dimension cannot label the cluster
+                widened = U.shape[1] != mult
                 ew = np.linalg.eigvalsh(krein_gram(U.T)).tolist()
             sig_tol = SIGMA_REL * max(max(abs(e) for e in ew), _EPS)
-            degenerate = any(abs(e) <= sig_tol for e in ew)
+            degenerate = widened or any(abs(e) <= sig_tol for e in ew)
             if degenerate:
                 if on_degenerate == "raise":
                     raise SignatureDegenerateError(
@@ -240,28 +220,68 @@ def _spectrum(
     return KreinSpectrum(n=n, clusters=tuple(clusters[i] for i in order))
 
 
-def nu(W: np.ndarray, delta_real: float = DELTA_REAL) -> complex:
+@dataclass(frozen=True)
+class KreinPhases:
+    """Eigenphases of a clustered spectrum by Krein label (see `_phases`)."""
+
+    plus: tuple[float, ...]
+    minus: tuple[float, ...]
+    off_circle: int
+    negative_real: int
+    plus_one: int
+    minus_one: int
+    degenerate: bool
+
+
+def _phases(spec: KreinSpectrum) -> KreinPhases:
+    """The Krein labelling of the unit-circle eigenphases of a spectrum.
+
+    A non-real unit-circle cluster of signature (p, q) gives its angle p
+    times to ``plus`` and q times to ``minus``; a cluster at +1 or -1 gives
+    0.0 or pi, alg_mult // 2 times, to each label, and a degenerate non-real
+    cluster is labelled as in the region, + above the real axis.  W is
+    positively elliptic exactly when ``plus`` holds n phases in (0, pi); on
+    its closure, +-1 supply the phases 0 and pi.  The counts are algebraic
+    multiplicities; ``negative_real`` counts off-circle negative reals.
+    """
+    plus: list[float] = []
+    minus: list[float] = []
+    off_circle = negative_real = plus_one = minus_one = 0
+    for c in spec.clusters:
+        if c.location is Location.OFF_CIRCLE:
+            off_circle += c.alg_mult
+            if abs(c.value.imag) <= DELTA_REAL and c.value.real < 0:
+                negative_real += c.alg_mult
+        elif c.location is Location.UNIT_CIRCLE_NONREAL:
+            # a degenerate cluster is labelled as in the region
+            p, q = c.krein_signature or (
+                (c.alg_mult, 0) if c.value.imag > 0 else (0, c.alg_mult)
+            )
+            plus += [c.angle] * p
+            minus += [c.angle] * q
+        else:
+            if c.location is Location.PLUS_ONE:
+                plus_one += c.alg_mult
+                angle = 0.0
+            else:
+                minus_one += c.alg_mult
+                angle = np.pi
+            plus += [angle] * (c.alg_mult // 2)
+            minus += [angle] * (c.alg_mult // 2)
+    return KreinPhases(
+        tuple(plus), tuple(minus), off_circle, negative_real, plus_one, minus_one,
+        any(c.degenerate for c in spec.clusters),
+    )
+
+
+def nu(W: np.ndarray) -> complex:
     """Unit-circle spectral invariant underlying the Maslov quasimorphism.
 
-    nu(W) = (-1)^m * prod over unit-circle non-real eigenvalue clusters of
-    lambda^p(lambda), where 2m is the total algebraic multiplicity of the
-    negative real eigenvalues and p the positive part of the Krein signature.
-    The result is normalised to unit modulus.
+    nu(W) = (-1)^(m/2) exp(i sum of the Krein-positive phases), where m is
+    the multiplicity of the off-circle negative real eigenvalues; the phase
+    pi of each Krein-positive half of the eigenvalue -1 supplies its sign.
+    Raises SignatureDegenerateError on a degenerate Krein signature.
     """
-    spec = krein_spectrum(W, on_degenerate="raise")
-    m2 = 0
-    for c in spec.clusters:
-        if c.location is Location.MINUS_ONE:
-            m2 += c.alg_mult
-        elif (
-            c.location is Location.OFF_CIRCLE
-            and abs(c.value.imag) <= delta_real
-            and c.value.real < 0
-        ):
-            m2 += c.alg_mult
-    result = complex(-1.0 if (m2 // 2) % 2 else 1.0)
-    for c in spec.select(Location.UNIT_CIRCLE_NONREAL):
-        p = c.krein_signature[0]
-        if p:
-            result *= c.value**p
-    return result / abs(result)
+    ph = _phases(krein_spectrum(W, on_degenerate="raise"))
+    sign = -1.0 if (ph.negative_real // 2) % 2 else 1.0
+    return sign * cmath.exp(1j * sum(ph.plus))

@@ -53,7 +53,7 @@ from .exceptions import (
     OutsideConeError,
     SignatureDegenerateError,
 )
-from .krein import Location, krein_spectrum, nu
+from .krein import _phases, krein_spectrum, nu
 
 #: Symplecticity drift bound for generated paths.
 DRIFT_TOL = 1e-7
@@ -242,29 +242,17 @@ def _wrap(a: np.ndarray | float) -> np.ndarray | float:
 
 
 def _labeled_args(W: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Raw unit-circle eigenphases split by Krein label, or None off circle."""
+    """Raw unit-circle eigenphases split by Krein label (see `krein._phases`),
+    or None off circle."""
     spec = krein_spectrum(W, on_degenerate="mark")
-    plus: list[float] = []
-    minus: list[float] = []
-    for c in spec.clusters:
-        if c.location is Location.OFF_CIRCLE:
-            return None
-        if c.degenerate:
-            raise SignatureDegenerateError(
-                f"degenerate Krein signature at eigenvalue {c.value:.6g}"
-            )
-        p, q = c.krein_signature
-        if c.location is Location.PLUS_ONE or c.location is Location.MINUS_ONE:
-            # signature (p, p) at +-1: split evenly between the labels
-            half = c.alg_mult // 2
-            plus.extend([c.angle] * half)
-            minus.extend([c.angle] * half)
-        else:
-            plus.extend([c.angle] * p)
-            minus.extend([c.angle] * q)
-    if len(plus) != spec.n or len(minus) != spec.n:
+    ph = _phases(spec)
+    if ph.off_circle:
         return None
-    return np.array(plus), np.array(minus)
+    if ph.degenerate:
+        raise SignatureDegenerateError("degenerate Krein signature on the unit circle")
+    if len(ph.plus) != spec.n or len(ph.minus) != spec.n:
+        return None
+    return np.array(ph.plus), np.array(ph.minus)
 
 
 def _match(prev: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, float]:

@@ -244,6 +244,14 @@ def test_connect_rejects_non_elliptic_quotient():
         connect(rot(0.3), np.diag([2.0, 0.5]) @ rot(0.3))
 
 
+def test_connect_rejects_a_negative_sample_count():
+    # the geodesic leaves the region, which samples=0 does not check and a
+    # negative count must not skip silently
+    assert connect(rot(2.5), rot(3.5), samples=0).status is ConeStatus.INTERIOR
+    with pytest.raises(ValueError, match="samples"):
+        connect(rot(2.5), rot(3.5), samples=-5)
+
+
 def test_connect_names_the_first_sample_outside():
     # the quotient is elliptic, but the geodesic from W0 leaves the region;
     # the message is the one a sample-by-sample check gives

@@ -30,7 +30,6 @@ from spcausal import (
 from spcausal.core import _omega, require_symplectic
 from spcausal.elliptic import (
     ANGLE_BOUNDARY_BAND,
-    _check_from_spectrum,
     _normal_form,
     _stack_normal_form,
 )
@@ -40,6 +39,8 @@ from spcausal.exceptions import (
     NotSymplecticError,
 )
 from spcausal.krein import krein_spectrum
+
+from labelling_reference import differential_sample, reference_reason
 
 
 def rot(theta, n=1):
@@ -93,48 +94,15 @@ def test_region_exp_of_cone_generator():
         assert is_positively_elliptic(scipy.linalg.expm(X))
 
 
-def _differential_sample(i: int) -> np.ndarray:
-    """Seeded mixed input for the differential test, inside and outside
-    the region."""
-    rng = np.random.default_rng([67, i])
-    n = 1 + i % 3
-    kind = (i // 3) % 6
-    if kind == 0:
-        return random_symplectic(rng, n, scale=rng.uniform(0.2, 2.0))
-    if kind == 1:
-        return random_elliptic(rng, n, margin=0.01)
-    if kind == 2:
-        # signed angles: a negative one makes the Krein signature indefinite
-        th = rng.uniform(0.01, np.pi - 0.01, n) * rng.choice([-1.0, 1.0], n)
-        S = random_symplectic(rng, n, scale=0.4)
-        return S @ block_rotation(th) @ symplectic_inverse(S)
-    if kind == 3:
-        # a cone flow through a region element, carried past its exit times
-        W = random_elliptic(rng, n, margin=0.05)
-        X = random_cone_element(rng, n)
-        rho = float(np.max(np.abs(np.linalg.eigvals(X).imag)))
-        return scipy.linalg.expm(rng.uniform(-2 * np.pi, 2 * np.pi) / rho * X) @ W
-    if kind == 4:
-        return minus_inverse(
-            random_elliptic(rng, n, margin=0.01)
-            if rng.random() < 0.5
-            else random_symplectic(rng, n, scale=rng.uniform(0.2, 1.0))
-        )
-    th = rng.uniform(0.01, np.pi - 0.01, n)
-    th[0] *= rng.choice([-1.0, 1.0])
-    S = random_symplectic(rng, n, scale=1.2)
-    return S @ block_rotation(th) @ symplectic_inverse(S)
-
-
 def test_normal_form_matches_krein_spectrum():
     # the normal form's verdict and angles against the Krein spectrum, and
     # the stacked verdicts, one stack per n, against the single-matrix ones
     members = 0
     by_n: dict[int, tuple[list, list]] = {1: ([], []), 2: ([], []), 3: ([], [])}
     for i in range(3000):
-        W = _differential_sample(i)
+        W = differential_sample(i)
         spec = krein_spectrum(W, on_degenerate="mark")
-        want = bool(_check_from_spectrum(spec))
+        want = reference_reason(spec) is None
         assert bool(is_positively_elliptic(W)) is want, i
         stack, verdicts = by_n[W.shape[0] // 2]
         stack.append(W)
@@ -222,7 +190,7 @@ def test_normal_form_matches_the_cayley_reference():
     # on the mixed sample, where both forms accept, the angles agree
     both = 0
     for i in range(3000):
-        W = _differential_sample(i)
+        W = differential_sample(i)
         inside, theta, _, _ = _normal_form(W)
         ref = _cayley_normal_form(W)
         if inside and ref is not None:

@@ -33,14 +33,14 @@ from spcausal.exceptions import (
     DriftExceededError,
     NotSymplecticError,
 )
-from spcausal.krein import nu
 from spcausal.pathlab import (
     _MAX_REFINE,
     PHASE_JUMP,
-    _labeled_args,
     _match,
     _wrap,
 )
+
+from labelling_reference import reference_labeled_args, reference_nu
 
 
 # -- generators -------------------------------------------------------------
@@ -217,15 +217,15 @@ def test_mu_lift_reversed_path():
 
 def _reference_track_phases(path):
     """track_phases as it recomputed every grid matrix from its predecessor
-    and took each spectrum from krein_spectrum; returns (plus, minus,
-    crossings, off_circle)."""
+    and labelled each spectrum by its own walk over the Krein clusters;
+    returns (plus, minus, crossings, off_circle)."""
     N = path.steps
     n = path.matrices[0].shape[0] // 2
     plus = np.full((N + 1, n), np.nan)
     minus = np.full((N + 1, n), np.nan)
     off = np.zeros(N + 1, dtype=bool)
     crossings = []
-    first = _labeled_args(path.matrices[0])
+    first = reference_labeled_args(path.matrices[0])
     if first is None:
         off[0] = True
     else:
@@ -233,7 +233,7 @@ def _reference_track_phases(path):
 
     def advance(p, m, W_from, X, dt, depth):
         W_to = scipy.linalg.expm(dt * X) @ W_from
-        labeled = _labeled_args(W_to)
+        labeled = reference_labeled_args(W_to)
         if labeled is None:
             return None
         new_p, j1 = _match(p, labeled[0])
@@ -249,7 +249,7 @@ def _reference_track_phases(path):
 
     for i in range(N):
         if off[i]:
-            nxt = _labeled_args(path.matrices[i + 1])
+            nxt = reference_labeled_args(path.matrices[i + 1])
             if nxt is None:
                 off[i + 1] = True
             else:
@@ -271,9 +271,10 @@ def _reference_track_phases(path):
 
 
 def _reference_mu_along_path(path, start=None):
-    """mu_along_path as it recomputed every grid matrix and called nu."""
+    """mu_along_path as it recomputed every grid matrix and took nu as a
+    product over the Krein clusters."""
     def nu_arg(W):
-        return float(np.angle(nu(W)))
+        return float(np.angle(reference_nu(W)))
 
     def lift_segment(a_prev, W_from, X, dt, depth):
         a_next = nu_arg(scipy.linalg.expm(dt * X) @ W_from)
