@@ -27,7 +27,7 @@ from .core import (
     symmetrized_form,
 )
 from .elliptic import (
-    _normal_form,
+    _checked_form,
     _stack_normal_form,
     is_positively_elliptic,
     log_elliptic,
@@ -133,20 +133,28 @@ def dist_formula(W: np.ndarray) -> float:
     """Lorentzian distance from id to the elliptic-sheet lift of W.
 
     Geometric mean of the rotation angles, valid on the closure of the
-    region (angles in [0, pi]; eigenvalues +-1 contribute 0 and pi).
+    region (angles in [0, pi]; eigenvalues +-1 contribute 0 and pi).  A
+    member's angles come from the normal form that the region entries share
+    (`elliptic._checked_form`); any other W goes through its Krein
+    labelling.  The closure is where P = 2 sym(Omega W) is positive
+    semidefinite, so a W whose labelling passes but whose lambda_min(P) is
+    below -1e-8 max(1, lambda_max(P)), a Jordan shear at +-1 of the wrong
+    sign, raises NotEllipticError("outside the closure of the region").
     """
-    W = require_symplectic(W, tol=1e-7)
-    inside, theta, _, _ = _normal_form(W)
-    if inside:
-        return float(np.exp(np.mean(np.log(theta))))
+    W = np.asarray(W, dtype=float)
+    form = _checked_form(W)
+    if form.inside:
+        return float(np.exp(np.mean(np.log(form.theta))))
     # closure points with eigenvalues +-1, where sym(Omega W) is singular
     ph = _phases(_spectrum(W, on_degenerate="mark"))
     if ph.off_circle:
         raise NotEllipticError("off-circle eigenvalue")
     if any(a < 0 for a in ph.plus):
         raise NotEllipticError("indefinite Krein signature")
-    if len(ph.plus) != theta.size:
+    if len(ph.plus) != form.theta.size:
         raise NotEllipticError("angle count is not n")
+    if form.p_min < -1e-8 * max(1.0, form.p_max):
+        raise NotEllipticError("outside the closure of the region")
     if 0.0 in ph.plus:
         return 0.0
     return float(np.exp(np.mean(np.log(sorted(ph.plus)))))
@@ -240,14 +248,15 @@ def exit_times(
         raise ValueError("t_max must be positive and finite")
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
-    W0 = require_symplectic(W0, tol=1e-7)
+    W0 = np.asarray(W0, dtype=float)
+    start = _checked_form(W0)
     X = require_hamiltonian(X)
     status = cone_status(X)
     if status is ConeStatus.ZERO:
         raise ZeroDirectionError("direction is numerically zero")
     if not status.causal:
         raise OutsideConeError(f"direction has cone status {status.value}")
-    if not _normal_form(W0)[0]:
+    if not start.inside:
         raise NotEllipticError("starting point is not positively elliptic")
     flow = geodesic_flow(X, W0)
     O = _omega(half_dim(W0))

@@ -10,13 +10,17 @@ basis realising the splitting.  W is positively elliptic exactly when
 sym(Omega W) is positive definite, and one congruence normal form of that
 matrix (`_normal_form`), for a single matrix or a stack, gives the verdict,
 the angles and the basis; the Krein spectrum names the reason for a
-rejection and serves general spectra.
+rejection and serves general spectra.  Every single-matrix entry reads the
+checked normal form from a small memo keyed by the matrix's content
+(`_checked_form`), so the questions asked about one W share one form.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,14 +38,27 @@ from .krein import _phases, _spectrum, krein_spectrum  # noqa: F401
 
 #: Angles within this band of {0, pi} are classified as boundary.
 ANGLE_BOUNDARY_BAND = 1e-8
+#: Relative working-precision noise of the eigenvalues of sym(Omega W).
+_GRAM_NOISE = 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class EllipticCheck:
-    """Membership verdict with the first violated condition, if any."""
+    """Membership verdict with the first violated condition, if any, and
+    the margins to the region boundary read off the normal form.
+
+    ``gram_margin`` is lambda_min(P) over the largest |eigenvalue| of
+    P = 2 sym(Omega W), 0.0 where P vanishes: lambda_min / lambda_max on
+    members, and positive exactly when P > 0, the region up to the angle
+    band.  For members, ``min_angle`` is theta_1 and ``min_pi_gap`` is
+    pi - theta_n.
+    """
 
     elliptic: bool
     reason: str | None = None
+    gram_margin: float | None = None
+    min_angle: float | None = None
+    min_pi_gap: float | None = None
 
     def __bool__(self) -> bool:
         return self.elliptic
@@ -93,13 +110,29 @@ def _rejection_reason(W: np.ndarray) -> str:
     return "boundary"
 
 
-def _normal_form(W: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Verdicts, ascending angles and eigenvectors of a checked symplectic W,
-    one (2n, 2n) matrix or a stack along leading axes: ``inside`` (of W's
-    leading shape), ``theta`` (..., n), and ``E`` (..., 2n, n) and ``Y``
-    (..., n, n) such that column k of E Y is an eigenvector for
-    exp(i theta_k), with (E Y)* Omega (E Y) = -i diag(1 / (2 sin theta)).
-    All but ``inside`` are meaningful only where ``inside`` holds.
+class _Form(NamedTuple):
+    """Normal form of one checked symplectic W or of a stack (see
+    `_normal_form`); ``p_min`` and ``p_max`` are the extreme eigenvalues of
+    P = 2 sym(Omega W)."""
+
+    inside: np.ndarray
+    theta: np.ndarray
+    E: np.ndarray
+    Y: np.ndarray
+    p_min: np.ndarray
+    p_max: np.ndarray
+
+
+def _normal_form(W: np.ndarray) -> _Form:
+    """Verdicts, ascending angles, eigenvectors and Gram extremes of a
+    checked symplectic W, one (2n, 2n) matrix or a stack along leading axes:
+    ``inside`` (of W's leading shape), ``theta`` (..., n), ``E`` (..., 2n, n)
+    and ``Y`` (..., n, n) such that column k of E Y is an eigenvector for
+    exp(i theta_k), with (E Y)* Omega (E Y) = -i diag(1 / (2 sin theta)),
+    and ``p_min`` and ``p_max``, the extreme eigenvalues of P below.
+    ``theta``, ``E`` and ``Y`` are meaningful only where ``inside`` holds.
+    The single-matrix region entries reach it through the memo
+    `_checked_form`.
 
     W is positively elliptic exactly when P = 2 sym(Omega W) = M + M^T, with
     M = Omega W, is positive definite (Krein's strong-stability theory, see
@@ -120,7 +153,7 @@ def _normal_form(W: np.ndarray) -> tuple[np.ndarray, ...]:
     M = O @ W
     Mt = M.swapaxes(-1, -2)
     lam, Q = np.linalg.eigh(M + Mt)
-    positive = lam[..., 0] > 4 * np.finfo(float).eps * lam[..., -1]
+    positive = lam[..., 0] > _GRAM_NOISE * lam[..., -1]
     # a non-member is carried along with its eigenvalues set to 1
     G = Q / np.sqrt(np.where(positive[..., None], lam, 1.0))[..., None, :]
     _, U = np.linalg.eigh(1j * (G.swapaxes(-1, -2) @ O @ G))
@@ -130,7 +163,30 @@ def _normal_form(W: np.ndarray) -> tuple[np.ndarray, ...]:
     theta = np.arctan2(1.0, c[..., ::-1])
     lo, hi = ANGLE_BOUNDARY_BAND, np.pi - ANGLE_BOUNDARY_BAND
     inside = positive & (lo <= theta[..., 0]) & (theta[..., -1] <= hi)
-    return inside, theta, E, Y[..., ::-1]
+    return _Form(inside, theta, E, Y[..., ::-1], lam[..., 0], lam[..., -1])
+
+
+def _checked_form(W: np.ndarray, tol: float = 1e-7) -> _Form:
+    """`_normal_form` of one matrix W after `require_symplectic(W, tol)`.
+
+    Memoised by content: the key is W's shape, ``tol`` and the bytes of W as
+    a C-ordered float64 array, and the last 4 forms are kept, enough for the
+    questions asked about one matrix in a row.  The form's arrays are
+    read-only and shared; a failed check raises on every call and is never
+    stored.
+    """
+    W = np.asarray(W, dtype=float)
+    return _form_of(W.shape, tol, W.tobytes())
+
+
+@functools.lru_cache(maxsize=4)
+def _form_of(shape: tuple[int, ...], tol: float, data: bytes) -> _Form:
+    W = np.frombuffer(data).reshape(shape)
+    require_symplectic(W, tol)
+    form = _normal_form(W)
+    for a in form[1:4]:
+        a.setflags(write=False)
+    return form
 
 
 def _stack_normal_form(Ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,46 +205,50 @@ def _stack_normal_form(Ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         symplectic = (norm < 1e154) & (r <= 1e-7 * norm**2)
     for W in Ws[~symplectic]:
         require_symplectic(W, tol=1e-7)  # raises with the single-matrix message
-    inside, theta, _, _ = _normal_form(Ws)
-    return inside, np.where(inside[:, None], theta, np.nan)
+    form = _normal_form(Ws)
+    return form.inside, np.where(form.inside[:, None], form.theta, np.nan)
 
 
-def _region_normal_form(W: np.ndarray) -> tuple[np.ndarray, ...]:
-    """`_normal_form` of a checked W without the verdict.  A rejection raises
+def _region_form(W: np.ndarray) -> _Form:
+    """The memoised form of a region element.  A non-member raises
     NotEllipticError naming the first condition the Krein spectrum finds
     violated, or "boundary" when it finds none."""
-    inside, theta, E, Y = _normal_form(W)
-    if not inside:
+    W = np.asarray(W, dtype=float)
+    form = _checked_form(W)
+    if not form.inside:
         raise NotEllipticError(_rejection_reason(W))
-    return theta, E, Y
+    return form
 
 
 def is_positively_elliptic(W: np.ndarray, tol: float = 1e-7) -> EllipticCheck:
     """Membership test for the positively elliptic region with diagnosis.
 
-    The normal form gives the verdict.  The diagnosis names the first
-    violated condition: "off-circle eigenvalue", "eigenvalue +1" /
-    "eigenvalue -1", "boundary" (an angle or the Krein Gram within the
-    boundary band, or sym(Omega W) singular to working precision) or
-    "indefinite Krein signature".
+    The normal form gives the verdict and the margins of `EllipticCheck`.
+    The diagnosis names the first violated condition: "off-circle
+    eigenvalue", "eigenvalue +1" / "eigenvalue -1", "boundary" (an angle or
+    the Krein Gram within the boundary band, or sym(Omega W) singular to
+    working precision) or "indefinite Krein signature".  The form comes
+    from the memo that `elliptic_angles`, `tau`, `dist_formula` and the
+    other single-matrix entries share, so asking them about the same W
+    afterwards costs no second eigensolve.
 
     The symplectic relation is checked at min(tol, 1e-7), so ``tol`` can
     only tighten that check, never loosen it.
     """
-    # the kernels are unchecked, so the 1e-7 bound of krein_spectrum
-    # applies here too
-    W = require_symplectic(W, tol=min(tol, 1e-7))
-    try:
-        _region_normal_form(W)
-    except NotEllipticError as exc:
-        return EllipticCheck(False, exc.reason)
-    return EllipticCheck(True, None)
+    W = np.asarray(W, dtype=float)
+    form = _checked_form(W, min(tol, 1e-7))
+    p_min, p_max = float(form.p_min), float(form.p_max)
+    scale = max(p_max, -p_min)
+    margin = p_min / scale if scale > 0 else 0.0
+    if not form.inside:
+        return EllipticCheck(False, _rejection_reason(W), gram_margin=margin)
+    th = form.theta
+    return EllipticCheck(True, None, margin, float(th[0]), float(np.pi - th[-1]))
 
 
 def elliptic_angles(W: np.ndarray) -> np.ndarray:
     """Sorted rotation angles theta_1 <= ... <= theta_n in (0, pi)."""
-    W = require_symplectic(W, tol=1e-7)
-    return _region_normal_form(W)[0]
+    return _region_form(W).theta.copy()
 
 
 def elliptic_splitting(W: np.ndarray) -> EllipticSplitting:
@@ -200,9 +260,9 @@ def elliptic_splitting(W: np.ndarray) -> EllipticSplitting:
     symplectic by construction up to roundoff.  Within a repeated angle the
     splitting is non-unique; the Hermitian eigensolver breaks the tie.
     """
-    W = require_symplectic(W, tol=1e-7)
-    angles, E, Y = _region_normal_form(W)
-    V = E @ Y * np.sqrt(2 * np.sin(angles))
+    form = _region_form(W)
+    angles = form.theta.copy()
+    V = form.E @ form.Y * np.sqrt(2 * np.sin(angles))
     B = np.sqrt(2) * np.hstack([V.real, -V.imag])
     O = _omega(angles.size)
     residual = np.linalg.norm(B.T @ O @ B - O)
@@ -231,13 +291,13 @@ def log_elliptic(W: np.ndarray) -> np.ndarray:
 
 def tau(W: np.ndarray) -> float:
     """Time function: sum of ln(theta_k) - ln(pi - theta_k) over the angles."""
-    th = elliptic_angles(W)
+    th = _region_form(W).theta
     return float(np.sum(np.log(th) - np.log(np.pi - th)))
 
 
 def mu_elliptic(W: np.ndarray) -> float:
     """Maslov value (theta_1 + ... + theta_n) / (2 pi) of the canonical lift."""
-    return float(np.sum(elliptic_angles(W)) / (2 * np.pi))
+    return float(np.sum(_region_form(W).theta) / (2 * np.pi))
 
 
 def minus_inverse(W: np.ndarray) -> np.ndarray:

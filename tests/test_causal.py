@@ -148,6 +148,22 @@ def test_dist_closure():
     assert dist_formula(np.eye(2)) == 0.0
 
 
+def test_dist_closure_rejects_shears_of_the_wrong_sign():
+    # sym(Omega W) of a 2x2 shear at +-1 is semidefinite for one sign of the
+    # shear and indefinite, with eigenvalues (-1.4, 0), for the other
+    def up(s):
+        return np.array([[1.0, s], [0.0, 1.0]])
+
+    def low(s):
+        return np.array([[1.0, 0.0], [s, 1.0]])
+
+    for W in (up(0.7), -low(0.7)):
+        with pytest.raises(NotEllipticError, match="outside the closure"):
+            dist_formula(W)
+    assert dist_formula(up(-0.7)) == 0.0
+    assert dist_formula(-low(-0.7)) == np.pi
+
+
 def test_dist_equals_G_of_log():
     rng = np.random.default_rng(73)
     for _ in range(200):

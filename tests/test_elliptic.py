@@ -1,20 +1,25 @@
 """Tests for the positively elliptic region: membership, splitting, log,
 time function, Maslov value and the -W^{-1} involution."""
 
+import contextlib
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spcausal import (
     ConeStatus,
+    EllipticCheck,
     block_rotation,
     block_rotation_generator,
     cone_status,
     dist_formula,
     elliptic_angles,
     elliptic_splitting,
+    exit_times,
     is_positively_elliptic,
     log_elliptic,
     minus_inverse,
@@ -27,9 +32,12 @@ from spcausal import (
     symplectic_inverse,
     tau,
 )
+from spcausal import causal, elliptic
 from spcausal.core import _omega, require_symplectic
 from spcausal.elliptic import (
     ANGLE_BOUNDARY_BAND,
+    _checked_form,
+    _form_of,
     _normal_form,
     _stack_normal_form,
 )
@@ -37,6 +45,7 @@ from spcausal.exceptions import (
     IllConditionedWarning,
     NotEllipticError,
     NotSymplecticError,
+    SymplecticDomainError,
 )
 from spcausal.krein import krein_spectrum
 
@@ -147,7 +156,7 @@ def test_stack_normal_form_matches_the_single_matrix_form():
     inside, theta = _stack_normal_form(Ws)
     assert inside.dtype == bool and theta.shape == (len(Ws), 2)
     for W, ok, th in zip(Ws, inside, theta):
-        one, th_one, _, _ = _normal_form(W)
+        one, th_one = _normal_form(W)[:2]
         assert bool(ok) is bool(one)
         if ok:
             np.testing.assert_allclose(th, th_one, rtol=0, atol=1e-14)
@@ -191,7 +200,7 @@ def test_normal_form_matches_the_cayley_reference():
     both = 0
     for i in range(3000):
         W = differential_sample(i)
-        inside, theta, _, _ = _normal_form(W)
+        inside, theta = _normal_form(W)[:2]
         ref = _cayley_normal_form(W)
         if inside and ref is not None:
             both += 1
@@ -407,3 +416,192 @@ def test_minus_inverse_angle_complement():
         np.testing.assert_allclose(
             mu_elliptic(W) + mu_elliptic(minus_inverse(W)), n / 2, atol=1e-8
         )
+
+
+# -- the memoised normal form -----------------------------------------------
+
+@contextlib.contextmanager
+def _uncached():
+    """Route every entry through a test-local, uncached require_symplectic
+    and _normal_form in place of the memo."""
+    def form(W, tol=1e-7):
+        return _normal_form(require_symplectic(W, tol))
+
+    saved = elliptic._checked_form
+    elliptic._checked_form = causal._checked_form = form
+    try:
+        yield
+    finally:
+        elliptic._checked_form = causal._checked_form = saved
+
+
+def _exits(W):
+    n = np.shape(W)[0] // 2
+    return exit_times(W, standard_J(n), t_max=10.0)
+
+
+#: Every single-matrix entry that reads the memo.
+ROUTED = (is_positively_elliptic, elliptic_angles, tau, mu_elliptic,
+          dist_formula, elliptic_splitting, log_elliptic, _exits)
+
+
+def _bits(result):
+    """A result exact to the bit: arrays by their bytes, the rest by repr
+    (floats print round-trip exact)."""
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.shape, result.tobytes()
+    if isinstance(result, elliptic.EllipticSplitting):
+        return result.n, _bits(result.angles), _bits(result.basis)
+    return repr(result)
+
+
+def _outcome(f, W):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedWarning)
+            return _bits(f(W))
+    except (SymplecticDomainError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _variants(W):
+    """W as other inputs with the same entries, or as another symplectic
+    matrix: F-ordered, a strided view, its transposed view, a nested list
+    and float32."""
+    return [np.asfortranarray(W), np.pad(W, 1)[1:-1, 1:-1], W.T, W.tolist(),
+            W.astype(np.float32)]
+
+
+def test_memo_matches_the_uncached_form_on_the_mixed_sample():
+    samples = [differential_sample(i) for i in range(3000)]
+    structured = [block_rotation([0.4, 2.0]), np.eye(2), -np.eye(4), rot(np.pi / 2),
+                  np.array([[1.0, 0.7], [0.0, 1.0]]), np.diag([2.0, 0.5])]
+    # -0.0 entries, and integer matrices: a quarter turn, -I, a shear, a
+    # hyperbolic matrix and one that is not symplectic
+    signed_zeros = [np.where(W == 0, -0.0, W) for W in structured]
+    ints = [np.array(W) for W in ([[0, -1], [1, 0]], [[-1, 0], [0, -1]],
+                                  [[1, 1], [0, 1]], [[2, 1], [1, 1]], [[2, 0], [0, 1]])]
+    inputs = list(samples)
+    inputs += [_variants(W)[i % 5] for i, W in enumerate(samples[:300])]
+    inputs += structured + signed_zeros + ints
+    # every entry on members; on the rest the region entries share one
+    # rejection path, which tau stands for; exit times on every tenth input
+    calls = []
+    for k, W in enumerate(inputs):
+        try:
+            inside = _normal_form(require_symplectic(W, tol=1e-7)).inside
+        except SymplecticDomainError:
+            inside = False
+        entries = ROUTED[:-1] if inside else (is_positively_elliptic, tau, dist_formula)
+        calls.append(entries + ROUTED[-1:] * (k % 10 == 0))
+    _form_of.cache_clear()
+    got = [[_outcome(f, W) for f in entries] for W, entries in zip(inputs, calls)]
+    with _uncached():
+        want = [[_outcome(f, W) for f in entries] for W, entries in zip(inputs, calls)]
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert g == w, k
+    info = _form_of.cache_info()
+    assert info.currsize <= 4 and info.hits > 2 * len(samples)
+    assert sum(len(c) >= len(ROUTED) - 1 for c in calls) > 1000   # members
+
+
+def test_memo_results_are_copies_of_read_only_forms():
+    W = random_elliptic(3, 2)
+    th = elliptic_angles(W)
+    want = th.tobytes()
+    th[:] = 0.0
+    split = elliptic_splitting(W)
+    split.angles[:] = 0.0
+    assert elliptic_angles(W).tobytes() == want
+    assert elliptic_splitting(W).angles.tobytes() == want
+    t = tau(W)
+    with _uncached():
+        assert repr(tau(W)) == repr(t)
+    form = _checked_form(W)
+    for a in (form.theta, form.E, form.Y):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+def test_memo_never_stores_an_error():
+    off = rot(0.5)
+    off[0, 1] += 1e-3
+    nonfinite = rot(0.5)
+    nonfinite[1, 0] = np.nan
+    for W in (off, nonfinite):
+        with pytest.raises(NotSymplecticError) as ref:
+            require_symplectic(W, tol=1e-7)
+        for f in (elliptic_angles, tau, is_positively_elliptic, dist_formula):
+            for _ in range(3):
+                with pytest.raises(NotSymplecticError) as exc:
+                    f(W)
+                assert str(exc.value) == str(ref.value)
+    # a non-member is stored, its rejection raises every time
+    for _ in range(3):
+        with pytest.raises(NotEllipticError, match="off-circle eigenvalue"):
+            tau(np.diag([2.0, 0.5]))
+
+
+def test_memo_holds_at_most_four_forms():
+    _form_of.cache_clear()
+    for k in range(100):
+        tau(rot(0.01 + 0.03 * k))
+    info = _form_of.cache_info()
+    assert info.misses == 100 and info.currsize <= 4
+    tau(rot(0.01 + 0.03 * 99))
+    assert _form_of.cache_info().hits == info.hits + 1
+
+
+@st.composite
+def _interleavings(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    pool = []
+    for _ in range(2):
+        n = int(rng.integers(1, 4))
+        member = random_elliptic(rng, n, margin=0.01)
+        other = random_symplectic(rng, n, scale=rng.uniform(0.2, 1.5))
+        pool += [member, minus_inverse(member), other, minus_inverse(other)]
+    off = pool[0].copy()
+    off[0, 0] += 1e-3   # not symplectic
+    pool.append(off)
+    calls = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                    st.integers(0, len(ROUTED) - 1)),
+                          min_size=1, max_size=40))
+    return pool, calls
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_interleavings())
+def test_memo_interleavings_match_the_uncached_form(case):
+    pool, calls = case
+    got = [_outcome(ROUTED[f], pool[w]) for w, f in calls]
+    with _uncached():
+        want = [_outcome(ROUTED[f], pool[w]) for w, f in calls]
+    assert got == want
+
+
+# -- margins ----------------------------------------------------------------
+
+def test_elliptic_check_margins():
+    # P = 2 sym(Omega W) of block_rotation(theta) is diag(2 sin theta) twice
+    chk = is_positively_elliptic(block_rotation([0.3, 2.5]))
+    assert chk.elliptic and chk.reason is None
+    assert chk.gram_margin == pytest.approx(np.sin(0.3) / np.sin(2.5), rel=1e-12)
+    assert chk.min_angle == pytest.approx(0.3, abs=1e-12)
+    assert chk.min_pi_gap == pytest.approx(np.pi - 2.5, abs=1e-12)
+    S = random_symplectic(5, 2, scale=0.6)
+    conj = is_positively_elliptic(S @ block_rotation([0.3, 2.5]) @ symplectic_inverse(S))
+    assert 0 < conj.gram_margin < chk.gram_margin
+    assert conj.min_angle == pytest.approx(0.3, abs=1e-9)
+    # non-members carry the Gram margin alone: negative off the closure, 0
+    # where P vanishes
+    for W, sign in ((np.diag([2.0, 0.5]), -1), (np.eye(2), 0), (-np.eye(4), 0),
+                    (block_rotation([0.7, -0.7]), -1)):
+        chk = is_positively_elliptic(W)
+        assert not chk and np.sign(chk.gram_margin) == sign
+        assert -1 <= chk.gram_margin <= 1
+        assert chk.min_angle is None and chk.min_pi_gap is None
+    assert EllipticCheck(False, "boundary") == EllipticCheck(False, "boundary", None)
+
