@@ -39,8 +39,9 @@ from .exceptions import (
     OutsideConeError,
     ZeroDirectionError,
 )
-# krein_spectrum stays importable here: the benchmark's tracer rebinds it
-from .krein import _phases, _spectrum, krein_spectrum  # noqa: F401
+# krein_spectrum stays importable here: the benchmark's tracer rebinds it;
+# the closure branch reads the memo _checked_spectrum
+from .krein import _checked_spectrum, _phases, krein_spectrum  # noqa: F401
 
 
 class ExitReason(Enum):
@@ -146,7 +147,7 @@ def dist_formula(W: np.ndarray) -> float:
     if form.inside:
         return float(np.exp(np.mean(np.log(form.theta))))
     # closure points with eigenvalues +-1, where sym(Omega W) is singular
-    ph = _phases(_spectrum(W, on_degenerate="mark"))
+    ph = _phases(_checked_spectrum(W)[0])
     if ph.off_circle:
         raise NotEllipticError("off-circle eigenvalue")
     if any(a < 0 for a in ph.plus):

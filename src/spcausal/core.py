@@ -92,6 +92,24 @@ def _omega(n: int) -> np.ndarray:
     return O
 
 
+def _content_memo(fn):
+    """Memoise fn(W, *args) by (W's shape, the bytes of W as C-ordered
+    float64, args); a miss calls fn on the read-only array rebuilt from the
+    bytes.  The last 4 records are kept and shared by every caller, enough
+    for the questions asked about one matrix; exceptions are never stored."""
+    @functools.lru_cache(maxsize=4)
+    def record(shape, data, *args):
+        return fn(np.frombuffer(data).reshape(shape), *args)
+
+    @functools.wraps(fn)
+    def memo(W, *args):
+        W = np.asarray(W, dtype=float)
+        return record(W.shape, W.tobytes(), *args)
+
+    memo.cache_info, memo.cache_clear = record.cache_info, record.cache_clear
+    return memo
+
+
 def standard_J(n: int) -> np.ndarray:
     """Standard omega-compatible complex structure; Omega @ J = I."""
     if n < 1:

@@ -12,12 +12,13 @@ matrix (`_normal_form`), for a single matrix or a stack, gives the verdict,
 the angles and the basis; the Krein spectrum names the reason for a
 rejection and serves general spectra.  Every single-matrix entry reads the
 checked normal form from a small memo keyed by the matrix's content
-(`_checked_form`), so the questions asked about one W share one form.
+(`_checked_form`), and the diagnosis reads the Krein spectrum from its
+own such memo (`krein._checked_spectrum`), so the questions asked about one
+W share one form and one spectrum.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    _content_memo,
     _omega,
     block_rotation_generator,
     require_symplectic,
@@ -33,8 +35,8 @@ from .core import (
 )
 from .exceptions import IllConditionedWarning, NotEllipticError
 # krein_spectrum stays importable from this module, which the benchmark's
-# tracer rebinds; the rejection diagnosis calls the unchecked kernel _spectrum
-from .krein import _phases, _spectrum, krein_spectrum  # noqa: F401
+# tracer rebinds; the rejection diagnosis reads the memo _checked_spectrum
+from .krein import _checked_spectrum, _phases, krein_spectrum  # noqa: F401
 
 #: Angles within this band of {0, pi} are classified as boundary.
 ANGLE_BOUNDARY_BAND = 1e-8
@@ -95,7 +97,7 @@ def _rejection_reason(W: np.ndarray) -> str:
     """The first condition the Krein labelling of a checked non-member W
     finds violated, in the order of `is_positively_elliptic`; "boundary"
     when it finds none."""
-    ph = _phases(_spectrum(W, on_degenerate="mark"))
+    ph = _phases(_checked_spectrum(W)[0])
     if ph.off_circle:
         return "off-circle eigenvalue"
     if ph.plus_one:
@@ -167,21 +169,13 @@ def _normal_form(W: np.ndarray) -> _Form:
 
 
 def _checked_form(W: np.ndarray, tol: float = 1e-7) -> _Form:
-    """`_normal_form` of one matrix W after `require_symplectic(W, tol)`.
-
-    Memoised by content: the key is W's shape, ``tol`` and the bytes of W as
-    a C-ordered float64 array, and the last 4 forms are kept, enough for the
-    questions asked about one matrix in a row.  The form's arrays are
-    read-only and shared; a failed check raises on every call and is never
-    stored.
-    """
-    W = np.asarray(W, dtype=float)
-    return _form_of(W.shape, tol, W.tobytes())
+    """`_normal_form` of one matrix W after `require_symplectic(W, tol)`,
+    memoised by content (`core._content_memo`); its arrays are read-only."""
+    return _form_of(W, tol)
 
 
-@functools.lru_cache(maxsize=4)
-def _form_of(shape: tuple[int, ...], tol: float, data: bytes) -> _Form:
-    W = np.frombuffer(data).reshape(shape)
+@_content_memo
+def _form_of(W: np.ndarray, tol: float) -> _Form:
     require_symplectic(W, tol)
     form = _normal_form(W)
     for a in form[1:4]:

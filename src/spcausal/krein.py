@@ -10,6 +10,9 @@ Invariant subspaces of eigenvalue clusters are taken from eigenvectors for
 simple clusters and from an ordered complex Schur reduction when a cluster has
 algebraic multiplicity greater than one (stable for clustered or defective
 eigenvalues).  Degenerate Gram matrices are reported, never silently resolved.
+`krein_spectrum`, `nu`, the membership diagnosis and the closure branch of
+`dist_formula` read one spectrum per matrix from a memo keyed by its content
+(`_checked_spectrum`), so the questions asked about one W share one eigensolve.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .core import _omega, require_symplectic
+from .core import _content_memo, _omega, require_symplectic
 from .exceptions import DimensionMismatchError, SignatureDegenerateError
 
 #: Relative gap below which eigenvalues are merged into one cluster.
@@ -154,15 +157,27 @@ def krein_spectrum(W: np.ndarray, on_degenerate: str = "raise") -> KreinSpectrum
         eigenvalue lies within tolerance of zero, or when the invariant
         subspace of a cluster has another dimension than its multiplicity;
         "mark" to record the degeneracy on the cluster instead.
+
+    The spectrum is read from the memo `_checked_spectrum`: it is frozen and
+    shared, and "raise" reads the first degenerate cluster off the record.
     """
     if on_degenerate not in ("raise", "mark"):
         raise ValueError("on_degenerate must be 'raise' or 'mark'")
-    W = require_symplectic(W, tol=1e-7)
-    return _spectrum(W, on_degenerate)
+    spec, degenerate_at = _checked_spectrum(W)
+    if on_degenerate == "raise" and degenerate_at is not None:
+        raise SignatureDegenerateError(
+            f"Krein Gram matrix degenerate at eigenvalue {degenerate_at:.6g}"
+        )
+    return spec
 
 
-def _spectrum(W: np.ndarray, on_degenerate: str = "raise") -> KreinSpectrum:
-    """krein_spectrum of a float matrix its caller has checked to be symplectic."""
+@_content_memo
+def _checked_spectrum(W: np.ndarray) -> tuple[KreinSpectrum, complex | None]:
+    """The Krein spectrum of one matrix W after `require_symplectic(W, 1e-7)`
+    with degenerate clusters marked, and the representative of the first
+    degenerate cluster in computation order (None if there is none),
+    memoised by content (`core._content_memo`, the last 4 records)."""
+    require_symplectic(W, tol=1e-7)
     n = W.shape[0] // 2
     evals, evecs = np.linalg.eig(W)
     ev = evals.tolist()
@@ -180,6 +195,7 @@ def _spectrum(W: np.ndarray, on_degenerate: str = "raise") -> KreinSpectrum:
         / (evecs.real**2 + evecs.imag**2).sum(axis=0)
     ).tolist()
     clusters: list[EigenCluster] = []
+    degenerate_at = None
     for g, rep, loc in zip(groups, reps, locs):
         mult = len(g)
         signature = None
@@ -197,10 +213,8 @@ def _spectrum(W: np.ndarray, on_degenerate: str = "raise") -> KreinSpectrum:
             sig_tol = SIGMA_REL * max(max(abs(e) for e in ew), _EPS)
             degenerate = widened or any(abs(e) <= sig_tol for e in ew)
             if degenerate:
-                if on_degenerate == "raise":
-                    raise SignatureDegenerateError(
-                        f"Krein Gram matrix degenerate at eigenvalue {rep:.6g}"
-                    )
+                if degenerate_at is None:
+                    degenerate_at = rep
             else:
                 signature = (
                     sum(e > sig_tol for e in ew),
@@ -217,7 +231,7 @@ def _spectrum(W: np.ndarray, on_degenerate: str = "raise") -> KreinSpectrum:
         )
     angles = np.round(np.angle(np.array(reps)), 12).tolist()
     order = sorted(range(len(clusters)), key=lambda i: (angles[i], abs(reps[i])))
-    return KreinSpectrum(n=n, clusters=tuple(clusters[i] for i in order))
+    return KreinSpectrum(n, tuple(clusters[i] for i in order)), degenerate_at
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """The four walks over Krein clusters that the library ran before one
 labelling (`krein._phases`) served them all, kept as differential
 references: the membership diagnosis, nu, the closure branch of
-dist_formula and the labelled phases of path tracking.  Also the mixed
-sample of region elements and non-members that the differential tests
-share."""
+dist_formula and the labelled phases of path tracking.  Also the uncached
+Krein spectrum kernel that the library ran before the content-keyed memo
+(`krein._checked_spectrum`), and the mixed sample of region elements and
+non-members that the differential tests share."""
 
 import numpy as np
 import scipy.linalg
@@ -16,9 +17,89 @@ from spcausal import (
     random_symplectic,
     symplectic_inverse,
 )
+from spcausal.core import require_symplectic
 from spcausal.elliptic import ANGLE_BOUNDARY_BAND
 from spcausal.exceptions import NotEllipticError, SignatureDegenerateError
-from spcausal.krein import DELTA_REAL, Location, krein_spectrum
+from spcausal.krein import (
+    _EPS,
+    DELTA_CLUSTER,
+    DELTA_REAL,
+    SIGMA_REL,
+    EigenCluster,
+    KreinSpectrum,
+    Location,
+    _classify,
+    _cluster_indices,
+    _invariant_subspace,
+    krein_gram,
+    krein_spectrum,
+)
+
+
+def reference_krein_spectrum(W, on_degenerate="raise") -> KreinSpectrum:
+    """krein_spectrum as one uncached check and eigensolve per call, raising
+    at the first degenerate cluster in computation order (formerly
+    `krein.krein_spectrum`)."""
+    if on_degenerate not in ("raise", "mark"):
+        raise ValueError("on_degenerate must be 'raise' or 'mark'")
+    W = require_symplectic(W, tol=1e-7)
+    return reference_spectrum(W, on_degenerate)
+
+
+def reference_spectrum(W, on_degenerate="raise") -> KreinSpectrum:
+    """The unchecked kernel of `reference_krein_spectrum` (formerly
+    `krein._spectrum`)."""
+    n = W.shape[0] // 2
+    evals, evecs = np.linalg.eig(W)
+    ev = evals.tolist()
+    groups = _cluster_indices(ev)
+    reps = [
+        complex(ev[g[0]]) if len(g) == 1 else complex(evals[g].mean())
+        for g in groups
+    ]
+    locs = [_classify(rep) for rep in reps]
+    kappa = (
+        2 * (evecs[:n] * evecs[n:].conj()).imag.sum(axis=0)
+        / (evecs.real**2 + evecs.imag**2).sum(axis=0)
+    ).tolist()
+    clusters: list[EigenCluster] = []
+    for g, rep, loc in zip(groups, reps, locs):
+        mult = len(g)
+        signature = None
+        degenerate = False
+        if loc.on_circle:
+            if mult == 1:
+                ew, widened = [kappa[g[0]]], False
+            else:
+                spread = float(np.max(np.abs(evals[g] - rep)))
+                radius = 2 * spread + DELTA_CLUSTER * max(1.0, abs(rep))
+                U = _invariant_subspace(W, rep, radius)
+                widened = U.shape[1] != mult
+                ew = np.linalg.eigvalsh(krein_gram(U.T)).tolist()
+            sig_tol = SIGMA_REL * max(max(abs(e) for e in ew), _EPS)
+            degenerate = widened or any(abs(e) <= sig_tol for e in ew)
+            if degenerate:
+                if on_degenerate == "raise":
+                    raise SignatureDegenerateError(
+                        f"Krein Gram matrix degenerate at eigenvalue {rep:.6g}"
+                    )
+            else:
+                signature = (
+                    sum(e > sig_tol for e in ew),
+                    sum(e < -sig_tol for e in ew),
+                )
+        clusters.append(
+            EigenCluster(
+                value=rep,
+                alg_mult=mult,
+                location=loc,
+                krein_signature=signature,
+                degenerate=degenerate,
+            )
+        )
+    angles = np.round(np.angle(np.array(reps)), 12).tolist()
+    order = sorted(range(len(clusters)), key=lambda i: (angles[i], abs(reps[i])))
+    return KreinSpectrum(n=n, clusters=tuple(clusters[i] for i in order))
 
 
 def reference_reason(spec) -> str | None:
