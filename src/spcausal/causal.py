@@ -40,8 +40,8 @@ from .exceptions import (
     ZeroDirectionError,
 )
 # krein_spectrum stays importable here: the benchmark's tracer rebinds it;
-# the closure branch reads the memo _checked_spectrum
-from .krein import _checked_spectrum, _phases, krein_spectrum  # noqa: F401
+# the closure branch of a checked W reads the memo _spectrum
+from .krein import _phases, _spectrum, krein_spectrum  # noqa: F401
 
 
 class ExitReason(Enum):
@@ -147,7 +147,7 @@ def dist_formula(W: np.ndarray) -> float:
     if form.inside:
         return float(np.exp(np.mean(np.log(form.theta))))
     # closure points with eigenvalues +-1, where sym(Omega W) is singular
-    ph = _phases(_checked_spectrum(W)[0])
+    ph = _phases(_spectrum(W)[0])
     if ph.off_circle:
         raise NotEllipticError("off-circle eigenvalue")
     if any(a < 0 for a in ph.plus):

@@ -13,7 +13,7 @@ the angles and the basis; the Krein spectrum names the reason for a
 rejection and serves general spectra.  Every single-matrix entry reads the
 checked normal form from a small memo keyed by the matrix's content
 (`_checked_form`), and the diagnosis reads the Krein spectrum from its
-own such memo (`krein._checked_spectrum`), so the questions asked about one
+own such memo (`krein._spectrum`), so the questions asked about one
 W share one form and one spectrum.
 """
 
@@ -35,8 +35,8 @@ from .core import (
 )
 from .exceptions import IllConditionedWarning, NotEllipticError
 # krein_spectrum stays importable from this module, which the benchmark's
-# tracer rebinds; the rejection diagnosis reads the memo _checked_spectrum
-from .krein import _checked_spectrum, _phases, krein_spectrum  # noqa: F401
+# tracer rebinds; the rejection diagnosis of a checked W reads the memo _spectrum
+from .krein import _phases, _spectrum, krein_spectrum  # noqa: F401
 
 #: Angles within this band of {0, pi} are classified as boundary.
 ANGLE_BOUNDARY_BAND = 1e-8
@@ -97,7 +97,7 @@ def _rejection_reason(W: np.ndarray) -> str:
     """The first condition the Krein labelling of a checked non-member W
     finds violated, in the order of `is_positively_elliptic`; "boundary"
     when it finds none."""
-    ph = _phases(_checked_spectrum(W)[0])
+    ph = _phases(_spectrum(W)[0])
     if ph.off_circle:
         return "off-circle eigenvalue"
     if ph.plus_one:

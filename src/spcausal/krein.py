@@ -12,7 +12,7 @@ algebraic multiplicity greater than one (stable for clustered or defective
 eigenvalues).  Degenerate Gram matrices are reported, never silently resolved.
 `krein_spectrum`, `nu`, the membership diagnosis and the closure branch of
 `dist_formula` read one spectrum per matrix from a memo keyed by its content
-(`_checked_spectrum`), so the questions asked about one W share one eigensolve.
+(`_spectrum`), so the questions asked about one W share one eigensolve.
 """
 
 from __future__ import annotations
@@ -158,12 +158,13 @@ def krein_spectrum(W: np.ndarray, on_degenerate: str = "raise") -> KreinSpectrum
         subspace of a cluster has another dimension than its multiplicity;
         "mark" to record the degeneracy on the cluster instead.
 
-    The spectrum is read from the memo `_checked_spectrum`: it is frozen and
-    shared, and "raise" reads the first degenerate cluster off the record.
+    After the check the frozen, shared record of the memo `_spectrum` is
+    read; "raise" raises at its first degenerate cluster.
     """
     if on_degenerate not in ("raise", "mark"):
         raise ValueError("on_degenerate must be 'raise' or 'mark'")
-    spec, degenerate_at = _checked_spectrum(W)
+    W = require_symplectic(W, tol=1e-7)
+    spec, degenerate_at = _spectrum(W)
     if on_degenerate == "raise" and degenerate_at is not None:
         raise SignatureDegenerateError(
             f"Krein Gram matrix degenerate at eigenvalue {degenerate_at:.6g}"
@@ -172,12 +173,11 @@ def krein_spectrum(W: np.ndarray, on_degenerate: str = "raise") -> KreinSpectrum
 
 
 @_content_memo
-def _checked_spectrum(W: np.ndarray) -> tuple[KreinSpectrum, complex | None]:
-    """The Krein spectrum of one matrix W after `require_symplectic(W, 1e-7)`
-    with degenerate clusters marked, and the representative of the first
-    degenerate cluster in computation order (None if there is none),
-    memoised by content (`core._content_memo`, the last 4 records)."""
-    require_symplectic(W, tol=1e-7)
+def _spectrum(W: np.ndarray) -> tuple[KreinSpectrum, complex | None]:
+    """The Krein spectrum of a float matrix its caller has checked to be
+    symplectic, with degenerate clusters marked, and the representative of
+    the first degenerate cluster in computation order (None if there is
+    none), memoised by content (`core._content_memo`, the last 4 records)."""
     n = W.shape[0] // 2
     evals, evecs = np.linalg.eig(W)
     ev = evals.tolist()

@@ -3,7 +3,7 @@ labelling (`krein._phases`) served them all, kept as differential
 references: the membership diagnosis, nu, the closure branch of
 dist_formula and the labelled phases of path tracking.  Also the uncached
 Krein spectrum kernel that the library ran before the content-keyed memo
-(`krein._checked_spectrum`), and the mixed sample of region elements and
+(`krein._spectrum`), and the mixed sample of region elements and
 non-members that the differential tests share."""
 
 import numpy as np
@@ -47,8 +47,8 @@ def reference_krein_spectrum(W, on_degenerate="raise") -> KreinSpectrum:
 
 
 def reference_spectrum(W, on_degenerate="raise") -> KreinSpectrum:
-    """The unchecked kernel of `reference_krein_spectrum` (formerly
-    `krein._spectrum`)."""
+    """The unchecked kernel of `reference_krein_spectrum` (`krein._spectrum`
+    before its memo, when it raised at the first degenerate cluster)."""
     n = W.shape[0] // 2
     evals, evecs = np.linalg.eig(W)
     ev = evals.tolist()

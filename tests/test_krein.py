@@ -217,7 +217,7 @@ def test_widened_selection_keeps_the_multiplicity_and_marks_degenerate(monkeypat
     subspace = krein._invariant_subspace
     monkeypatch.setattr(krein, "_invariant_subspace", spy)
     # the spy sees only spectra the memo has not stored yet
-    krein._checked_spectrum.cache_clear()
+    krein._spectrum.cache_clear()
     widened = 0
     for seed, i in itertools.product((0, 1, 2), (13, 31, 49, 67, 85)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2, i)))

@@ -1,4 +1,4 @@
-"""The content-keyed memo of the Krein spectrum (`krein._checked_spectrum`):
+"""The content-keyed memo of the Krein spectrum (`krein._spectrum`):
 a differential test against the uncached kernel it replaced, its own
 properties, and the work it saves the CLI."""
 
@@ -30,7 +30,7 @@ from spcausal.exceptions import (
     SignatureDegenerateError,
     SymplecticDomainError,
 )
-from spcausal.krein import _checked_spectrum, nu
+from spcausal.krein import _spectrum, nu
 
 from labelling_reference import (
     differential_sample,
@@ -52,9 +52,9 @@ def _parent_kernel():
 
     bindings = [(m, "krein_spectrum", reference_krein_spectrum)
                 for m in (krein, pathlab, cli)]
-    bindings += [(m, "_checked_spectrum", marked) for m in (elliptic, causal)]
+    bindings += [(m, "_spectrum", marked) for m in (elliptic, causal)]
     saved = [(m, name, getattr(m, name)) for m, name, _ in bindings]
-    before = _checked_spectrum.cache_info()
+    before = _spectrum.cache_info()
     for m, name, value in bindings:
         setattr(m, name, value)
     try:
@@ -62,7 +62,7 @@ def _parent_kernel():
     finally:
         for m, name, value in saved:
             setattr(m, name, value)
-    after = _checked_spectrum.cache_info()
+    after = _spectrum.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
@@ -100,7 +100,7 @@ def _outcome(f, W):
 
 
 def _clear():
-    _checked_spectrum.cache_clear()
+    _spectrum.cache_clear()
     _form_of.cache_clear()
 
 
@@ -188,7 +188,7 @@ def test_raise_names_the_first_degenerate_cluster_in_computation_order():
     # two degenerate clusters whose computation order is not their sorted
     # order: the message names the one the uncached kernel raised at
     W = _shear_recipe(1, 85)
-    spec, degenerate_at = _checked_spectrum(W)
+    spec, degenerate_at = _spectrum(W)
     degenerate = [c.value for c in spec.clusters if c.degenerate]
     assert len(degenerate) == 2 and degenerate_at == degenerate[1]
     assert f"{degenerate[0]:.6g}" != f"{degenerate[1]:.6g}"
@@ -247,7 +247,27 @@ def test_memo_never_stores_an_error():
                 with pytest.raises(NotSymplecticError) as exc:
                     f(W)
                 assert str(exc.value) == str(ref.value)
-        assert _checked_spectrum.cache_info().currsize == 0
+        assert _spectrum.cache_info().currsize == 0
+
+
+def test_a_miss_repeats_no_check(monkeypatch):
+    # krein_spectrum checks W on every call before the lookup; the diagnosis
+    # and the closure branch read the memo for a W their entry has checked
+    check = krein.require_symplectic
+    calls = []
+    monkeypatch.setattr(krein, "require_symplectic",
+                        lambda W, tol: (calls.append(tol), check(W, tol))[1])
+    W = random_symplectic(np.random.default_rng(3), 2, scale=1.0)
+    _clear()
+    assert not is_positively_elliptic(W)
+    with pytest.raises(SymplecticDomainError):
+        dist_formula(W)
+    info = _spectrum.cache_info()
+    assert (info.misses, info.hits, calls) == (1, 1, [])
+    krein.krein_spectrum(W, on_degenerate="mark")
+    nu(W)
+    info = _spectrum.cache_info()
+    assert (info.misses, info.hits, calls) == (1, 3, [1e-7, 1e-7])
 
 
 @pytest.mark.parametrize("seed, i", [(1, 85), (2, 13), (0, 31)])
@@ -265,7 +285,7 @@ def test_raise_reads_the_degenerate_record_on_every_call(seed, i):
                 assert str(exc.value) == str(ref.value)
             else:
                 assert repr(krein.krein_spectrum(W, on_degenerate="mark")) == repr(marked)
-        info = _checked_spectrum.cache_info()
+        info = _spectrum.cache_info()
         assert (info.misses, info.hits) == (1, 3)
 
 
@@ -276,7 +296,7 @@ def test_bogus_mode_raises_before_any_lookup():
     for W in (block_rotation([0.5]), off):
         with pytest.raises(ValueError, match="on_degenerate must be"):
             krein.krein_spectrum(W, on_degenerate="bogus")
-    info = _checked_spectrum.cache_info()
+    info = _spectrum.cache_info()
     assert info.hits == info.misses == info.currsize == 0
 
 
@@ -284,10 +304,10 @@ def test_memo_holds_at_most_four_records():
     _clear()
     for k in range(100):
         nu(block_rotation([0.01 + 0.03 * k]))
-    info = _checked_spectrum.cache_info()
+    info = _spectrum.cache_info()
     assert info.maxsize == 4 and info.misses == 100 and info.currsize == 4
     nu(block_rotation([0.01 + 0.03 * 99]))
-    assert _checked_spectrum.cache_info().hits == info.hits + 1
+    assert _spectrum.cache_info().hits == info.hits + 1
 
 
 def test_the_shared_spectrum_is_frozen():
@@ -346,7 +366,7 @@ def test_screen_solves_one_spectrum_per_matrix(monkeypatch):
         _clear()
         count.clear()
         out = _screen(W)
-        info = _checked_spectrum.cache_info()
+        info = _spectrum.cache_info()
         assert (info.misses, info.hits, len(count)) == (1, hits, 1)
         assert [code for code, _ in out] == [0, 0, 0]
         verdict = json.loads(out[0][1])["result"]["elliptic"]

@@ -2,12 +2,12 @@
 entries and of the spectrum-screen CLI calls, for two source trees.
 
     python3 tools/layer_pair.py --src path/to/src
-    python3 tools/layer_pair.py --pair BEFORE_SRC AFTER_SRC --rounds 3 --out BENCH.json
+    python3 tools/layer_pair.py --pair BEFORE_SRC AFTER_SRC --out BENCH.json
 
 With --src, one tree is imported in this process and measured; the rows are
 printed as one JSON object.  With --pair, the two trees are measured in
-fresh processes, alternating which goes first in each round, and the
-per-row minimum over the rounds is written with the host, Python, numpy,
+fresh processes, alternating which goes first in each of 3 rounds, and
+the per-row minimum over the rounds is written with the host, Python, numpy,
 scipy and BLAS metadata.
 
 Each row is the best of 5 `timeit` repeats, in us per call, with BLAS pinned
@@ -38,7 +38,8 @@ import subprocess
 import sys
 import timeit
 
-ROUNDS_DEFAULT = 3
+#: Rounds of a --pair, each measuring both trees.
+ROUNDS = 3
 #: Distinct matrices per n in the "cycle" mode.
 POOL = 16
 #: Target seconds per timeit repeat.
@@ -133,10 +134,10 @@ def _run_tree(src: str) -> dict:
     return json.loads(out.splitlines()[-1])
 
 
-def pair(before: str, after: str, rounds: int) -> dict:
+def pair(before: str, after: str) -> dict:
     runs: dict = {"before": [], "after": []}
     order = []
-    for r in range(rounds):
+    for r in range(ROUNDS):
         sides = ("before", "after") if r % 2 == 0 else ("after", "before")
         order.append(list(sides))
         for side in sides:
@@ -150,7 +151,7 @@ def pair(before: str, after: str, rounds: int) -> dict:
                 table.append({"call": name, "mode": mode, "n": int(n),
                               "before_us": round(b, 2), "after_us": round(a, 2),
                               "after_over_before": round(a / b, 3)})
-    return {"meta": {**_metadata(), "rounds": rounds, "order": order},
+    return {"meta": {**_metadata(), "rounds": ROUNDS, "order": order},
             "rows": table, "runs": runs}
 
 
@@ -158,7 +159,6 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--src", help="measure the spcausal tree under this src directory")
     p.add_argument("--pair", nargs=2, metavar=("BEFORE_SRC", "AFTER_SRC"))
-    p.add_argument("--rounds", type=int, default=ROUNDS_DEFAULT)
     p.add_argument("--out", help="file for the --pair result (default: stdout)")
     args = p.parse_args(argv)
     if (args.src is None) == (args.pair is None):
@@ -166,7 +166,7 @@ def main(argv=None) -> int:
     if args.src is not None:
         print(json.dumps(measure(args.src)))
         return 0
-    text = json.dumps(pair(*args.pair, args.rounds), indent=1)
+    text = json.dumps(pair(*args.pair), indent=1)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
