@@ -172,7 +172,7 @@ def krein_spectrum(W: np.ndarray, on_degenerate: str = "raise") -> KreinSpectrum
     return spec
 
 
-@_content_memo
+@_content_memo(4)
 def _spectrum(W: np.ndarray) -> tuple[KreinSpectrum, complex | None]:
     """The Krein spectrum of a float matrix its caller has checked to be
     symplectic, with degenerate clusters marked, and the representative of

@@ -35,7 +35,7 @@ from .causal import (
     geodesic_flow,
 )
 from .elliptic import (
-    _normal_form,
+    _checked_form,
     _stack_normal_form,
     elliptic_angles,
     is_positively_elliptic,
@@ -50,6 +50,7 @@ from .exceptions import (
     MatchingAmbiguousError,
     NotConnectableError,
     NotEllipticError,
+    NotSymplecticError,
     OutsideConeError,
     SignatureDegenerateError,
 )
@@ -196,9 +197,13 @@ def random_causal_path(
 
     Tangents are normalised to unit Frobenius norm.  With ``confine=True``
     steps that would leave the positively elliptic region are retried with
-    halved step size (up to 20 halvings).  Symplecticity drift beyond
-    DRIFT_TOL raises DriftExceededError; it is checked before membership.
-    Raises ValueError unless steps >= 1 and 0 < step_size < inf.
+    halved step size (up to 20 halvings); each attempt's membership comes
+    from the memoised normal form (`elliptic._checked_form`), so `tau` and
+    the other single-matrix region entries read the grid matrices' forms
+    without a second eigensolve.  Symplecticity drift beyond DRIFT_TOL
+    raises DriftExceededError; it is checked before membership.
+    Raises ValueError unless steps >= 1 and 0 < step_size < inf, and
+    DimensionMismatchError unless W_start is (2n, 2n).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -206,6 +211,10 @@ def random_causal_path(
         raise ValueError("step_size must be positive and finite")
     rng = np.random.default_rng(seed)
     W = np.eye(2 * n) if W_start is None else np.asarray(W_start, dtype=float)
+    if W.shape != (2 * n, 2 * n):
+        raise DimensionMismatchError(
+            f"W_start has shape {W.shape}, expected {(2 * n, 2 * n)}"
+        )
     grid = [0.0]
     tangents: list[np.ndarray] = []
     matrices = [W]
@@ -215,13 +224,16 @@ def random_causal_path(
             X = random_cone_element(rng, n)
             X = X / np.linalg.norm(X)
             W_next = scipy.linalg.expm(dt * X) @ W
-            chk = is_symplectic(W_next, tol=DRIFT_TOL)
-            if not chk:
-                raise DriftExceededError(
-                    f"symplectic drift {chk.residual:.3e} exceeds {DRIFT_TOL}"
-                )
-            if not confine or _normal_form(W_next)[0]:
+            if not confine:
+                if not is_symplectic(W_next, tol=DRIFT_TOL):
+                    raise _drift_error(W_next)
                 break
+            try:
+                # the memo's symplectic check at DRIFT_TOL is the drift check
+                if _checked_form(W_next, DRIFT_TOL).inside:
+                    break
+            except NotSymplecticError:
+                raise _drift_error(W_next) from None
             dt /= 2
         else:
             raise DriftExceededError(
@@ -234,6 +246,12 @@ def random_causal_path(
     return CausalPath(
         grid=np.array(grid), tangents=tuple(tangents), matrices=tuple(matrices)
     )
+
+
+def _drift_error(W: np.ndarray) -> DriftExceededError:
+    """The error for a step W past DRIFT_TOL, naming its residual."""
+    residual = is_symplectic(W, tol=DRIFT_TOL).residual
+    return DriftExceededError(f"symplectic drift {residual:.3e} exceeds {DRIFT_TOL}")
 
 
 def _wrap(a: np.ndarray | float) -> np.ndarray | float:

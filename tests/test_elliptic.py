@@ -27,12 +27,13 @@ from spcausal import (
     omega_matrix,
     random_cone_element,
     random_elliptic,
+    random_elliptic_banded,
     random_symplectic,
     standard_J,
     symplectic_inverse,
     tau,
 )
-from spcausal import causal, elliptic
+from spcausal import causal, elliptic, pathlab
 from spcausal.core import _omega, require_symplectic
 from spcausal.elliptic import (
     ANGLE_BOUNDARY_BAND,
@@ -428,11 +429,11 @@ def _uncached():
         return _normal_form(require_symplectic(W, tol))
 
     saved = elliptic._checked_form
-    elliptic._checked_form = causal._checked_form = form
+    elliptic._checked_form = causal._checked_form = pathlab._checked_form = form
     try:
         yield
     finally:
-        elliptic._checked_form = causal._checked_form = saved
+        elliptic._checked_form = causal._checked_form = pathlab._checked_form = saved
 
 
 def _exits(W):
@@ -501,7 +502,7 @@ def test_memo_matches_the_uncached_form_on_the_mixed_sample():
     for k, (g, w) in enumerate(zip(got, want)):
         assert g == w, k
     info = _form_of.cache_info()
-    assert info.currsize <= 4 and info.hits > 2 * len(samples)
+    assert info.maxsize == info.currsize == 64 and info.hits > 2 * len(samples)
     assert sum(len(c) >= len(ROUTED) - 1 for c in calls) > 1000   # members
 
 
@@ -543,14 +544,34 @@ def test_memo_never_stores_an_error():
             tau(np.diag([2.0, 0.5]))
 
 
-def test_memo_holds_at_most_four_forms():
+def test_memo_holds_the_last_64_forms():
     _form_of.cache_clear()
     for k in range(100):
         tau(rot(0.01 + 0.03 * k))
     info = _form_of.cache_info()
-    assert info.misses == 100 and info.currsize <= 4
-    tau(rot(0.01 + 0.03 * 99))
+    assert info.maxsize == 64 and info.misses == 100 and info.currsize == 64
+    tau(rot(0.01 + 0.03 * 36))   # the oldest kept
     assert _form_of.cache_info().hits == info.hits + 1
+    tau(rot(0.01 + 0.03 * 35))   # the newest evicted
+    assert _form_of.cache_info().misses == info.misses + 1
+
+
+def test_tau_along_a_fresh_confined_path_reads_the_forms_of_its_confine_check():
+    # the path_lab recipe; W_0 is the one grid matrix the generator never
+    # checks, so it is the one miss
+    for n in (1, 2, 3):
+        W0 = random_elliptic_banded(n, n, lo=0.3, hi=1.8)
+        _form_of.cache_clear()
+        path = pathlab.random_causal_path(n, n, steps=50, W_start=W0,
+                                          step_size=0.02, confine=True)
+        made = _form_of.cache_info()
+        assert made.hits == 0 and 50 <= made.misses < 64
+        got = [tau(W) for W in path.matrices]
+        info = _form_of.cache_info()
+        assert info.misses == made.misses + 1 and info.hits == 50
+        with _uncached():
+            want = [tau(W) for W in path.matrices]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 @st.composite

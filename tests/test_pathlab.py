@@ -1,5 +1,6 @@
 """Tests for path generation, phase tracking, Maslov lifting and the suite."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -28,6 +29,7 @@ from spcausal import (
     verify_suite,
 )
 from spcausal.core import require_symplectic
+from spcausal.elliptic import _form_of, _normal_form
 from spcausal.exceptions import (
     DimensionMismatchError,
     DriftExceededError,
@@ -35,6 +37,7 @@ from spcausal.exceptions import (
 )
 from spcausal.pathlab import (
     _MAX_REFINE,
+    DRIFT_TOL,
     PHASE_JUMP,
     _match,
     _wrap,
@@ -155,6 +158,86 @@ def test_confined_path_halves_near_boundary():
     )
     assert np.all(np.diff(path.grid) <= 0.2 + 1e-15)
     assert np.min(np.diff(path.grid)) < 0.2
+
+
+def _parent_causal_path(seed, n, steps, W_start, step_size, confine):
+    """The generator loop as it was before the confine check read the form
+    memo: its own drift check, then an unchecked normal form."""
+    rng = np.random.default_rng(seed)
+    W = np.eye(2 * n) if W_start is None else np.asarray(W_start, dtype=float)
+    grid, tangents, matrices = [0.0], [], [W]
+    for _ in range(steps):
+        dt = step_size
+        for _attempt in range(_MAX_REFINE + 1):
+            X = random_cone_element(rng, n)
+            X = X / np.linalg.norm(X)
+            W_next = scipy.linalg.expm(dt * X) @ W
+            chk = is_symplectic(W_next, tol=DRIFT_TOL)
+            if not chk:
+                raise DriftExceededError(
+                    f"symplectic drift {chk.residual:.3e} exceeds {DRIFT_TOL}"
+                )
+            if not confine or _normal_form(W_next)[0]:
+                break
+            dt /= 2
+        else:
+            raise DriftExceededError("could not confine step to the elliptic region")
+        tangents.append(X)
+        grid.append(grid[-1] + dt)
+        matrices.append(W_next)
+        W = W_next
+    return CausalPath(grid=np.array(grid), tangents=tuple(tangents),
+                      matrices=tuple(matrices))
+
+
+def _path_outcome(make, *args):
+    """sha256 over a path's grid, tangents and matrices, or the error raised."""
+    try:
+        path = make(*args)
+    except DriftExceededError as exc:
+        return "raised", str(exc)
+    h = hashlib.sha256(path.grid.tobytes())
+    for a in path.tangents + path.matrices:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def test_confined_paths_match_the_parent_loop_byte_for_byte():
+    # the path_lab recipe; at seed 13, n = 1 the confinement is exhausted,
+    # and seeds 14 (n = 1), 12 (n = 2) and 8 (n = 3) make 100 to 182 forms,
+    # more than the form memo holds
+    most = 0
+    for n in (1, 2, 3):
+        for seed in range(16):
+            W0 = random_elliptic_banded(seed, n, lo=0.3, hi=1.8)
+            for confine in (True, False):
+                args = (seed, n, 50, W0, 0.02, confine)
+                before = _form_of.cache_info().misses
+                got = _path_outcome(random_causal_path, *args)
+                most = max(most, _form_of.cache_info().misses - before)
+                assert got == _path_outcome(_parent_causal_path, *args), args
+    assert most > _form_of.cache_info().maxsize
+
+
+def test_drifting_start_raises_the_same_drift_error_confined_or_not():
+    W0 = random_elliptic_banded(0, 2, lo=0.3, hi=1.8)
+    off = W0.copy()
+    off[0, 1] += 1e-3
+    nonfinite = W0.copy()
+    nonfinite[1, 0] = np.nan
+    for bad in (off, nonfinite):
+        want = _path_outcome(_parent_causal_path, 0, 2, 5, bad, 0.02, False)
+        assert want[0] == "raised" and "exceeds 1e-07" in want[1]
+        for confine in (True, False):
+            args = (0, 2, 5, bad, 0.02, confine)
+            assert _path_outcome(random_causal_path, *args) == want
+
+
+def test_random_causal_path_rejects_a_start_of_another_shape():
+    for n, W_start in ((1, np.eye(4)), (2, np.eye(2)), (2, np.ones((4, 3))),
+                       (1, np.ones(2))):
+        with pytest.raises(DimensionMismatchError, match="W_start has shape"):
+            random_causal_path(0, n, 3, W_start=W_start)
 
 
 # -- phase tracking ---------------------------------------------------------

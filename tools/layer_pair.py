@@ -1,5 +1,6 @@
 """Layer-level before/after pair: microseconds per call of the Krein-spectrum
-entries and of the spectrum-screen CLI calls, for two source trees.
+entries, of the spectrum-screen CLI calls and of the path rows, for two
+source trees.
 
     python3 tools/layer_pair.py --src path/to/src
     python3 tools/layer_pair.py --pair BEFORE_SRC AFTER_SRC --out BENCH.json
@@ -14,10 +15,17 @@ Each row is the best of 5 `timeit` repeats, in us per call, with BLAS pinned
 to one thread, at n = 1, 2, 3.  The inputs are conjugated rotations with one
 negative angle (non-members with a simple unit-circle spectrum, the
 "indefinite" kind of the spectrum screen), made from a fixed seed.  Mode
-"cycle" calls round-robin over 16 distinct matrices, so a memo holding a
-few records never hits; mode "repeat" calls on one matrix.  The CLI rows
-run `cli.main` in process with the matrix document on stdin, and "screen"
-is `check --elliptic`, `spectrum` and `nu` on one matrix in a row.
+"cycle" calls round-robin over 128 distinct matrices, more than either
+content memo holds (64 normal forms, 4 Krein spectra), so no memo ever
+hits; mode "repeat" calls on one matrix.  The CLI rows run `cli.main` in
+process with the matrix document on stdin, and "screen" is
+`check --elliptic`, `spectrum` and `nu` on one matrix in a row.
+
+The path rows follow the benchmark's path_lab recipe: "path + tau" is a
+confined 50-step `random_causal_path` from a banded elliptic start followed
+by `tau` on every grid matrix, and "track_phases" tracks the phases of that
+path.  Both run in mode "cycle" over 16 seeds whose confinement succeeds,
+so no path's forms are still stored when its seed comes round again.
 """
 
 from __future__ import annotations
@@ -41,7 +49,9 @@ import timeit
 #: Rounds of a --pair, each measuring both trees.
 ROUNDS = 3
 #: Distinct matrices per n in the "cycle" mode.
-POOL = 16
+POOL = 128
+#: Distinct paths per n in the path rows.
+PATHS = 16
 #: Target seconds per timeit repeat.
 REPEAT_SECONDS = 0.04
 SCREEN = (["check", "--elliptic"], ["spectrum"], ["nu"])
@@ -56,6 +66,28 @@ def _inputs(sp, np, n):
         S = sp.random_symplectic(rng, n, scale=0.4)
         out.append(S @ sp.block_rotation(th) @ sp.symplectic_inverse(S))
     return out
+
+
+def _paths(sp, n):
+    """The first PATHS (seed, start) pairs of the path_lab recipe at n whose
+    confined path succeeds, with their paths."""
+    from spcausal.exceptions import DriftExceededError
+
+    out = []
+    for seed in range(10 * PATHS):
+        W0 = sp.random_elliptic_banded(seed, n, lo=0.3, hi=1.8)
+        try:
+            out.append((seed, W0, _path(sp, n, seed, W0)))
+        except DriftExceededError:
+            continue
+        if len(out) == PATHS:
+            return out
+    raise RuntimeError(f"fewer than {PATHS} confined paths at n = {n}")
+
+
+def _path(sp, n, seed, W0):
+    return sp.random_causal_path(seed, n, steps=50, W_start=W0,
+                                 step_size=0.02, confine=True)
 
 
 def _cli_call(cli, argv, doc):
@@ -104,6 +136,18 @@ def measure(src: str) -> dict:
             rows[name]["cycle"][n] = _us_per_call(lambda: f(*next(pool)))
             W, doc = mats[0], docs[0]
             rows[name]["repeat"][n] = _us_per_call(lambda: f(W, doc))
+    rows["path + tau"] = {"cycle": {}}
+    rows["track_phases"] = {"cycle": {}}
+    for n in (1, 2, 3):
+        paths = itertools.cycle(_paths(sp, n))
+
+        def path_tau():
+            seed, W0, _ = next(paths)
+            return [sp.tau(W) for W in _path(sp, n, seed, W0).matrices]
+
+        rows["path + tau"]["cycle"][n] = _us_per_call(path_tau)
+        rows["track_phases"]["cycle"][n] = _us_per_call(
+            lambda: sp.track_phases(next(paths)[2]))
     return rows
 
 
