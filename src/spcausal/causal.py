@@ -14,6 +14,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.optimize
 
 from .core import (
@@ -28,11 +29,12 @@ from .core import (
 )
 from .elliptic import (
     _checked_form,
-    _stack_normal_form,
+    _log_and_splitting,
+    _stack_verdicts,
     is_positively_elliptic,
-    log_elliptic,
 )
 from .exceptions import (
+    DimensionMismatchError,
     NotCausalError,
     NotConnectableError,
     NotEllipticError,
@@ -42,6 +44,10 @@ from .exceptions import (
 # krein_spectrum stays importable here: the benchmark's tracer rebinds it;
 # the closure branch of a checked W reads the memo _spectrum
 from .krein import _phases, _spectrum, krein_spectrum  # noqa: F401
+
+#: Condition number of an eigenbasis or splitting basis at and above which a
+#: flow is no longer assembled from it.
+_BASIS_COND_MAX = 1e8
 
 
 class ExitReason(Enum):
@@ -117,17 +123,29 @@ def geodesic_flow(X: np.ndarray, W0: np.ndarray):
     """
     X = require_hamiltonian(X)
     W0 = np.asarray(W0, dtype=float)
+    return _flow(X, W0, _eigen_flow(X, W0))
+
+
+def _eigen_flow(X: np.ndarray, W0: np.ndarray):
+    """(d, V, V^{-1} W0) with X = V diag(d) V^{-1}, or None when the
+    eigenbasis of X is ill-conditioned (cond(V) >= _BASIS_COND_MAX) or eig
+    fails."""
     try:
         d, V = np.linalg.eig(X)
-        if np.linalg.cond(V) < 1e8:
-            Vi = np.linalg.inv(V)
-            VW = Vi @ W0.astype(complex)
-            return lambda t: np.real(
-                (V * np.exp(np.multiply.outer(t, d)[..., None, :])) @ VW
-            )
+        if np.linalg.cond(V) < _BASIS_COND_MAX:
+            return d, V, np.linalg.inv(V) @ W0.astype(complex)
     except np.linalg.LinAlgError:
         pass
-    return lambda t: scipy.linalg.expm(np.multiply.outer(t, X)) @ W0
+    return None
+
+
+def _flow(X: np.ndarray, W0: np.ndarray, eigen):
+    """`geodesic_flow` from the `_eigen_flow` of X and W0, or from expm
+    where that is None."""
+    if eigen is None:
+        return lambda t: scipy.linalg.expm(np.multiply.outer(t, X)) @ W0
+    d, V, VW = eigen
+    return lambda t: np.real((V * np.exp(np.multiply.outer(t, d)[..., None, :])) @ VW)
 
 
 def dist_formula(W: np.ndarray) -> float:
@@ -188,16 +206,27 @@ def connect(
     caller reads ConeStatus.INTERIOR as a chronological relation and
     BOUNDARY as causal-null.  X is the logarithm of the quotient.  `samples`
     equally spaced interior points of the connecting geodesic are checked
-    as one stack to stay in the region; the first that leaves it is named
-    in the error (0 disables the check, a negative count raises ValueError).
+    as one stack of membership verdicts to stay in the region; the first
+    that leaves it is named in the error (0 disables the check; a count
+    that is negative or not an integer raises ValueError).  The points come
+    from the splitting the logarithm is assembled from: with Q = B R(theta)
+    B^{-1}, exp(s X) W0 = B R(s theta) B^{-1} W0, which needs no second
+    eigensolve.  A basis with |B|_F |B^{-1}|_F >= 1e8 takes `geodesic_flow`.
+    For the symplectic B, cond_2(B)^2 <= cond(sym(Omega Q)) < 1 / (4 eps)
+    and |B|_F |B^{-1}|_F <= n (cond_2(B) + 1 / cond_2(B)), so an accepted
+    quotient reaches that bound only at n = 3, within 2 % of the rejection
+    limit of sym(Omega Q).
+    Raises DimensionMismatchError when W0 and W1 differ in shape.
     """
-    if samples < 0:
+    if not isinstance(samples, (int, np.integer)) or samples < 0:
         raise ValueError("samples must be a non-negative integer")
     W0 = require_symplectic(W0, tol=1e-7)
     W1 = require_symplectic(W1, tol=1e-7)
+    if W1.shape != W0.shape:
+        raise DimensionMismatchError(f"W1 has shape {W1.shape}, expected {W0.shape}")
     Q = W1 @ symplectic_inverse(W0)
     try:
-        X = log_elliptic(Q)
+        X, split, B_inv = _log_and_splitting(Q)
     except NotEllipticError as exc:
         raise NotConnectableError(
             f"quotient not positively elliptic: {exc.reason}"
@@ -206,15 +235,27 @@ def connect(
     if not status.causal:
         raise NotCausalError(f"connecting direction has cone status {status.value}")
     if samples > 0:
-        flow = geodesic_flow(X, W0)
-        endpoint_err = np.linalg.norm(flow(1.0) - W1)
+        # the samples, then the endpoint s = 1
+        s = np.linspace(0.0, 1.0, samples + 2)[1:]
+        B, n = split.basis, split.n
+        # the Frobenius condition number, an upper bound of the 2-norm one
+        if np.linalg.norm(B) * np.linalg.norm(B_inv) < _BASIS_COND_MAX:
+            # R(s theta) rotates the rows (p_k, q_k) of B^{-1} W0
+            Y = B_inv @ W0
+            st = np.multiply.outer(s, split.angles)[..., None]
+            c, sn = np.cos(st), np.sin(st)
+            points = B @ np.concatenate(
+                [c * Y[:n] - sn * Y[n:], sn * Y[:n] + c * Y[n:]], axis=-2
+            )
+        else:
+            points = geodesic_flow(X, W0)(s)
+        endpoint_err = np.linalg.norm(points[-1] - W1)
         if endpoint_err > 1e-6 * max(1.0, np.linalg.norm(W1)):
             raise NotConnectableError(
                 f"endpoint mismatch {endpoint_err:.3e} after logarithm"
             )
-        s = np.linspace(0.0, 1.0, samples + 2)[1:-1]
-        points = flow(s)
-        inside, _ = _stack_normal_form(points)
+        s, points = s[:-1], points[:-1]
+        inside = _stack_verdicts(points)
         if not inside.all():
             k = int(np.argmin(inside))
             reason = is_positively_elliptic(points[k]).reason
@@ -237,12 +278,16 @@ def exit_times(
     g(t) = lambda_min(sym(Omega exp(+-t X) W0)): g is evaluated as one stack
     on 0 and the doubling sequence 1, 2, 4, ... <= t_max, the first grid
     point with g <= 0 brackets the root, and brentq locates it to
-    xtol = min(tol, 1e-10).  The start check puts g(0) above its roundoff,
+    xtol = min(tol, 1e-10).  Each brentq evaluation is one complex product
+    with Omega V, for X = V diag(d) V^{-1}, and one values-only LAPACK
+    `dsyevd`; an ill-conditioned eigenbasis takes the expm flow of
+    `geodesic_flow` for both.  The start check puts g(0) above its roundoff,
     4 eps |sym(Omega W0)|, so an accepted start is never on the boundary;
     an exit within xtol of it reads exactly 0.0.  By Krein continuity (see
     ExitReason) the flow leaves backward through +1 and forward through -1,
     as Krein-positive eigenvalues turn counterclockwise along a causal flow.
-    Raises ValueError unless 0 < t_max < inf and 0 < tol < inf, and
+    Raises ValueError unless 0 < t_max < inf and 0 < tol < inf,
+    DimensionMismatchError when X and W0 differ in shape, and
     NotEllipticError when W0 fails `is_positively_elliptic`.
     """
     if not 0 < t_max < np.inf:
@@ -252,6 +297,10 @@ def exit_times(
     W0 = np.asarray(W0, dtype=float)
     start = _checked_form(W0)
     X = require_hamiltonian(X)
+    if X.shape != W0.shape:
+        raise DimensionMismatchError(
+            f"direction has shape {X.shape}, expected {W0.shape}"
+        )
     status = cone_status(X)
     if status is ConeStatus.ZERO:
         raise ZeroDirectionError("direction is numerically zero")
@@ -259,28 +308,46 @@ def exit_times(
         raise OutsideConeError(f"direction has cone status {status.value}")
     if not start.inside:
         raise NotEllipticError("starting point is not positively elliptic")
-    flow = geodesic_flow(X, W0)
+    eigen = _eigen_flow(X, W0)
+    flow = _flow(X, W0, eigen)
     O = _omega(half_dim(W0))
 
     def gap(t):
         M = O @ flow(t)
         return np.linalg.eigvalsh(M + np.swapaxes(M, -1, -2))[..., 0]
 
+    scalar_gap = gap
+    if eigen is not None:
+        d, V, VW = eigen
+        OV = O @ V
+
+        def scalar_gap(t):
+            M = ((OV * np.exp(t * d)) @ VW).real
+            w, _, info = scipy.linalg.lapack.dsyevd(M + M.T, compute_v=0, lower=1)
+            if info:
+                raise np.linalg.LinAlgError(f"dsyevd failed with info {info}")
+            return w[0]
+
     ts = [0.0, min(1.0, t_max)]
     while 2.0 * ts[-1] <= t_max:
         ts.append(2.0 * ts[-1])
     ts = np.array(ts)
+    # both directions in one stack: 0, the forward grid, the backward grid
+    g_both = gap(np.concatenate([ts, -ts[1:]]))
 
-    def locate(sign: float) -> float:
-        g = gap(sign * ts)
+    def locate(sign: float, g: np.ndarray) -> float:
         k = 1 + int(np.argmax(g[1:] <= 0))  # g(0) > 0 at an accepted start
         if g[k] > 0:
             return float("inf")
+        # brentq evaluates the bracket ends first; the grid already holds them
+        ends = {ts[k - 1]: g[k - 1], ts[k]: g[k]}
         return scipy.optimize.brentq(
-            lambda t: gap(sign * t), ts[k - 1], ts[k], xtol=min(tol, 1e-10)
+            lambda t: ends[t] if t in ends else scalar_gap(sign * t),
+            ts[k - 1], ts[k], xtol=min(tol, 1e-10),
         )
 
-    c1, c2 = locate(-1.0), locate(1.0)
+    c1 = locate(-1.0, np.r_[g_both[0], g_both[ts.size:]])
+    c2 = locate(1.0, g_both[:ts.size])
     bwd = ExitReason.EIGENVALUE_ONE if c1 < np.inf else None
     fwd = ExitReason.EIGENVALUE_MINUS_ONE if c2 < np.inf else None
     return ExitTimes(c1=c1, c2=c2, backward_reason=bwd, forward_reason=fwd)

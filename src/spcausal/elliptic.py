@@ -9,8 +9,9 @@ quantity in this module is a function of those angles and of the adapted
 basis realising the splitting.  W is positively elliptic exactly when
 sym(Omega W) is positive definite, and one congruence normal form of that
 matrix (`_normal_form`), for a single matrix or a stack, gives the verdict,
-the angles and the basis; the Krein spectrum names the reason for a
-rejection and serves general spectra.  Every single-matrix entry reads the
+the angles and the basis; a stack that needs only the verdicts stops after
+the eigenvalues of its first two stages (`_stack_verdicts`).  The Krein
+spectrum names the reason for a rejection and serves general spectra.  Every single-matrix entry reads the
 checked normal form from a memo keyed by the matrix's content
 (`_checked_form`), and the diagnosis reads the Krein spectrum from its
 own such memo (`krein._spectrum`), so the questions asked about one
@@ -43,6 +44,8 @@ from .krein import _phases, _spectrum, krein_spectrum  # noqa: F401
 
 #: Angles within this band of {0, pi} are classified as boundary.
 ANGLE_BOUNDARY_BAND = 1e-8
+#: lambda_max(i Omega') = 1 / (2 sin theta) at the edge of the angle band.
+_BAND_EIGENVALUE = 1 / (2 * np.sin(ANGLE_BOUNDARY_BAND))
 #: Relative working-precision noise of the eigenvalues of sym(Omega W).
 _GRAM_NOISE = 4 * np.finfo(float).eps
 
@@ -128,6 +131,26 @@ class _Form(NamedTuple):
     p_max: np.ndarray
 
 
+def _gram_stage(W: np.ndarray, vectors: bool):
+    """The membership verdicts of a checked symplectic W, one matrix or a
+    stack, with the stage of the congruence (see `_normal_form`) that the
+    angles continue from: ``(inside, M, lam, G, U)`` with M = Omega W, the
+    ascending eigenvalues ``lam`` of P, the congruence G and the eigenvectors
+    U of i Omega', None unless ``vectors``.  The verdict reads only the
+    eigenvalues of i Omega', so without vectors they come from `eigvalsh`.
+    """
+    O = _omega(W.shape[-1] // 2)
+    M = O @ W
+    lam, Q = np.linalg.eigh(M + M.swapaxes(-1, -2))
+    positive = lam[..., 0] > _GRAM_NOISE * lam[..., -1]
+    # a non-member is carried along with its eigenvalues set to 1
+    G = Q / np.sqrt(np.where(positive[..., None], lam, 1.0))[..., None, :]
+    H = 1j * (G.swapaxes(-1, -2) @ O @ G)
+    w, U = np.linalg.eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
+    inside = positive & (w[..., -1] <= _BAND_EIGENVALUE)
+    return inside, M, lam, G, U
+
+
 def _normal_form(W: np.ndarray) -> _Form:
     """Verdicts, ascending angles, eigenvectors and Gram extremes of a
     checked symplectic W, one (2n, 2n) matrix or a stack along leading axes:
@@ -151,23 +174,18 @@ def _normal_form(W: np.ndarray) -> _Form:
     Krein-positive subspace, and the eigenvalues c_k of the Hermitian
     i E* (M - M^T) E give theta_k = arctan2(1, c_k).  Membership asks
     lam_min > 4 eps lam_max, the working-precision noise of P, and every
-    angle inside the boundary band.
+    angle inside the boundary band, which is read from the eigenvalues of
+    i Omega' alone: the angles lie in [band, pi - band] exactly when
+    lambda_max(i Omega') = 1 / (2 sin theta) is at most 1 / (2 sin band)
+    (`_gram_stage`, which the stacked verdicts share).
     """
     n = W.shape[-1] // 2
-    O = _omega(n)
-    M = O @ W
-    Mt = M.swapaxes(-1, -2)
-    lam, Q = np.linalg.eigh(M + Mt)
-    positive = lam[..., 0] > _GRAM_NOISE * lam[..., -1]
-    # a non-member is carried along with its eigenvalues set to 1
-    G = Q / np.sqrt(np.where(positive[..., None], lam, 1.0))[..., None, :]
-    _, U = np.linalg.eigh(1j * (G.swapaxes(-1, -2) @ O @ G))
+    inside, M, lam, G, U = _gram_stage(W, vectors=True)
     E = G @ U[..., n:]
-    c, Y = np.linalg.eigh(E.conj().swapaxes(-1, -2) @ (1j * (M - Mt)) @ E)
+    A = 1j * (M - M.swapaxes(-1, -2))
+    c, Y = np.linalg.eigh(E.conj().swapaxes(-1, -2) @ A @ E)
     # the largest c_k gives the smallest angle, so theta is ascending
     theta = np.arctan2(1.0, c[..., ::-1])
-    lo, hi = ANGLE_BOUNDARY_BAND, np.pi - ANGLE_BOUNDARY_BAND
-    inside = positive & (lo <= theta[..., 0]) & (theta[..., -1] <= hi)
     return _Form(inside, theta, E, Y[..., ::-1], lam[..., 0], lam[..., -1])
 
 
@@ -189,14 +207,11 @@ def _form_of(W: np.ndarray, tol: float) -> _Form:
     return form
 
 
-def _stack_normal_form(Ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Membership verdicts, a boolean (N,) array, and ascending angles, an
-    (N, n) array that is NaN outside the region, for an (N, 2n, 2n) stack.
-
-    Each matrix's symplectic relation is checked at the 1e-7 bound of
-    `is_positively_elliptic`; the first that fails raises NotSymplecticError
-    before the stack goes through `_normal_form`.
-    """
+def _symplectic_stack(Ws: np.ndarray) -> np.ndarray:
+    """An (N, 2n, 2n) stack as floats after checking each matrix's
+    symplectic relation at the 1e-7 bound of `is_positively_elliptic`; the
+    first that fails raises NotSymplecticError with the single-matrix
+    message."""
     Ws = np.asarray(Ws, dtype=float)
     O = _omega(Ws.shape[-1] // 2)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -205,8 +220,22 @@ def _stack_normal_form(Ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         symplectic = (norm < 1e154) & (r <= 1e-7 * norm**2)
     for W in Ws[~symplectic]:
         require_symplectic(W, tol=1e-7)  # raises with the single-matrix message
-    form = _normal_form(Ws)
+    return Ws
+
+
+def _stack_normal_form(Ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Membership verdicts, a boolean (N,) array, and ascending angles, an
+    (N, n) array that is NaN outside the region, for an (N, 2n, 2n) stack
+    checked by `_symplectic_stack`."""
+    form = _normal_form(_symplectic_stack(Ws))
     return form.inside, np.where(form.inside[:, None], form.theta, np.nan)
+
+
+def _stack_verdicts(Ws: np.ndarray) -> np.ndarray:
+    """The membership verdicts of `_stack_normal_form` alone, a boolean (N,)
+    array, from the eigenvalues of the congruence without its eigenvectors
+    or angles."""
+    return _gram_stage(_symplectic_stack(Ws), vectors=False)[0]
 
 
 def _region_form(W: np.ndarray) -> _Form:
@@ -271,6 +300,23 @@ def elliptic_splitting(W: np.ndarray) -> EllipticSplitting:
     return EllipticSplitting(n=angles.size, angles=angles, basis=B)
 
 
+def _log_and_splitting(
+    W: np.ndarray,
+) -> tuple[np.ndarray, EllipticSplitting, np.ndarray]:
+    """`log_elliptic(W)` with the splitting it is assembled from and the
+    inverse of the splitting's basis, for callers that also need the flow
+    exp(s X) = B R(s theta) B^{-1} (see `causal.connect`)."""
+    split = elliptic_splitting(W)
+    if float(np.min(np.pi - split.angles)) < 1e-6:
+        warnings.warn(
+            "angle within 1e-6 of pi; logarithm is ill-conditioned",
+            IllConditionedWarning,
+        )
+    B_inv = np.linalg.inv(split.basis)
+    X = split.basis @ block_rotation_generator(split.angles) @ B_inv
+    return -_omega(split.n) @ symmetrized_form(X), split, B_inv
+
+
 def log_elliptic(W: np.ndarray) -> np.ndarray:
     """Principal logarithm of a positively elliptic W.
 
@@ -279,14 +325,7 @@ def log_elliptic(W: np.ndarray) -> np.ndarray:
     symmetry-cleaned by projecting Omega @ X onto its symmetric part.
     Emits IllConditionedWarning when an angle is within 1e-6 of pi.
     """
-    split = elliptic_splitting(W)
-    if float(np.min(np.pi - split.angles)) < 1e-6:
-        warnings.warn(
-            "angle within 1e-6 of pi; logarithm is ill-conditioned",
-            IllConditionedWarning,
-        )
-    X = split.generator()
-    return -_omega(split.n) @ symmetrized_form(X)
+    return _log_and_splitting(W)[0]
 
 
 def tau(W: np.ndarray) -> float:

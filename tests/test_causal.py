@@ -30,7 +30,9 @@ from spcausal import (
     symplectic_inverse,
     tau,
 )
+from spcausal import causal
 from spcausal.exceptions import (
+    DimensionMismatchError,
     NotConnectableError,
     NotEllipticError,
     OutsideConeError,
@@ -285,6 +287,86 @@ def test_connect_names_the_first_sample_outside():
         assert str(exc.value) == f"geodesic leaves the region at s={s:.4f}: {reason}"
 
 
+def test_connect_rejects_a_non_integral_sample_count():
+    for bad in (2.5, 2.0, "3", None):
+        with pytest.raises(ValueError, match="^samples must be a non-negative integer$"):
+            connect(rot(0.3), rot(1.0), samples=bad)
+    for good in (np.int64(8), np.uint8(3)):
+        assert connect(rot(0.3), rot(1.0), samples=good).status is ConeStatus.INTERIOR
+
+
+def test_connect_rejects_endpoints_of_different_shapes():
+    with pytest.raises(DimensionMismatchError, match="W1 has shape"):
+        connect(rot(0.3), block_rotation([0.5, 1.0]))
+
+
+def _connectable_pairs(seed, count):
+    """(W0, W1) pairs at n = 1, 2, 3 whose geodesic stays in the region."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(20 * count):
+        if len(pairs) == count:
+            break
+        n = 1 + len(pairs) % 3
+        W0 = random_elliptic(rng, n, margin=0.3)
+        Y = random_cone_element(rng, n)
+        Y *= 1.2 / np.max(np.abs(np.linalg.eigvals(Y).imag))
+        W1 = scipy.linalg.expm(Y) @ W0
+        try:
+            connect(W0, W1)
+        except NotConnectableError:
+            continue
+        pairs.append((W0, W1))
+    assert len(pairs) == count
+    return pairs
+
+
+def test_connect_samples_follow_the_geodesic_flow(monkeypatch):
+    # the tangent is the logarithm of the quotient to the bit, and the samples
+    # taken from its splitting lie on exp(s X) W0 as geodesic_flow gives it
+    seen = []
+    verdicts = causal._stack_verdicts
+    monkeypatch.setattr(causal, "_stack_verdicts",
+                        lambda Ws: seen.append(Ws) or verdicts(Ws))
+    s = np.linspace(0.0, 1.0, 66)[1:-1]
+    for W0, W1 in _connectable_pairs(113, 30):
+        seen.clear()
+        conn = connect(W0, W1, samples=64)
+        assert np.array_equal(conn.tangent, log_elliptic(W1 @ symplectic_inverse(W0)))
+        ref = geodesic_flow(conn.tangent, W0)(s)
+        err = np.linalg.norm(seen[0] - ref, axis=(1, 2))
+        assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=(1, 2)))
+
+
+def test_connect_takes_geodesic_flow_for_an_ill_conditioned_splitting(monkeypatch):
+    # a quotient the region accepts has cond_2(B)^2 <= cond(sym(Omega Q)),
+    # below 1 / (4 eps), so its splitting basis B reaches the bound only in
+    # a sliver at n = 3; lowered to 1, every connect takes geodesic_flow,
+    # with the same tangent, verdicts and failure message
+    pairs = _connectable_pairs(117, 6) + [(rot(2.5), rot(3.5))]
+    before = []
+    for W0, W1 in pairs:
+        try:
+            before.append(connect(W0, W1).tangent)
+        except NotConnectableError as exc:
+            before.append(str(exc))
+    calls = []
+    flow = causal.geodesic_flow
+    monkeypatch.setattr(causal, "_BASIS_COND_MAX", 1.0)
+    monkeypatch.setattr(causal, "geodesic_flow",
+                        lambda X, W0: calls.append(1) or flow(X, W0))
+    for (W0, W1), want in zip(pairs, before):
+        try:
+            got = connect(W0, W1).tangent
+        except NotConnectableError as exc:
+            got = str(exc)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+    assert len(calls) == len(pairs)
+
+
 # -- exit times -------------------------------------------------------------
 
 def test_exit_times_quarter_start():
@@ -472,14 +554,19 @@ def _positive_definite(W):
     return True
 
 
-def test_exit_times_match_sequential_reference():
+def _reference_cases():
+    """9 torus pairs and 36 generic unit directions from elliptic starts."""
     cases = [random_torus_pair((101, k, n), n)[:2] for k in range(3) for n in (1, 2, 3)]
     rng = np.random.default_rng(103)
     for k in range(36):
         n = 1 + k % 3
         X = random_cone_element(rng, n)
         cases.append((random_elliptic(rng, n, margin=0.2), X / np.linalg.norm(X)))
-    for W0, X in cases:
+    return cases
+
+
+def test_exit_times_match_sequential_reference():
+    for W0, X in _reference_cases():
         et = exit_times(W0, X, t_max=5e3)
         c1, c2, bwd, fwd = _sequential_exit_times(W0, X, t_max=5e3)
         assert et.finite
@@ -536,6 +623,81 @@ def test_exit_times_ill_conditioned_start():
                     assert not _positive_definite(flow(sign * (c + 1e-9)))
                     assert _positive_definite(flow(sign * (c - 1e-9)))
     assert singular > 10 and boundary > 0 and accepted > 10
+
+
+def _reference_exit_times(W0, X, t_max=1e3, tol=1e-8):
+    """exit_times before its brentq evaluations read Omega V and dsyevd:
+    every evaluation of g goes through geodesic_flow and np.linalg.eigvalsh,
+    one doubling grid per direction."""
+    flow = geodesic_flow(X, W0)
+    O = omega_matrix(W0.shape[0] // 2)
+
+    def gap(t):
+        M = O @ flow(t)
+        return np.linalg.eigvalsh(M + np.swapaxes(M, -1, -2))[..., 0]
+
+    ts = [0.0, min(1.0, t_max)]
+    while 2.0 * ts[-1] <= t_max:
+        ts.append(2.0 * ts[-1])
+    ts = np.array(ts)
+
+    def locate(sign):
+        g = gap(sign * ts)
+        k = 1 + int(np.argmax(g[1:] <= 0))
+        if g[k] > 0:
+            return float("inf")
+        return scipy.optimize.brentq(
+            lambda t: gap(sign * t), ts[k - 1], ts[k], xtol=min(tol, 1e-10)
+        )
+
+    return locate(-1.0), locate(1.0)
+
+
+def test_exit_times_match_the_eigvalsh_reference():
+    # the 45 cases of test_exit_times_match_sequential_reference and the
+    # causal_geodesics pool of the benchmark at seed 1 (a torus pair and a
+    # unit generic direction per input): exits within 1e-12 relative
+    cases = _reference_cases()
+    for i in range(60):
+        n = 1 + i % 3
+        Wt, Xt, _, _ = random_torus_pair(np.random.SeedSequence(1, spawn_key=(3, i, 0, 2)), n)
+        Xg = random_cone_element(np.random.SeedSequence(1, spawn_key=(3, i, 0, 3)), n)
+        cases += [(Wt, Xt), (Wt, Xg / np.linalg.norm(Xg))]
+    for W0, X in cases:
+        et = exit_times(W0, X, t_max=5e3)
+        c1, c2 = _reference_exit_times(W0, X, t_max=5e3)
+        assert abs(et.c1 - c1) <= 1e-12 * c1 and abs(et.c2 - c2) <= 1e-12 * c2
+        assert et.backward_reason is ExitReason.EIGENVALUE_ONE
+        assert et.forward_reason is ExitReason.EIGENVALUE_MINUS_ONE
+
+
+def test_exit_times_along_a_jordan_block_take_the_expm_gap(monkeypatch):
+    # X = [[0, 0], [A, 0]] with A >= 0 is a causal boundary direction with
+    # X^2 = 0, whose eigenbasis is singular, so every evaluation of g takes
+    # the expm flow; the exits agree with the sequential reference
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda A: calls.append(1) or expm(A))
+    rng = np.random.default_rng(127)
+    for k in range(6):
+        n = 1 + k % 3
+        A = rng.standard_normal((n, n))
+        A = A @ A.T if k >= 3 else np.outer(A[0], A[0])
+        X = np.zeros((2 * n, 2 * n))
+        X[n:, :n] = A / np.linalg.norm(A)
+        assert cone_status(X) is ConeStatus.BOUNDARY
+        W0 = random_elliptic(rng, n, margin=0.2)
+        calls.clear()
+        et = exit_times(W0, X, t_max=5e3)
+        assert len(calls) > 2
+        c1, c2, bwd, fwd = _sequential_exit_times(W0, X, t_max=5e3)
+        assert abs(et.c1 - c1) <= 1e-8 and abs(et.c2 - c2) <= 1e-8
+        assert (et.backward_reason, et.forward_reason) == (bwd, fwd)
+
+
+def test_exit_times_rejects_a_direction_of_another_shape():
+    with pytest.raises(DimensionMismatchError, match="direction has shape"):
+        exit_times(rot(0.5), standard_J(2))
 
 
 def test_exit_times_t_max_flag():

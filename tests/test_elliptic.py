@@ -36,11 +36,13 @@ from spcausal import (
 from spcausal import causal, elliptic, pathlab
 from spcausal.core import _omega, require_symplectic
 from spcausal.elliptic import (
+    _GRAM_NOISE,
     ANGLE_BOUNDARY_BAND,
     _checked_form,
     _form_of,
     _normal_form,
     _stack_normal_form,
+    _stack_verdicts,
 )
 from spcausal.exceptions import (
     IllConditionedWarning,
@@ -164,6 +166,70 @@ def test_stack_normal_form_matches_the_single_matrix_form():
         else:
             assert np.all(np.isnan(th))
     assert inside.sum() == len(members)
+
+
+def _verdict_edge_stack(rng, k: int) -> tuple[list, bool | None]:
+    """Case k of the values-only verdict test at n = 1 + k % 3: a matrix with
+    an angle within 1e-6 relative of the band edge 1e-8 or of pi - 1e-8
+    (unconjugated for k % 5 == 0, when its side of the edge is returned),
+    two Jordan shears at +1 or -1 of either sign and a hyperbolic matrix."""
+    n = 1 + k % 3
+    S = np.eye(2 * n) if k % 5 == 0 else random_symplectic(rng, n, scale=0.4)
+    Si = symplectic_inverse(S)
+    theta = np.sort(rng.uniform(0.3, np.pi - 0.3, n))
+    rel = 1e-6 if k % 2 else -1e-6
+    if (k // 2) % 2:
+        theta[0] = ANGLE_BOUNDARY_BAND * (1 + rel)
+    else:
+        theta[-1] = np.pi - ANGLE_BOUNDARY_BAND * (1 + rel)
+    C = rng.standard_normal((n, n))
+    C = C @ C.T + 0.1 * np.eye(n)
+    sign = 1.0 if k % 2 else -1.0
+    Z, I = np.zeros((n, n)), np.eye(n)
+    A = np.diag(np.exp(rng.uniform(0.1, 1.0, n)))
+    Ws = [S @ block_rotation(theta) @ Si,
+          sign * S @ np.block([[I, C], [Z, I]]) @ Si,
+          sign * S @ np.block([[I, -C], [Z, I]]) @ Si,
+          S @ np.block([[A, Z], [Z, np.linalg.inv(A)]]) @ Si]
+    return Ws, (rel > 0 if k % 5 == 0 else None)
+
+
+def test_stack_verdicts_match_the_checked_form():
+    # the values-only verdicts of connect's samples against the single-matrix
+    # form's, and against the verdict read off the form's angles, on the
+    # mixed sample, the outside matrices of
+    # test_stack_normal_form_matches_the_single_matrix_form with three
+    # members, and 300 cases at the edges
+    # of the verdict: angles within 1e-6 relative of the band, Jordan shears
+    # at +-1 and hyperbolic matrices, 4209 matrices in all
+    B = np.array([[1.0, 0.3], [0.3, 2.0]])
+    shear = np.block([[np.eye(2), B], [np.zeros((2, 2)), np.eye(2)]])
+    by_n: dict[int, list] = {1: [], 2: [], 3: []}
+    by_n[2] += [np.eye(4), -np.eye(4), shear, np.diag([2.0, 3.0, 0.5, 1 / 3]),
+                block_rotation([np.pi, 0.5]), random_symplectic(1, 2), rot(0.7, 2)]
+    by_n[2] += [random_elliptic(s, 2) for s in range(2)]
+    for i in range(3000):
+        W = differential_sample(i)
+        by_n[W.shape[0] // 2].append(W)
+    rng = np.random.default_rng(131)
+    for k in range(300):
+        Ws, side = _verdict_edge_stack(rng, k)
+        by_n[1 + k % 3] += Ws
+        if side is not None:
+            assert bool(is_positively_elliptic(Ws[0])) is side, k
+    members = 0
+    for n, Ws in by_n.items():
+        got = _stack_verdicts(np.array(Ws))
+        assert got.dtype == bool and got.shape == (len(Ws),)
+        for W, inside in zip(Ws, got):
+            form = _checked_form(W)
+            assert bool(inside) is bool(form.inside)
+            by_angles = (form.p_min > _GRAM_NOISE * form.p_max
+                         and ANGLE_BOUNDARY_BAND <= form.theta[0]
+                         and form.theta[-1] <= np.pi - ANGLE_BOUNDARY_BAND)
+            assert bool(inside) is bool(by_angles)
+        members += int(got.sum())
+    assert sum(map(len, by_n.values())) == 4209 and 1000 < members < 3000
 
 
 # The Cayley-Williamson normal form the library used before the congruence

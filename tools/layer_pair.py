@@ -1,13 +1,13 @@
 """Layer-level before/after pair: microseconds per call of the Krein-spectrum
-entries, of the spectrum-screen CLI calls and of the path rows, for two
-source trees.
+entries, of the spectrum-screen CLI calls, of the path rows and of the
+geodesic rows, for two source trees.
 
     python3 tools/layer_pair.py --src path/to/src
     python3 tools/layer_pair.py --pair BEFORE_SRC AFTER_SRC --out BENCH.json
 
 With --src, one tree is imported in this process and measured; the rows are
 printed as one JSON object.  With --pair, the two trees are measured in
-fresh processes, alternating which goes first in each of 3 rounds, and
+fresh processes, alternating which goes first in each of 5 rounds, and
 the per-row minimum over the rounds is written with the host, Python, numpy,
 scipy and BLAS metadata.
 
@@ -26,6 +26,16 @@ confined 50-step `random_causal_path` from a banded elliptic start followed
 by `tau` on every grid matrix, and "track_phases" tracks the phases of that
 path.  Both run in mode "cycle" over 16 seeds whose confinement succeeds,
 so no path's forms are still stored when its seed comes round again.
+
+The geodesic rows follow the benchmark's causal_geodesics recipe at seed 1:
+a banded elliptic W0 and the endpoint W1 of a confined 10-step path from it,
+a torus pair (Wt, Xt) and a unit generic cone direction Xg.  "connect" is
+`connect(W0, W1, samples=64)`, "exit_times torus" and "exit_times generic"
+are `exit_times(Wt, X, t_max=5e3)` for the two directions, and "stack
+verdict" is the membership verdict of connect's 64 samples of the geodesic
+from W0 to W1 as one stack (`elliptic._stack_verdicts`, or the verdicts of
+`_stack_normal_form` in a tree without it).  Each cycles over GEODESICS
+inputs per n, more than the form memo holds.
 """
 
 from __future__ import annotations
@@ -47,11 +57,13 @@ import sys
 import timeit
 
 #: Rounds of a --pair, each measuring both trees.
-ROUNDS = 3
+ROUNDS = 5
 #: Distinct matrices per n in the "cycle" mode.
 POOL = 128
 #: Distinct paths per n in the path rows.
 PATHS = 16
+#: Distinct inputs per n in the geodesic rows.
+GEODESICS = 96
 #: Target seconds per timeit repeat.
 REPEAT_SECONDS = 0.04
 SCREEN = (["check", "--elliptic"], ["spectrum"], ["nu"])
@@ -88,6 +100,32 @@ def _paths(sp, n):
 def _path(sp, n, seed, W0):
     return sp.random_causal_path(seed, n, steps=50, W_start=W0,
                                  step_size=0.02, confine=True)
+
+
+def _geodesic_inputs(sp, np, n):
+    """GEODESICS inputs at n of the causal_geodesics recipe at seed 1:
+    (W0, W1, Wt, Xt, Xg) with Xg of unit norm."""
+    from spcausal.exceptions import DriftExceededError
+
+    def seq(*key):
+        return np.random.SeedSequence(entropy=1, spawn_key=key)
+
+    out = []
+    for i in range(n - 1, 3 * GEODESICS, 3):
+        for r in range(50):
+            W0 = sp.random_elliptic_banded(seq(3, i, r, 0), n, lo=0.3, hi=1.8)
+            try:
+                path = sp.random_causal_path(seq(3, i, r, 1), n, steps=10, W_start=W0,
+                                             step_size=0.05, confine=True)
+                break
+            except DriftExceededError:
+                continue
+        else:
+            raise RuntimeError(f"no confined path for input {i}")
+        Wt, Xt, _, _ = sp.random_torus_pair(seq(3, i, 0, 2), n)
+        Xg = sp.random_cone_element(seq(3, i, 0, 3), n)
+        out.append((W0, path.endpoint, Wt, Xt, Xg / np.linalg.norm(Xg)))
+    return out
 
 
 def _cli_call(cli, argv, doc):
@@ -148,6 +186,27 @@ def measure(src: str) -> dict:
         rows["path + tau"]["cycle"][n] = _us_per_call(path_tau)
         rows["track_phases"]["cycle"][n] = _us_per_call(
             lambda: sp.track_phases(next(paths)[2]))
+    from spcausal import elliptic
+
+    verdicts = getattr(elliptic, "_stack_verdicts", None) or (
+        lambda Ws: elliptic._stack_normal_form(Ws)[0])
+    geodesic = {
+        "connect": lambda W0, W1, Wt, Xt, Xg, P: sp.connect(W0, W1, samples=64),
+        "exit_times torus": lambda W0, W1, Wt, Xt, Xg, P: sp.exit_times(Wt, Xt, t_max=5e3),
+        "exit_times generic": lambda W0, W1, Wt, Xt, Xg, P: sp.exit_times(Wt, Xg, t_max=5e3),
+        "stack verdict": lambda W0, W1, Wt, Xt, Xg, P: verdicts(P),
+    }
+    for name in geodesic:
+        rows[name] = {"cycle": {}}
+    s = np.linspace(0.0, 1.0, 66)[1:-1]
+    for n in (1, 2, 3):
+        cases = []
+        for W0, W1, Wt, Xt, Xg in _geodesic_inputs(sp, np, n):
+            X = sp.log_elliptic(W1 @ sp.symplectic_inverse(W0))
+            cases.append((W0, W1, Wt, Xt, Xg, sp.geodesic_flow(X, W0)(s)))
+        for name, f in geodesic.items():
+            pool = itertools.cycle(cases)
+            rows[name]["cycle"][n] = _us_per_call(lambda: f(*next(pool)))
     return rows
 
 
