@@ -14,11 +14,11 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
-import scipy.linalg.lapack
 import scipy.optimize
 
 from .core import (
     ConeStatus,
+    _eigh,
     _omega,
     cone_status,
     half_dim,
@@ -153,8 +153,7 @@ def dist_formula(W: np.ndarray) -> float:
 
     Geometric mean of the rotation angles, valid on the closure of the
     region (angles in [0, pi]; eigenvalues +-1 contribute 0 and pi).  A
-    member's angles come from the normal form that the region entries share
-    (`elliptic._checked_form`); any other W goes through its Krein
+    member's angles come from its normal form, any other W's from its Krein
     labelling.  The closure is where P = 2 sym(Omega W) is positive
     semidefinite, so a W whose labelling passes but whose lambda_min(P) is
     below -1e-8 max(1, lambda_max(P)), a Jordan shear at +-1 of the wrong
@@ -279,10 +278,10 @@ def exit_times(
     on 0 and the doubling sequence 1, 2, 4, ... <= t_max, the first grid
     point with g <= 0 brackets the root, and brentq locates it to
     xtol = min(tol, 1e-10).  Each brentq evaluation is one complex product
-    with Omega V, for X = V diag(d) V^{-1}, and one values-only LAPACK
-    `dsyevd`; an ill-conditioned eigenbasis takes the expm flow of
-    `geodesic_flow` for both.  The start check puts g(0) above its roundoff,
-    4 eps |sym(Omega W0)|, so an accepted start is never on the boundary;
+    with Omega V, for X = V diag(d) V^{-1}, and one values-only LAPACK solve;
+    an ill-conditioned eigenbasis takes the expm flow of `geodesic_flow` for
+    both.  The start check puts g(0) above its roundoff, 4 eps
+    |sym(Omega W0)|, so an accepted start is never on the boundary;
     an exit within xtol of it reads exactly 0.0.  By Krein continuity (see
     ExitReason) the flow leaves backward through +1 and forward through -1,
     as Krein-positive eigenvalues turn counterclockwise along a causal flow.
@@ -323,10 +322,7 @@ def exit_times(
 
         def scalar_gap(t):
             M = ((OV * np.exp(t * d)) @ VW).real
-            w, _, info = scipy.linalg.lapack.dsyevd(M + M.T, compute_v=0, lower=1)
-            if info:
-                raise np.linalg.LinAlgError(f"dsyevd failed with info {info}")
-            return w[0]
+            return _eigh(M + M.T, vectors=False)[0][0]
 
     ts = [0.0, min(1.0, t_max)]
     while 2.0 * ts[-1] <= t_max:

@@ -15,6 +15,7 @@ a tangent A at W is classified through ``X = A @ W^{-1}``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -112,6 +113,23 @@ def _content_memo(maxsize: int):
     return decorate
 
 
+def _not_converged(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _eigh(A: np.ndarray, vectors: bool = True):
+    """`np.linalg.eigh(A)`, or (`np.linalg.eigvalsh(A)`, None), of a float64
+    or complex128 A.  A single matrix calls their LAPACK kernel (?syevd or
+    ?heevd on the lower triangle) without the wrapper's per-call checks, so
+    its results are numpy's to the bit; a failed solve, which raises the
+    invalid flag, raises LinAlgError as in the wrapper."""
+    if A.ndim > 2:
+        return np.linalg.eigh(A) if vectors else (np.linalg.eigvalsh(A), None)
+    kernels = np.linalg._umath_linalg
+    with np.errstate(call=_not_converged, invalid="call"):
+        return kernels.eigh_lo(A) if vectors else (kernels.eigvalsh_lo(A), None)
+
+
 def standard_J(n: int) -> np.ndarray:
     """Standard omega-compatible complex structure; Omega @ J = I."""
     if n < 1:
@@ -149,38 +167,43 @@ def block_rotation(angles) -> np.ndarray:
     return W
 
 
-def symplectic_residual(M: np.ndarray) -> float:
-    """Frobenius norm of M^T Omega M - Omega."""
-    M = np.asarray(M, dtype=float)
-    O = _omega(half_dim(M))
-    return float(np.linalg.norm(M.T @ O @ M - O))
+def _symplectic_check(M: np.ndarray, tol: float, stack: bool = False):
+    """The symplectic rule for a float M, one matrix or, with ``stack``, an
+    (N, 2n, 2n) stack: ok when |M|_F < 1e154 and r = |M^T Omega M - Omega|_F
+    <= tol |M|_F^2.  (ok, r) as (bool, float), norms as `np.linalg.norm`
+    computes them and r inf for |M|_F >= 1e154, or as (N,) arrays."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if stack:
+            O = _omega(M.shape[-1] // 2)
+            norm = np.linalg.norm(M, axis=(1, 2))
+            r = np.linalg.norm(np.swapaxes(M, 1, 2) @ O @ M - O, axis=(1, 2))
+            return (norm < 1e154) & (r <= tol * np.maximum(norm**2, _TINY)), r
+        x = M.ravel(order="K")
+        norm = math.sqrt(x.dot(x))
+        if not norm < 1e154:  # non-finite, or too large to square safely
+            return False, math.inf
+        O = _omega(half_dim(M))
+        D = (M.T @ O @ M - O).ravel()
+        r = math.sqrt(D.dot(D))
+    return r <= tol * max(norm**2, _TINY), r
 
 
 def is_symplectic(M: np.ndarray, tol: float = TOL_SYMP) -> CheckResult:
     """Test the symplectic relation; residual is compared to tol * ||M||_F^2.
-
-    Non-finite entries, and entries so large that a norm overflows, fail
-    with residual inf and no numpy warning.
-    """
-    M = np.asarray(M, dtype=float)
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(M))
-        if not norm < 1e154:  # non-finite, or too large to square safely
-            return CheckResult(False, float("inf"))
-        r = symplectic_residual(M)
-    scale = max(norm**2, _TINY)
-    return CheckResult(r <= tol * scale, r)
+    Non-finite entries, or a norm of 1e154 or more, fail with residual inf
+    and no numpy warning."""
+    return CheckResult(*_symplectic_check(np.asarray(M, dtype=float), tol))
 
 
 def require_symplectic(M: np.ndarray, tol: float = TOL_SYMP) -> np.ndarray:
     M = np.asarray(M, dtype=float)
-    chk = is_symplectic(M, tol)
-    if not chk:
+    ok, residual = _symplectic_check(M, tol)
+    if not ok:
         if not np.isfinite(M).all():
             bad = [tuple(ij) for ij in np.argwhere(~np.isfinite(M)).tolist()]
             raise NotSymplecticError(f"non-finite entries at {bad}")
         raise NotSymplecticError(
-            f"symplectic residual {chk.residual:.3e} exceeds tolerance"
+            f"symplectic residual {residual:.3e} exceeds tolerance"
         )
     return M
 
@@ -192,17 +215,11 @@ def symplectic_inverse(W: np.ndarray) -> np.ndarray:
     return -O @ W.T @ O
 
 
-def hamiltonian_asymmetry(X: np.ndarray) -> float:
-    """Frobenius norm of the antisymmetric part of Omega @ X (doubled)."""
+def is_hamiltonian(X: np.ndarray, tol: float = TOL_HAM) -> CheckResult:
+    """Test membership in sp(2n); |Omega X - (Omega X)^T|_F <= tol ||X||_F."""
     X = np.asarray(X, dtype=float)
     S = _omega(half_dim(X)) @ X
-    return float(np.linalg.norm(S - S.T))
-
-
-def is_hamiltonian(X: np.ndarray, tol: float = TOL_HAM) -> CheckResult:
-    """Test membership in sp(2n); residual compared to tol * ||X||_F."""
-    X = np.asarray(X, dtype=float)
-    r = hamiltonian_asymmetry(X)
+    r = float(np.linalg.norm(S - S.T))
     scale = max(float(np.linalg.norm(X)), _TINY)
     return CheckResult(r <= tol * scale, r)
 

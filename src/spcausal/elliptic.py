@@ -10,15 +10,13 @@ basis realising the splitting.  W is positively elliptic exactly when
 sym(Omega W) is positive definite, and one congruence normal form of that
 matrix (`_normal_form`), for a single matrix or a stack, gives the verdict,
 the angles and the basis; a stack that needs only the verdicts stops after
-the eigenvalues of its first two stages (`_stack_verdicts`).  The Krein
-spectrum names the reason for a rejection and serves general spectra.  Every single-matrix entry reads the
-checked normal form from a memo keyed by the matrix's content
-(`_checked_form`), and the diagnosis reads the Krein spectrum from its
-own such memo (`krein._spectrum`), so the questions asked about one
-W share one form and one spectrum.  The form memo keeps the last 64 forms,
-the working set of one confined path: the confine check of
-`pathlab.random_causal_path` fills it, so asking these entries about the
-grid matrices of a fresh path costs no second eigensolve.
+the eigenvalues of its first two stages (`_stack_verdicts`).  For a single
+matrix the form's Hermitian eigensolves call numpy's LAPACK kernel
+(?syevd/?heevd) directly (`core._eigh`): the bits of `np.linalg.eigh`
+without the wrapper's per-call overhead.  The Krein spectrum names
+the reason for a rejection and serves general spectra.  Every single-matrix
+entry reads the checked form from one memo (`_checked_form`; README, "The
+two memos").
 """
 
 from __future__ import annotations
@@ -31,10 +29,10 @@ import numpy as np
 
 from .core import (
     _content_memo,
+    _eigh,
     _omega,
-    block_rotation_generator,
+    _symplectic_check,
     require_symplectic,
-    symmetrized_form,
     symplectic_inverse,
 )
 from .exceptions import IllConditionedWarning, NotEllipticError
@@ -48,6 +46,7 @@ ANGLE_BOUNDARY_BAND = 1e-8
 _BAND_EIGENVALUE = 1 / (2 * np.sin(ANGLE_BOUNDARY_BAND))
 #: Relative working-precision noise of the eigenvalues of sym(Omega W).
 _GRAM_NOISE = 4 * np.finfo(float).eps
+_SQRT2 = np.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -87,8 +86,7 @@ class EllipticSplitting:
 
     def generator(self) -> np.ndarray:
         """The Hamiltonian X with exp(X) = W, assembled from the splitting."""
-        K = block_rotation_generator(self.angles)
-        return self.basis @ K @ np.linalg.inv(self.basis)
+        return self._ambient(self._rotations())[0]
 
     def complex_structure(self, k: int) -> np.ndarray:
         """Ambient matrix acting as the compatible complex structure on V_k
@@ -96,7 +94,20 @@ class EllipticSplitting:
         S = np.zeros((2 * self.n, 2 * self.n))
         S[self.n + k, k] = 1.0
         S[k, self.n + k] = -1.0
-        return self.basis @ S @ np.linalg.inv(self.basis)
+        return self._ambient(S)[0]
+
+    def _rotations(self) -> np.ndarray:
+        """`block_rotation_generator(angles)`, placed entry by entry."""
+        n = self.n
+        K = np.zeros((2 * n, 2 * n))
+        K.flat[n:2 * n * n:2 * n + 1] = -self.angles  # at (k, n + k)
+        K.flat[2 * n * n::2 * n + 1] = self.angles    # at (n + k, k)
+        return K
+
+    def _ambient(self, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """B K B^{-1} for the basis B, with B^{-1}."""
+        B_inv = np.linalg.inv(self.basis)
+        return self.basis @ K @ B_inv, B_inv
 
 
 def _rejection_reason(W: np.ndarray) -> str:
@@ -136,17 +147,17 @@ def _gram_stage(W: np.ndarray, vectors: bool):
     stack, with the stage of the congruence (see `_normal_form`) that the
     angles continue from: ``(inside, M, lam, G, U)`` with M = Omega W, the
     ascending eigenvalues ``lam`` of P, the congruence G and the eigenvectors
-    U of i Omega', None unless ``vectors``.  The verdict reads only the
-    eigenvalues of i Omega', so without vectors they come from `eigvalsh`.
+    U of i Omega', None unless ``vectors``: the verdict reads only the
+    eigenvalues of i Omega'.
     """
     O = _omega(W.shape[-1] // 2)
     M = O @ W
-    lam, Q = np.linalg.eigh(M + M.swapaxes(-1, -2))
+    lam, Q = _eigh(M + M.swapaxes(-1, -2))
     positive = lam[..., 0] > _GRAM_NOISE * lam[..., -1]
     # a non-member is carried along with its eigenvalues set to 1
     G = Q / np.sqrt(np.where(positive[..., None], lam, 1.0))[..., None, :]
     H = 1j * (G.swapaxes(-1, -2) @ O @ G)
-    w, U = np.linalg.eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
+    w, U = _eigh(H, vectors)
     inside = positive & (w[..., -1] <= _BAND_EIGENVALUE)
     return inside, M, lam, G, U
 
@@ -159,8 +170,6 @@ def _normal_form(W: np.ndarray) -> _Form:
     exp(i theta_k), with (E Y)* Omega (E Y) = -i diag(1 / (2 sin theta)),
     and ``p_min`` and ``p_max``, the extreme eigenvalues of P below.
     ``theta``, ``E`` and ``Y`` are meaningful only where ``inside`` holds.
-    The single-matrix region entries reach it through the memo
-    `_checked_form`.
 
     W is positively elliptic exactly when P = 2 sym(Omega W) = M + M^T, with
     M = Omega W, is positive definite (Krein's strong-stability theory, see
@@ -183,7 +192,7 @@ def _normal_form(W: np.ndarray) -> _Form:
     inside, M, lam, G, U = _gram_stage(W, vectors=True)
     E = G @ U[..., n:]
     A = 1j * (M - M.swapaxes(-1, -2))
-    c, Y = np.linalg.eigh(E.conj().swapaxes(-1, -2) @ A @ E)
+    c, Y = _eigh(E.conj().swapaxes(-1, -2) @ A @ E)
     # the largest c_k gives the smallest angle, so theta is ascending
     theta = np.arctan2(1.0, c[..., ::-1])
     return _Form(inside, theta, E, Y[..., ::-1], lam[..., 0], lam[..., -1])
@@ -191,13 +200,10 @@ def _normal_form(W: np.ndarray) -> _Form:
 
 def _checked_form(W: np.ndarray, tol: float = 1e-7) -> _Form:
     """`_normal_form` of one matrix W after `require_symplectic(W, tol)`,
-    memoised by content (`core._content_memo`, the last 64 records); its
-    arrays are read-only."""
+    memoised by content; its arrays are read-only."""
     return _form_of(W, tol)
 
 
-# 64 holds a confined path's grid: of the 480 path_lab paths of 50 steps at
-# seeds 1-8, 465 made 50 forms, one per confine attempt, and 470 fewer than 64
 @_content_memo(64)
 def _form_of(W: np.ndarray, tol: float) -> _Form:
     require_symplectic(W, tol)
@@ -208,33 +214,17 @@ def _form_of(W: np.ndarray, tol: float) -> _Form:
 
 
 def _symplectic_stack(Ws: np.ndarray) -> np.ndarray:
-    """An (N, 2n, 2n) stack as floats after checking each matrix's
-    symplectic relation at the 1e-7 bound of `is_positively_elliptic`; the
-    first that fails raises NotSymplecticError with the single-matrix
-    message."""
+    """An (N, 2n, 2n) stack as floats after the symplectic check at 1e-7;
+    the first matrix that fails raises with the single-matrix message."""
     Ws = np.asarray(Ws, dtype=float)
-    O = _omega(Ws.shape[-1] // 2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.linalg.norm(Ws, axis=(1, 2))
-        r = np.linalg.norm(np.swapaxes(Ws, 1, 2) @ O @ Ws - O, axis=(1, 2))
-        symplectic = (norm < 1e154) & (r <= 1e-7 * norm**2)
-    for W in Ws[~symplectic]:
-        require_symplectic(W, tol=1e-7)  # raises with the single-matrix message
+    for W in Ws[~_symplectic_check(Ws, 1e-7, stack=True)[0]]:
+        require_symplectic(W, tol=1e-7)
     return Ws
 
 
-def _stack_normal_form(Ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Membership verdicts, a boolean (N,) array, and ascending angles, an
-    (N, n) array that is NaN outside the region, for an (N, 2n, 2n) stack
-    checked by `_symplectic_stack`."""
-    form = _normal_form(_symplectic_stack(Ws))
-    return form.inside, np.where(form.inside[:, None], form.theta, np.nan)
-
-
 def _stack_verdicts(Ws: np.ndarray) -> np.ndarray:
-    """The membership verdicts of `_stack_normal_form` alone, a boolean (N,)
-    array, from the eigenvalues of the congruence without its eigenvectors
-    or angles."""
+    """The normal form's verdicts, a boolean (N,) array, for a stack checked
+    by `_symplectic_stack`, from the congruence's eigenvalues alone."""
     return _gram_stage(_symplectic_stack(Ws), vectors=False)[0]
 
 
@@ -256,10 +246,7 @@ def is_positively_elliptic(W: np.ndarray, tol: float = 1e-7) -> EllipticCheck:
     The diagnosis names the first violated condition: "off-circle
     eigenvalue", "eigenvalue +1" / "eigenvalue -1", "boundary" (an angle or
     the Krein Gram within the boundary band, or sym(Omega W) singular to
-    working precision) or "indefinite Krein signature".  The form comes
-    from the memo that `elliptic_angles`, `tau`, `dist_formula` and the
-    other single-matrix entries share, so asking them about the same W
-    afterwards costs no second eigensolve.
+    working precision) or "indefinite Krein signature".
 
     The symplectic relation is checked at min(tol, 1e-7), so ``tol`` can
     only tighten that check, never loosen it.
@@ -292,10 +279,11 @@ def elliptic_splitting(W: np.ndarray) -> EllipticSplitting:
     form = _region_form(W)
     angles = form.theta.copy()
     V = form.E @ form.Y * np.sqrt(2 * np.sin(angles))
-    B = np.sqrt(2) * np.hstack([V.real, -V.imag])
-    O = _omega(angles.size)
-    residual = np.linalg.norm(B.T @ O @ B - O)
-    if residual > 1e-6 * max(1.0, np.linalg.norm(B) ** 2):
+    B = _SQRT2 * np.concatenate((V.real, -V.imag), axis=1)
+    # |B|_F^2 >= 2n for a symplectic B, so a tolerance relative to it alone
+    # decides as one relative to max(1, |B|_F^2) would
+    ok, residual = _symplectic_check(B, 1e-6)
+    if not ok:
         raise RuntimeError(f"splitting basis lost symplecticity: {residual:.3e}")
     return EllipticSplitting(n=angles.size, angles=angles, basis=B)
 
@@ -307,14 +295,15 @@ def _log_and_splitting(
     inverse of the splitting's basis, for callers that also need the flow
     exp(s X) = B R(s theta) B^{-1} (see `causal.connect`)."""
     split = elliptic_splitting(W)
-    if float(np.min(np.pi - split.angles)) < 1e-6:
+    if np.pi - split.angles[-1] < 1e-6:  # the largest angle is the last
         warnings.warn(
             "angle within 1e-6 of pi; logarithm is ill-conditioned",
             IllConditionedWarning,
         )
-    B_inv = np.linalg.inv(split.basis)
-    X = split.basis @ block_rotation_generator(split.angles) @ B_inv
-    return -_omega(split.n) @ symmetrized_form(X), split, B_inv
+    X, B_inv = split._ambient(split._rotations())
+    O = _omega(split.n)
+    S = O @ X
+    return -O @ ((S + S.T) / 2), split, B_inv
 
 
 def log_elliptic(W: np.ndarray) -> np.ndarray:

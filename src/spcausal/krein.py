@@ -12,7 +12,7 @@ algebraic multiplicity greater than one (stable for clustered or defective
 eigenvalues).  Degenerate Gram matrices are reported, never silently resolved.
 `krein_spectrum`, `nu`, the membership diagnosis and the closure branch of
 `dist_formula` read one spectrum per matrix from a memo keyed by its content
-(`_spectrum`), so the questions asked about one W share one eigensolve.
+(`_spectrum`; README, "The two memos").
 """
 
 from __future__ import annotations
@@ -157,9 +157,6 @@ def krein_spectrum(W: np.ndarray, on_degenerate: str = "raise") -> KreinSpectrum
         eigenvalue lies within tolerance of zero, or when the invariant
         subspace of a cluster has another dimension than its multiplicity;
         "mark" to record the degeneracy on the cluster instead.
-
-    After the check the frozen, shared record of the memo `_spectrum` is
-    read; "raise" raises at its first degenerate cluster.
     """
     if on_degenerate not in ("raise", "mark"):
         raise ValueError("on_degenerate must be 'raise' or 'mark'")
@@ -177,7 +174,7 @@ def _spectrum(W: np.ndarray) -> tuple[KreinSpectrum, complex | None]:
     """The Krein spectrum of a float matrix its caller has checked to be
     symplectic, with degenerate clusters marked, and the representative of
     the first degenerate cluster in computation order (None if there is
-    none), memoised by content (`core._content_memo`, the last 4 records)."""
+    none), memoised by content."""
     n = W.shape[0] // 2
     evals, evecs = np.linalg.eig(W)
     ev = evals.tolist()

@@ -36,7 +36,8 @@ from .causal import (
 )
 from .elliptic import (
     _checked_form,
-    _stack_normal_form,
+    _normal_form,
+    _symplectic_stack,
     elliptic_angles,
     is_positively_elliptic,
     log_elliptic,
@@ -197,11 +198,9 @@ def random_causal_path(
 
     Tangents are normalised to unit Frobenius norm.  With ``confine=True``
     steps that would leave the positively elliptic region are retried with
-    halved step size (up to 20 halvings); each attempt's membership comes
-    from the memoised normal form (`elliptic._checked_form`), so `tau` and
-    the other single-matrix region entries read the grid matrices' forms
-    without a second eigensolve.  Symplecticity drift beyond DRIFT_TOL
-    raises DriftExceededError; it is checked before membership.
+    halved step size (up to 20 halvings), each attempt checked through
+    the form memo (README, "The two memos").  Symplecticity drift beyond
+    DRIFT_TOL raises DriftExceededError; it is checked before membership.
     Raises ValueError unless steps >= 1 and 0 < step_size < inf, and
     DimensionMismatchError unless W_start is (2n, 2n).
     """
@@ -288,9 +287,9 @@ def _grid_phases(path: CausalPath) -> list:
     """`_labeled_args` of every grid matrix, whose symplectic relation is
     checked once as a stack: a region member with angles theta has the raw
     phases (theta, -theta), the other matrices go through the Krein spectrum."""
-    _, theta = _stack_normal_form(np.array(path.matrices))
-    return [_labeled_args(W) if np.isnan(th[0]) else (th, -th)
-            for W, th in zip(path.matrices, theta)]
+    form = _normal_form(_symplectic_stack(path.matrices))
+    return [(th, -th) if inside else _labeled_args(W)
+            for W, inside, th in zip(path.matrices, form.inside, form.theta)]
 
 
 def track_phases(path: CausalPath) -> PhaseTrack:
@@ -391,9 +390,9 @@ def mu_along_path(path: CausalPath, start: float | None = None) -> np.ndarray:
             return d1 + d2, a_end
         return d, a_next
 
-    _, theta = _stack_normal_form(np.array(path.matrices))
-    args = [nu_arg(W) if np.isnan(th[0]) else float(np.sum(th))
-            for W, th in zip(path.matrices, theta)]
+    form = _normal_form(_symplectic_stack(path.matrices))
+    args = [float(np.sum(th)) if inside else nu_arg(W)
+            for W, inside, th in zip(path.matrices, form.inside, form.theta)]
     cont = [float(_wrap(args[0]))]
     a_prev = args[0]
     for i in range(path.steps):
@@ -494,10 +493,11 @@ def _tau_monotone(seed, dims, trials):
     min_dtau = np.inf
     for k, n in _schedule(dims, trials):
         _, path = _confined_trial(seed, 30_000 + k, n, steps=50, step_size=0.02)
-        _, th = _stack_normal_form(np.array(path.matrices))
-        taus = np.sum(np.log(th) - np.log(np.pi - th), axis=1)
-        # NaN, the angles of a non-member, fails the check
-        min_dtau = np.minimum(min_dtau, float(np.min(np.diff(taus))))
+        form = _normal_form(_symplectic_stack(path.matrices))
+        taus = np.sum(np.log(form.theta) - np.log(np.pi - form.theta), axis=1)
+        # a non-member fails the check
+        step = float(np.min(np.diff(taus))) if form.inside.all() else np.nan
+        min_dtau = np.minimum(min_dtau, step)
     return min_dtau > 0, min_dtau, "min per-step increment of tau on confined paths"
 
 

@@ -1,0 +1,196 @@
+"""Single-matrix solves that call numpy's LAPACK kernels directly
+(`core._eigh`) and the one symplectic rule (`core._symplectic_check`),
+pinned bit for bit to the numpy paths they replaced, kept here as
+differential references."""
+
+import functools
+import warnings
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from spcausal import block_rotation, block_rotation_generator, is_symplectic, pathlab
+from spcausal.core import _eigh, _omega, require_symplectic, symmetrized_form
+from spcausal.elliptic import (
+    _BAND_EIGENVALUE,
+    _GRAM_NOISE,
+    _normal_form,
+    _symplectic_stack,
+    elliptic_splitting,
+    is_positively_elliptic,
+    log_elliptic,
+)
+from spcausal.exceptions import SymplecticDomainError
+
+from labelling_reference import differential_sample
+
+
+# The normal form, the symplectic check and the log assembly as the library
+# computed them with every eigensolve through np.linalg.eigh, kept as the
+# differential reference
+def _numpy_normal_form(W: np.ndarray) -> tuple:
+    """(inside, theta, E, Y, p_min, p_max) of a float W, one matrix or a
+    stack."""
+    n = W.shape[-1] // 2
+    O = _omega(n)
+    M = O @ W
+    lam, Q = np.linalg.eigh(M + M.swapaxes(-1, -2))
+    positive = lam[..., 0] > _GRAM_NOISE * lam[..., -1]
+    G = Q / np.sqrt(np.where(positive[..., None], lam, 1.0))[..., None, :]
+    w, U = np.linalg.eigh(1j * (G.swapaxes(-1, -2) @ O @ G))
+    inside = positive & (w[..., -1] <= _BAND_EIGENVALUE)
+    E = G @ U[..., n:]
+    A = 1j * (M - M.swapaxes(-1, -2))
+    c, Y = np.linalg.eigh(E.conj().swapaxes(-1, -2) @ A @ E)
+    return (inside, np.arctan2(1.0, c[..., ::-1]), E, Y[..., ::-1],
+            lam[..., 0], lam[..., -1])
+
+
+def _numpy_is_symplectic(M, tol: float = 1e-9) -> tuple[bool, float]:
+    M = np.asarray(M, dtype=float)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(M))
+        if not norm < 1e154:
+            return False, float("inf")
+        O = _omega(M.shape[0] // 2)
+        r = float(np.linalg.norm(M.T @ O @ M - O))
+    return r <= tol * max(norm**2, 1e-300), r
+
+
+def _numpy_log(W) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The logarithm of a member W, its splitting basis and the
+    unsymmetrised generator B K B^{-1} of `EllipticSplitting.generator`."""
+    theta, E, Y = _numpy_normal_form(np.asarray(W, dtype=float))[1:4]
+    V = E @ Y * np.sqrt(2 * np.sin(theta))
+    B = np.sqrt(2) * np.hstack([V.real, -V.imag])
+    X = B @ block_rotation_generator(theta) @ np.linalg.inv(B)
+    return -_omega(theta.size) @ symmetrized_form(X), B, X
+
+
+def _bits(a) -> tuple:
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+@functools.cache
+def _inputs() -> list:
+    """The mixed sample, its first 300 matrices as F-ordered, strided,
+    transposed and float32 arrays, -0.0 entries and integer matrices."""
+    samples = [differential_sample(i) for i in range(3000)]
+    variants = [np.asfortranarray, lambda W: np.pad(W, 1)[1:-1, 1:-1],
+                lambda W: W.T, lambda W: W.astype(np.float32)]
+    out = samples + [variants[i % 4](W) for i, W in enumerate(samples[:300])]
+    structured = [block_rotation([0.4, 2.0]), np.eye(2), -np.eye(4),
+                  block_rotation([1.1, 1.1, 1.1]), np.array([[1.0, 0.7], [0.0, 1.0]])]
+    out += [np.where(W == 0, -0.0, W) for W in structured + samples[:30]]
+    out += [np.array(W) for W in ([[0, -1], [1, 0]], [[-1, 0], [0, -1]],
+                                  [[1, 1], [0, 1]], [[2, 1], [1, 1]], [[2, 0], [0, 1]])]
+    return out
+
+
+def test_normal_form_matches_the_numpy_eigh_reference_to_the_bit():
+    by_n: dict[int, list] = {1: [], 2: [], 3: []}
+    for k, W in enumerate(_inputs()):
+        W = np.asarray(W, dtype=float)
+        got, want = _normal_form(W), _numpy_normal_form(W)
+        assert [_bits(a) for a in got] == [_bits(a) for a in want], k
+        by_n[W.shape[0] // 2].append(W)
+    for Ws in by_n.values():
+        Ws = np.array(Ws)
+        got, want = _normal_form(Ws), _numpy_normal_form(Ws)
+        assert [_bits(a) for a in got] == [_bits(a) for a in want]
+
+
+def test_is_symplectic_matches_the_numpy_norm_reference_to_the_bit():
+    extreme = []
+    for k, value in enumerate((np.inf, -np.inf, np.nan, 1e153, 1e155)):
+        W = np.array(differential_sample(k), dtype=float)
+        W[0, -1] = value
+        extreme += [W, differential_sample(k) * value]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, W in enumerate(_inputs() + extreme):
+            for tol in (1e-9, 1e-7):
+                chk = is_symplectic(W, tol)
+                assert type(chk.ok) is bool and type(chk.residual) is float
+                ok, r = _numpy_is_symplectic(W, tol)
+                assert (chk.ok, repr(chk.residual)) == (ok, repr(r)), k
+
+
+def test_require_symplectic_keeps_its_messages():
+    off = block_rotation([0.5])
+    off[0, 1] += 1e-3
+    nonfinite = block_rotation([0.5, 1.0])
+    nonfinite[1, 2] = np.nan
+    residual = _numpy_is_symplectic(off)[1]
+    with pytest.raises(SymplecticDomainError) as exc:
+        require_symplectic(off, tol=1e-7)
+    assert str(exc.value) == f"symplectic residual {residual:.3e} exceeds tolerance"
+    with pytest.raises(SymplecticDomainError, match=r"^non-finite entries at \[\(1, 2\)\]$"):
+        require_symplectic(nonfinite)
+
+
+def test_log_splitting_and_generator_match_the_numpy_reference_to_the_bit():
+    members = 0
+    for k, W in enumerate(_inputs()):
+        try:
+            if not is_positively_elliptic(W):
+                continue
+        except SymplecticDomainError:
+            continue
+        members += 1
+        want_log, want_basis, want_generator = _numpy_log(W)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert _bits(log_elliptic(W)) == _bits(want_log), k
+        split = elliptic_splitting(W)
+        assert _bits(split.basis) == _bits(want_basis), k
+        assert _bits(split.generator()) == _bits(want_generator), k
+        S = np.zeros((2 * split.n, 2 * split.n))
+        S[split.n, 0], S[0, split.n] = 1.0, -1.0
+        want = split.basis @ S @ np.linalg.inv(split.basis)
+        assert _bits(split.complex_structure(0)) == _bits(want), k
+    assert members > 1000
+
+
+def test_single_matrix_solves_match_numpy_at_every_size():
+    # from 33 rows a workspace smaller than numpy's would change LAPACK's
+    # tridiagonal reduction
+    rng = np.random.default_rng(5)
+    for N in (1, 2, 5, 6, 32, 33, 40):
+        A = rng.standard_normal((N, N))
+        C = A + 1j * rng.standard_normal((N, N))
+        for H in (A + A.T, C + C.conj().T, np.asfortranarray(A + A.T)):
+            w, v = _eigh(H)
+            want_w, want_v = np.linalg.eigh(H)
+            assert _bits(w) == _bits(want_w) and _bits(v) == _bits(want_v), N
+            w, none = _eigh(H, vectors=False)
+            assert none is None and _bits(w) == _bits(np.linalg.eigvalsh(H)), N
+
+
+def test_a_failed_solve_raises_linalg_error():
+    # LAPACK does not converge on NaN entries (info != 0)
+    nan = np.full((4, 4), np.nan)
+    for A in (nan, nan + 0j, np.array([nan, nan]), np.array([nan, nan]) + 0j):
+        for vectors in (True, False):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                    _eigh(A, vectors)
+    with pytest.raises(np.linalg.LinAlgError):
+        _normal_form(nan)
+
+
+def test_tau_monotone_fails_on_a_path_through_a_non_member(monkeypatch):
+    # the stacked form's verdicts, not NaN angles, fail the criterion
+    members = [block_rotation([0.3 + 0.1 * k, 1.0 + 0.1 * k]) for k in range(4)]
+    path = SimpleNamespace(matrices=members[:2] + [block_rotation([0.5, -1.0])]
+                           + members[2:])
+    monkeypatch.setattr(pathlab, "_confined_trial", lambda *args, **kw: (None, path))
+    ok, margin, _ = pathlab._tau_monotone(42, (2,), 1)
+    assert not ok and np.isnan(margin)
+    path.matrices = members
+    ok, margin, _ = pathlab._tau_monotone(42, (2,), 1)
+    assert ok and margin > 0
+    assert _normal_form(_symplectic_stack(members)).inside.all()

@@ -41,8 +41,8 @@ from spcausal.elliptic import (
     _checked_form,
     _form_of,
     _normal_form,
-    _stack_normal_form,
     _stack_verdicts,
+    _symplectic_stack,
 )
 from spcausal.exceptions import (
     IllConditionedWarning,
@@ -128,7 +128,7 @@ def test_normal_form_matches_krein_spectrum():
             np.testing.assert_allclose(elliptic_angles(W), ref, rtol=0, atol=1e-9)
     assert 1000 < members < 2500
     for n, (stack, verdicts) in by_n.items():
-        got, _ = _stack_normal_form(np.array(stack))
+        got = _normal_form(_symplectic_stack(stack)).inside
         assert got.dtype == bool and got.tolist() == verdicts, n
 
 
@@ -141,7 +141,7 @@ def test_stack_membership_along_a_flow_across_both_exits():
         ts = np.linspace(-np.pi, np.pi, 401) / rho
         Ws = np.array([scipy.linalg.expm(t * X) @ W0 for t in ts])
         want = [bool(is_positively_elliptic(W)) for W in Ws]
-        assert _stack_normal_form(Ws)[0].tolist() == want
+        assert _normal_form(_symplectic_stack(Ws)).inside.tolist() == want
         # the flow starts inside and leaves on both sides
         assert want[200] and not want[0] and not want[-1]
 
@@ -156,15 +156,13 @@ def test_stack_normal_form_matches_the_single_matrix_form():
                block_rotation([np.pi, 0.5]), random_symplectic(1, 2)]
     members = [random_elliptic(s, 2) for s in range(8)] + [rot(0.7, 2)]
     Ws = np.array(outside[:3] + members[:4] + outside[3:] + members[4:])
-    inside, theta = _stack_normal_form(Ws)
+    inside, theta = _normal_form(_symplectic_stack(Ws))[:2]
     assert inside.dtype == bool and theta.shape == (len(Ws), 2)
     for W, ok, th in zip(Ws, inside, theta):
         one, th_one = _normal_form(W)[:2]
         assert bool(ok) is bool(one)
         if ok:
             np.testing.assert_allclose(th, th_one, rtol=0, atol=1e-14)
-        else:
-            assert np.all(np.isnan(th))
     assert inside.sum() == len(members)
 
 
@@ -302,7 +300,7 @@ def test_stack_membership_rejects_a_bad_matrix_without_warning():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NotSymplecticError) as stacked:
-                _stack_normal_form(Ws)
+                _normal_form(_symplectic_stack(Ws))
         assert str(stacked.value) == str(single.value)
 
 

@@ -1,75 +1,114 @@
-"""Layer-level before/after pair: microseconds per call of the Krein-spectrum
-entries, of the spectrum-screen CLI calls, of the path rows and of the
-geodesic rows, for two source trees.
+"""Layer-level before/after pair: microseconds per call of the region
+kernels, of the Krein-spectrum entries, of the spectrum-screen CLI calls,
+of the path rows and of the geodesic rows, for two source trees timed in
+one process.
 
-    python3 tools/layer_pair.py --src path/to/src
     python3 tools/layer_pair.py --pair BEFORE_SRC AFTER_SRC --out BENCH.json
 
-With --src, one tree is imported in this process and measured; the rows are
-printed as one JSON object.  With --pair, the two trees are measured in
-fresh processes, alternating which goes first in each of 5 rounds, and
-the per-row minimum over the rounds is written with the host, Python, numpy,
-scipy and BLAS metadata.
+The "after" tree is imported as ``spcausal`` and the "before" tree under the
+package name ``spcausal_before``, so both run in one interpreter on the same
+inputs.  Each row at n = 1, 2, 3 is timed in BLOCKS interleaved blocks: a
+block times about REPEAT_SECONDS of calls of one tree and then of the other,
+alternating which goes first.  A row reports the median us per call of
+each tree and the median and quartiles of the per-block ratio after/before,
+with BLAS pinned to one thread.
 
-Each row is the best of 5 `timeit` repeats, in us per call, with BLAS pinned
-to one thread, at n = 1, 2, 3.  The inputs are conjugated rotations with one
-negative angle (non-members with a simple unit-circle spectrum, the
-"indefinite" kind of the spectrum screen), made from a fixed seed.  Mode
-"cycle" calls round-robin over 128 distinct matrices, more than either
-content memo holds (64 normal forms, 4 Krein spectra), so no memo ever
-hits; mode "repeat" calls on one matrix.  The CLI rows run `cli.main` in
-process with the matrix document on stdin, and "screen" is
-`check --elliptic`, `spectrum` and `nu` on one matrix in a row.
+The region rows use region elements S R(theta) S^{-1} of the benchmark's
+region_queries recipe: "_normal_form miss" is `elliptic._normal_form` on a
+float matrix (no memo), "require_symplectic" is `core.require_symplectic`
+at 1e-7, "log_elliptic hit" is `log_elliptic` on one matrix whose form is
+stored, and "region_queries op" is that workload's op (membership, angles,
+tau, mu, dist, log and the angles of -W^{-1}).
+
+The Krein rows use conjugated rotations with one negative angle
+(non-members with a simple unit-circle spectrum, the "indefinite" kind of
+the spectrum screen), made from a fixed seed.  Mode "cycle" calls
+round-robin over 128 distinct matrices, more than either content memo holds
+(64 normal forms, 4 Krein spectra), so no memo ever hits; mode "repeat"
+calls on one matrix.  The CLI rows run `cli.main` in process with the
+matrix document on stdin, and "screen" is `check --elliptic`, `spectrum`
+and `nu` on one matrix in a row.
 
 The path rows follow the benchmark's path_lab recipe: "path + tau" is a
 confined 50-step `random_causal_path` from a banded elliptic start followed
 by `tau` on every grid matrix, and "track_phases" tracks the phases of that
-path.  Both run in mode "cycle" over 16 seeds whose confinement succeeds,
-so no path's forms are still stored when its seed comes round again.
+path.  Both cycle over 16 seeds whose confinement succeeds, so no path's
+forms are still stored when its seed comes round again.
 
 The geodesic rows follow the benchmark's causal_geodesics recipe at seed 1:
 a banded elliptic W0 and the endpoint W1 of a confined 10-step path from it,
 a torus pair (Wt, Xt) and a unit generic cone direction Xg.  "connect" is
 `connect(W0, W1, samples=64)`, "exit_times torus" and "exit_times generic"
 are `exit_times(Wt, X, t_max=5e3)` for the two directions, and "stack
-verdict" is the membership verdict of connect's 64 samples of the geodesic
-from W0 to W1 as one stack (`elliptic._stack_verdicts`, or the verdicts of
-`_stack_normal_form` in a tree without it).  Each cycles over GEODESICS
-inputs per n, more than the form memo holds.
+verdict" is `elliptic._stack_verdicts` of connect's 64 samples of the
+geodesic from W0 to W1.  Each cycles over GEODESICS inputs per n, more than
+the form memo holds.
 """
 
 from __future__ import annotations
 
 import os
 
-# before numpy is imported, here or in child processes
+# before numpy is imported
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import itertools
 import json
 import platform
-import subprocess
 import sys
 import timeit
 
-#: Rounds of a --pair, each measuring both trees.
-ROUNDS = 5
+#: Interleaved blocks per row.
+BLOCKS = 15
 #: Distinct matrices per n in the "cycle" mode.
 POOL = 128
 #: Distinct paths per n in the path rows.
 PATHS = 16
 #: Distinct inputs per n in the geodesic rows.
 GEODESICS = 96
-#: Target seconds per timeit repeat.
-REPEAT_SECONDS = 0.04
+#: Target seconds of calls per tree and block.
+REPEAT_SECONDS = 0.02
 SCREEN = (["check", "--elliptic"], ["spectrum"], ["nu"])
+SIDES = ("before", "after")
 
 
-def _inputs(sp, np, n):
+def _import_tree(src: str, name: str):
+    """The spcausal package under src, imported as the package ``name``."""
+    path = os.path.join(os.path.abspath(src), "spcausal")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(path, "__init__.py"), submodule_search_locations=[path])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _region_inputs(sp, np, n):
+    """POOL region elements at n: the region_queries categories in turn."""
+    rng = np.random.default_rng([17, n])
+    out = []
+    for i in range(POOL):
+        th = np.sort(rng.uniform(0.2, np.pi - 0.2, n))
+        cat, scale = i % 5, 0.4
+        if cat == 1:
+            th[0] = rng.uniform(1e-4, 1e-3)
+        elif cat == 2:
+            th[-1] = np.pi - rng.uniform(1e-4, 1e-3)
+        elif cat == 3:
+            th = rng.uniform(0.5, 2.5) + 1e-7 * np.arange(n)
+        elif cat == 4:
+            scale = 1.2
+        S = sp.random_symplectic(rng, n, scale=scale)
+        out.append(S @ sp.block_rotation(np.sort(th)) @ sp.symplectic_inverse(S))
+    return out
+
+
+def _indefinite_inputs(sp, np, n):
     rng = np.random.default_rng([13, n])
     out = []
     for _ in range(POOL):
@@ -83,14 +122,12 @@ def _inputs(sp, np, n):
 def _paths(sp, n):
     """The first PATHS (seed, start) pairs of the path_lab recipe at n whose
     confined path succeeds, with their paths."""
-    from spcausal.exceptions import DriftExceededError
-
     out = []
     for seed in range(10 * PATHS):
         W0 = sp.random_elliptic_banded(seed, n, lo=0.3, hi=1.8)
         try:
             out.append((seed, W0, _path(sp, n, seed, W0)))
-        except DriftExceededError:
+        except sp.exceptions.DriftExceededError:
             continue
         if len(out) == PATHS:
             return out
@@ -105,8 +142,6 @@ def _path(sp, n, seed, W0):
 def _geodesic_inputs(sp, np, n):
     """GEODESICS inputs at n of the causal_geodesics recipe at seed 1:
     (W0, W1, Wt, Xt, Xg) with Xg of unit norm."""
-    from spcausal.exceptions import DriftExceededError
-
     def seq(*key):
         return np.random.SeedSequence(entropy=1, spawn_key=key)
 
@@ -118,7 +153,7 @@ def _geodesic_inputs(sp, np, n):
                 path = sp.random_causal_path(seq(3, i, r, 1), n, steps=10, W_start=W0,
                                              step_size=0.05, confine=True)
                 break
-            except DriftExceededError:
+            except sp.exceptions.DriftExceededError:
                 continue
         else:
             raise RuntimeError(f"no confined path for input {i}")
@@ -138,76 +173,109 @@ def _cli_call(cli, argv, doc):
         sys.stdin = saved
 
 
-def _us_per_call(call) -> float:
-    timer = timeit.Timer(call)
+def _region_op(sp, W):
+    return (bool(sp.is_positively_elliptic(W)), sp.elliptic_angles(W), sp.tau(W),
+            sp.mu_elliptic(W), sp.dist_formula(W), sp.log_elliptic(W),
+            sp.elliptic_angles(sp.minus_inverse(W)))
+
+
+def _interleave(np, calls) -> dict:
+    """Time calls["before"] and calls["after"], each a function of no
+    arguments, in BLOCKS interleaved blocks; the median us per call of each
+    and the quartiles of the per-block ratio after/before."""
+    timers = {side: timeit.Timer(calls[side]) for side in SIDES}
+    timers["before"].timeit(1)
+    timers["after"].timeit(1)
     number = 1
-    while (t := timer.timeit(number)) < REPEAT_SECONDS / 8:
+    while (t := timers["before"].timeit(number)) < REPEAT_SECONDS / 8:
         number *= 2
     number = max(1, round(number * REPEAT_SECONDS / t))
-    return min(timer.repeat(repeat=5, number=number)) / number * 1e6
+    us: dict = {side: [] for side in SIDES}
+    for b in range(BLOCKS):
+        for side in (SIDES if b % 2 == 0 else SIDES[::-1]):
+            us[side].append(timers[side].timeit(number) / number * 1e6)
+    ratio = np.array(us["after"]) / np.array(us["before"])
+    q1, med, q3 = np.percentile(ratio, [25, 50, 75])
+    return {"before_us": round(float(np.median(us["before"])), 2),
+            "after_us": round(float(np.median(us["after"])), 2),
+            "ratio_median": round(float(med), 3),
+            "ratio_q1": round(float(q1), 3), "ratio_q3": round(float(q3), 3)}
 
 
-def measure(src: str) -> dict:
-    """Rows {call: {mode: {n: us}}} for the spcausal tree under src."""
-    sys.path.insert(0, os.path.abspath(src))
-    import numpy as np
+def _row(np, trees, table, call, mode, n, make):
+    """Time make(tree) for both trees and append the row."""
+    calls = {side: make(tree) for side, tree in trees.items()}
+    table.append({"call": call, "mode": mode, "n": n, **_interleave(np, calls)})
+    print(f"{call:24s} {mode:6s} n={n}  {table[-1]}", file=sys.stderr)
 
-    import spcausal as sp
-    from spcausal import cli
 
-    calls = {
-        "krein_spectrum": lambda W, doc: sp.krein_spectrum(W, on_degenerate="mark"),
-        "nu": lambda W, doc: sp.nu(W),
-        "is_positively_elliptic": lambda W, doc: sp.is_positively_elliptic(W),
-        "cli check --elliptic": lambda W, doc: _cli_call(cli, SCREEN[0], doc),
-        "cli spectrum": lambda W, doc: _cli_call(cli, SCREEN[1], doc),
-        "cli nu": lambda W, doc: _cli_call(cli, SCREEN[2], doc),
-        "cli screen": lambda W, doc: [_cli_call(cli, a, doc) for a in SCREEN],
+def _cycled(f, args):
+    pool = itertools.cycle(args)
+    return lambda: f(*next(pool))
+
+
+def measure(np, trees: dict) -> list:
+    """The rows for trees["before"] and trees["after"]."""
+    table: list = []
+    region = {
+        "_normal_form miss": lambda sp, W: sp.elliptic._normal_form(W),
+        "require_symplectic": lambda sp, W: sp.core.require_symplectic(W, 1e-7),
+        "log_elliptic hit": lambda sp, W: sp.log_elliptic(W),
+        "region_queries op": _region_op,
     }
-    rows: dict = {name: {"cycle": {}, "repeat": {}} for name in calls}
+    for name, f in region.items():
+        for n in (1, 2, 3):
+            mats = _region_inputs(trees["after"], np, n)
+            if name == "log_elliptic hit":
+                _row(np, trees, table, name, "repeat", n,
+                     lambda sp: lambda: f(sp, mats[0]))
+            else:
+                _row(np, trees, table, name, "cycle", n,
+                     lambda sp: _cycled(lambda W: f(sp, W), [(W,) for W in mats]))
+    krein = {
+        "krein_spectrum": lambda sp, W, doc: sp.krein_spectrum(W, on_degenerate="mark"),
+        "nu": lambda sp, W, doc: sp.nu(W),
+        "is_positively_elliptic": lambda sp, W, doc: sp.is_positively_elliptic(W),
+        "cli check --elliptic": lambda sp, W, doc: _cli_call(sp.cli, SCREEN[0], doc),
+        "cli spectrum": lambda sp, W, doc: _cli_call(sp.cli, SCREEN[1], doc),
+        "cli nu": lambda sp, W, doc: _cli_call(sp.cli, SCREEN[2], doc),
+        "cli screen": lambda sp, W, doc: [_cli_call(sp.cli, a, doc) for a in SCREEN],
+    }
     for n in (1, 2, 3):
-        mats = _inputs(sp, np, n)
-        assert not any(sp.is_positively_elliptic(W) for W in mats)
+        mats = _indefinite_inputs(trees["after"], np, n)
         docs = [json.dumps({"n": n, "matrix": W.tolist()}) for W in mats]
-        for name, f in calls.items():
-            pool = itertools.cycle(list(zip(mats, docs)))
-            rows[name]["cycle"][n] = _us_per_call(lambda: f(*next(pool)))
-            W, doc = mats[0], docs[0]
-            rows[name]["repeat"][n] = _us_per_call(lambda: f(W, doc))
-    rows["path + tau"] = {"cycle": {}}
-    rows["track_phases"] = {"cycle": {}}
+        for name, f in krein.items():
+            _row(np, trees, table, name, "cycle", n,
+                 lambda sp: _cycled(lambda W, doc: f(sp, W, doc), list(zip(mats, docs))))
+            _row(np, trees, table, name, "repeat", n,
+                 lambda sp: lambda: f(sp, mats[0], docs[0]))
     for n in (1, 2, 3):
-        paths = itertools.cycle(_paths(sp, n))
+        paths = {tree.__name__: _paths(tree, n) for tree in trees.values()}
 
-        def path_tau():
-            seed, W0, _ = next(paths)
+        def path_tau(sp, seed, W0, path):
             return [sp.tau(W) for W in _path(sp, n, seed, W0).matrices]
 
-        rows["path + tau"]["cycle"][n] = _us_per_call(path_tau)
-        rows["track_phases"]["cycle"][n] = _us_per_call(
-            lambda: sp.track_phases(next(paths)[2]))
-    from spcausal import elliptic
-
-    verdicts = getattr(elliptic, "_stack_verdicts", None) or (
-        lambda Ws: elliptic._stack_normal_form(Ws)[0])
+        _row(np, trees, table, "path + tau", "cycle", n,
+             lambda sp: _cycled(lambda *a: path_tau(sp, *a), paths[sp.__name__]))
+        _row(np, trees, table, "track_phases", "cycle", n,
+             lambda sp: _cycled(lambda s, W0, p: sp.track_phases(p), paths[sp.__name__]))
     geodesic = {
-        "connect": lambda W0, W1, Wt, Xt, Xg, P: sp.connect(W0, W1, samples=64),
-        "exit_times torus": lambda W0, W1, Wt, Xt, Xg, P: sp.exit_times(Wt, Xt, t_max=5e3),
-        "exit_times generic": lambda W0, W1, Wt, Xt, Xg, P: sp.exit_times(Wt, Xg, t_max=5e3),
-        "stack verdict": lambda W0, W1, Wt, Xt, Xg, P: verdicts(P),
+        "connect": lambda sp, W0, W1, Wt, Xt, Xg, P: sp.connect(W0, W1, samples=64),
+        "exit_times torus": lambda sp, W0, W1, Wt, Xt, Xg, P: sp.exit_times(Wt, Xt, t_max=5e3),
+        "exit_times generic": lambda sp, W0, W1, Wt, Xt, Xg, P: sp.exit_times(Wt, Xg, t_max=5e3),
+        "stack verdict": lambda sp, W0, W1, Wt, Xt, Xg, P: sp.elliptic._stack_verdicts(P),
     }
-    for name in geodesic:
-        rows[name] = {"cycle": {}}
+    after = trees["after"]
     s = np.linspace(0.0, 1.0, 66)[1:-1]
     for n in (1, 2, 3):
         cases = []
-        for W0, W1, Wt, Xt, Xg in _geodesic_inputs(sp, np, n):
-            X = sp.log_elliptic(W1 @ sp.symplectic_inverse(W0))
-            cases.append((W0, W1, Wt, Xt, Xg, sp.geodesic_flow(X, W0)(s)))
+        for W0, W1, Wt, Xt, Xg in _geodesic_inputs(after, np, n):
+            X = after.log_elliptic(W1 @ after.symplectic_inverse(W0))
+            cases.append((W0, W1, Wt, Xt, Xg, after.geodesic_flow(X, W0)(s)))
         for name, f in geodesic.items():
-            pool = itertools.cycle(cases)
-            rows[name]["cycle"][n] = _us_per_call(lambda: f(*next(pool)))
-    return rows
+            _row(np, trees, table, name, "cycle", n,
+                 lambda sp: _cycled(lambda *a: f(sp, *a), cases))
+    return table
 
 
 def _metadata() -> dict:
@@ -226,50 +294,30 @@ def _metadata() -> dict:
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "blas_threads": {v: os.environ[v] for v in
                          ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
-        "repeats": 5,
-        "statistic": "us per call, best of 5 timeit repeats, minimum over rounds",
+        "blocks": BLOCKS,
+        "block_seconds": REPEAT_SECONDS,
+        "statistic": "median us per call over interleaved blocks in one process; "
+                     "median and quartiles of the per-block ratio after/before",
     }
-
-
-def _run_tree(src: str) -> dict:
-    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--src", src],
-                         check=True, capture_output=True, text=True).stdout
-    return json.loads(out.splitlines()[-1])
-
-
-def pair(before: str, after: str) -> dict:
-    runs: dict = {"before": [], "after": []}
-    order = []
-    for r in range(ROUNDS):
-        sides = ("before", "after") if r % 2 == 0 else ("after", "before")
-        order.append(list(sides))
-        for side in sides:
-            runs[side].append(_run_tree(before if side == "before" else after))
-    table = []
-    for name, modes in runs["before"][0].items():
-        for mode, per_n in modes.items():
-            for n in per_n:
-                b = min(run[name][mode][n] for run in runs["before"])
-                a = min(run[name][mode][n] for run in runs["after"])
-                table.append({"call": name, "mode": mode, "n": int(n),
-                              "before_us": round(b, 2), "after_us": round(a, 2),
-                              "after_over_before": round(a / b, 3)})
-    return {"meta": {**_metadata(), "rounds": ROUNDS, "order": order},
-            "rows": table, "runs": runs}
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--src", help="measure the spcausal tree under this src directory")
-    p.add_argument("--pair", nargs=2, metavar=("BEFORE_SRC", "AFTER_SRC"))
-    p.add_argument("--out", help="file for the --pair result (default: stdout)")
+    p.add_argument("--pair", nargs=2, metavar=("BEFORE_SRC", "AFTER_SRC"), required=True)
+    p.add_argument("--out", help="file for the result (default: stdout)")
     args = p.parse_args(argv)
-    if (args.src is None) == (args.pair is None):
-        p.error("give exactly one of --src and --pair")
-    if args.src is not None:
-        print(json.dumps(measure(args.src)))
-        return 0
-    text = json.dumps(pair(*args.pair), indent=1)
+    before, after = args.pair
+    trees = {"before": _import_tree(before, "spcausal_before")}
+    sys.path.insert(0, os.path.abspath(after))
+    import numpy as np
+
+    import spcausal
+
+    trees["after"] = spcausal
+    for tree in trees.values():
+        for sub in ("cli", "core", "elliptic", "exceptions"):
+            importlib.import_module(f"{tree.__name__}.{sub}")
+    text = json.dumps({"meta": _metadata(), "rows": measure(np, trees)}, indent=1)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
