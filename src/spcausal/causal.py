@@ -17,6 +17,7 @@ import scipy.linalg
 import scipy.optimize
 
 from .core import (
+    TOL_GROUP,
     ConeStatus,
     _eigh,
     _omega,
@@ -210,17 +211,15 @@ def connect(
     that is negative or not an integer raises ValueError).  The points come
     from the splitting the logarithm is assembled from: with Q = B R(theta)
     B^{-1}, exp(s X) W0 = B R(s theta) B^{-1} W0, which needs no second
-    eigensolve.  A basis with |B|_F |B^{-1}|_F >= 1e8 takes `geodesic_flow`.
-    For the symplectic B, cond_2(B)^2 <= cond(sym(Omega Q)) < 1 / (4 eps)
-    and |B|_F |B^{-1}|_F <= n (cond_2(B) + 1 / cond_2(B)), so an accepted
-    quotient reaches that bound only at n = 3, within 2 % of the rejection
-    limit of sym(Omega Q).
+    eigensolve.  A basis with |B|_F |B^{-1}|_F >= 1e8 takes `geodesic_flow`,
+    which an accepted quotient reaches only at n = 3, within 2 % of the
+    rejection limit of sym(Omega Q).
     Raises DimensionMismatchError when W0 and W1 differ in shape.
     """
     if not isinstance(samples, (int, np.integer)) or samples < 0:
         raise ValueError("samples must be a non-negative integer")
-    W0 = require_symplectic(W0, tol=1e-7)
-    W1 = require_symplectic(W1, tol=1e-7)
+    W0 = require_symplectic(W0, TOL_GROUP)
+    W1 = require_symplectic(W1, TOL_GROUP)
     if W1.shape != W0.shape:
         raise DimensionMismatchError(f"W1 has shape {W1.shape}, expected {W0.shape}")
     Q = W1 @ symplectic_inverse(W0)

@@ -22,6 +22,7 @@ import numpy as np
 from ._version import __version__
 from .core import (
     TOL_CONE,
+    TOL_GROUP,
     TOL_HAM,
     TOL_SYMP,
     cone_status,
@@ -182,7 +183,7 @@ def _cmd_check(args) -> dict:
     if args.cone:
         status = cone_status(W, tol if tol is not None else TOL_CONE)
         return {"cone_status": status.value}
-    chk = is_positively_elliptic(W, tol if tol is not None else 1e-7)
+    chk = is_positively_elliptic(W, tol if tol is not None else TOL_GROUP)
     out = {"elliptic": chk.elliptic}
     if chk.reason is not None:
         out["reason"] = chk.reason
@@ -218,25 +219,20 @@ def _cmd_log(args) -> dict:
     return {"log": X, "cone_status": cone_status(X).value}
 
 
-def _cmd_tau(args) -> dict:
+#: The single-value subcommands: the value each prints under its own name,
+#: and its help text.  The lambdas look the library function up per call, so
+#: one rebound on this module (the benchmark's tracer does so) is the one run.
+_VALUES = {
+    "tau": (lambda W: tau(W), "time function value"),
+    "mu": (lambda W: mu_elliptic(W), "Maslov value of the canonical lift"),
+    "nu": (lambda W: nu(W), "unit-circle spectral invariant"),
+    "dist": (lambda W: dist_formula(W), "Lorentzian distance from id"),
+}
+
+
+def _cmd_value(args) -> dict:
     (W,) = _load_docs(args.files, 1)
-    return {"tau": tau(W)}
-
-
-def _cmd_mu(args) -> dict:
-    (W,) = _load_docs(args.files, 1)
-    return {"mu": mu_elliptic(W)}
-
-
-def _cmd_nu(args) -> dict:
-    (W,) = _load_docs(args.files, 1)
-    value = nu(W)
-    return {"nu": {"re": value.real, "im": value.imag}}
-
-
-def _cmd_dist(args) -> dict:
-    (W,) = _load_docs(args.files, 1)
-    return {"dist": dist_formula(W)}
+    return {args.command: _VALUES[args.command][0](W)}
 
 
 def _cmd_connect(args) -> dict:
@@ -303,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, nfiles=0, tol_symp=1e-7, **kw):
+    def add(name, handler, nfiles=0, tol_symp=TOL_GROUP, **kw):
         # tol_symp: the symplectic tolerance of the subcommand's library calls
         sp = sub.add_parser(name, **kw)
         sp.set_defaults(handler=handler, tol=None, tol_symp=tol_symp)
@@ -329,10 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("splitting", _cmd_splitting, nfiles=1,
         help="elliptic plane splitting (angles and adapted basis)")
     add("log", _cmd_log, nfiles=1, help="principal logarithm on the region")
-    add("tau", _cmd_tau, nfiles=1, help="time function value")
-    add("mu", _cmd_mu, nfiles=1, help="Maslov value of the canonical lift")
-    add("nu", _cmd_nu, nfiles=1, help="unit-circle spectral invariant")
-    add("dist", _cmd_dist, nfiles=1, help="Lorentzian distance from id")
+    for name, (_, text) in _VALUES.items():
+        add(name, _cmd_value, nfiles=1, help=text)
 
     sp = add("connect", _cmd_connect, nfiles=2,
              help="geodesic connection between two region elements")
@@ -368,8 +362,8 @@ def _tolerances(args) -> dict:
     if args.command == "check" and not (
         args.symplectic or args.hamiltonian or args.cone
     ):
-        # the elliptic check defaults to 1e-7 and checks at min(tol, 1e-7)
-        tol_symp = 1e-7 if args.tol is None else min(args.tol, 1e-7)
+        # the elliptic check defaults to TOL_GROUP and checks at min(tol, TOL_GROUP)
+        tol_symp = TOL_GROUP if args.tol is None else min(args.tol, TOL_GROUP)
     return {
         "tol_symp": tol_symp,
         "tol_ham": TOL_HAM if args.tol is None else args.tol,

@@ -30,6 +30,10 @@ from .exceptions import (
 
 #: Default relative tolerance for the symplectic relation.
 TOL_SYMP = 1e-9
+#: Relative tolerance of the symplectic relation for every entry that takes
+#: a group element: the region entries, the Krein spectrum, geodesics, the
+#: tangent cone test and the drift bound of generated paths.
+TOL_GROUP = 1e-7
 #: Default relative tolerance for membership in sp(2n).
 TOL_HAM = 1e-9
 #: Default relative width of the cone boundary band.
@@ -94,19 +98,19 @@ def _omega(n: int) -> np.ndarray:
 
 
 def _content_memo(maxsize: int):
-    """Decorator: memoise fn(W, *args) by (W's shape, the bytes of W as
-    C-ordered float64, args); a miss calls fn on the read-only array rebuilt
-    from the bytes.  The last ``maxsize`` records are kept and shared by
-    every caller; exceptions are never stored."""
+    """Decorator: memoise fn(W) by (W's shape, the bytes of W as C-ordered
+    float64); a miss calls fn on the read-only array rebuilt from the bytes.
+    The last ``maxsize`` records are kept and shared by every caller;
+    exceptions are never stored."""
     def decorate(fn):
         @functools.lru_cache(maxsize=maxsize)
-        def record(shape, data, *args):
-            return fn(np.frombuffer(data).reshape(shape), *args)
+        def record(shape, data):
+            return fn(np.frombuffer(data).reshape(shape))
 
         @functools.wraps(fn)
-        def memo(W, *args):
+        def memo(W):
             W = np.asarray(W, dtype=float)
-            return record(W.shape, W.tobytes(), *args)
+            return record(W.shape, W.tobytes())
 
         memo.cache_info, memo.cache_clear = record.cache_info, record.cache_clear
         return memo
@@ -149,8 +153,8 @@ def block_rotation_generator(angles) -> np.ndarray:
     th = np.atleast_1d(np.asarray(angles, dtype=float))
     n = th.size
     X = np.zeros((2 * n, 2 * n))
-    X[:n, n:] = -np.diag(th)
-    X[n:, :n] = np.diag(th)
+    X.flat[n:2 * n * n:2 * n + 1] = -th  # at (k, n + k)
+    X.flat[2 * n * n::2 * n + 1] = th    # at (n + k, k)
     return X
 
 
@@ -271,7 +275,7 @@ def cone_membership_tangent(
     W: np.ndarray, A: np.ndarray, tol: float = TOL_CONE
 ) -> ConeStatus:
     """Classify a tangent A at the group element W via X = A @ W^{-1}."""
-    W = require_symplectic(W, tol=max(tol, 1e-7))
+    W = require_symplectic(W, tol=max(tol, TOL_GROUP))
     A = np.asarray(A, dtype=float)
     if A.shape != W.shape:
         raise DimensionMismatchError(

@@ -28,11 +28,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    TOL_GROUP,
     _content_memo,
     _eigh,
     _omega,
     _symplectic_check,
+    block_rotation_generator,
     require_symplectic,
+    symmetrized_form,
     symplectic_inverse,
 )
 from .exceptions import IllConditionedWarning, NotEllipticError
@@ -86,7 +89,7 @@ class EllipticSplitting:
 
     def generator(self) -> np.ndarray:
         """The Hamiltonian X with exp(X) = W, assembled from the splitting."""
-        return self._ambient(self._rotations())[0]
+        return self._ambient(block_rotation_generator(self.angles))[0]
 
     def complex_structure(self, k: int) -> np.ndarray:
         """Ambient matrix acting as the compatible complex structure on V_k
@@ -95,14 +98,6 @@ class EllipticSplitting:
         S[self.n + k, k] = 1.0
         S[k, self.n + k] = -1.0
         return self._ambient(S)[0]
-
-    def _rotations(self) -> np.ndarray:
-        """`block_rotation_generator(angles)`, placed entry by entry."""
-        n = self.n
-        K = np.zeros((2 * n, 2 * n))
-        K.flat[n:2 * n * n:2 * n + 1] = -self.angles  # at (k, n + k)
-        K.flat[2 * n * n::2 * n + 1] = self.angles    # at (n + k, k)
-        return K
 
     def _ambient(self, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """B K B^{-1} for the basis B, with B^{-1}."""
@@ -198,15 +193,11 @@ def _normal_form(W: np.ndarray) -> _Form:
     return _Form(inside, theta, E, Y[..., ::-1], lam[..., 0], lam[..., -1])
 
 
-def _checked_form(W: np.ndarray, tol: float = 1e-7) -> _Form:
-    """`_normal_form` of one matrix W after `require_symplectic(W, tol)`,
-    memoised by content; its arrays are read-only."""
-    return _form_of(W, tol)
-
-
 @_content_memo(64)
-def _form_of(W: np.ndarray, tol: float) -> _Form:
-    require_symplectic(W, tol)
+def _checked_form(W: np.ndarray) -> _Form:
+    """`_normal_form` of one matrix W after `require_symplectic(W, TOL_GROUP)`,
+    memoised by content; its arrays are read-only."""
+    require_symplectic(W, TOL_GROUP)
     form = _normal_form(W)
     for a in form[1:4]:
         a.setflags(write=False)
@@ -214,11 +205,11 @@ def _form_of(W: np.ndarray, tol: float) -> _Form:
 
 
 def _symplectic_stack(Ws: np.ndarray) -> np.ndarray:
-    """An (N, 2n, 2n) stack as floats after the symplectic check at 1e-7;
+    """An (N, 2n, 2n) stack as floats after the symplectic check at TOL_GROUP;
     the first matrix that fails raises with the single-matrix message."""
     Ws = np.asarray(Ws, dtype=float)
-    for W in Ws[~_symplectic_check(Ws, 1e-7, stack=True)[0]]:
-        require_symplectic(W, tol=1e-7)
+    for W in Ws[~_symplectic_check(Ws, TOL_GROUP, stack=True)[0]]:
+        require_symplectic(W, TOL_GROUP)
     return Ws
 
 
@@ -239,7 +230,7 @@ def _region_form(W: np.ndarray) -> _Form:
     return form
 
 
-def is_positively_elliptic(W: np.ndarray, tol: float = 1e-7) -> EllipticCheck:
+def is_positively_elliptic(W: np.ndarray, tol: float = TOL_GROUP) -> EllipticCheck:
     """Membership test for the positively elliptic region with diagnosis.
 
     The normal form gives the verdict and the margins of `EllipticCheck`.
@@ -248,11 +239,13 @@ def is_positively_elliptic(W: np.ndarray, tol: float = 1e-7) -> EllipticCheck:
     the Krein Gram within the boundary band, or sym(Omega W) singular to
     working precision) or "indefinite Krein signature".
 
-    The symplectic relation is checked at min(tol, 1e-7), so ``tol`` can
-    only tighten that check, never loosen it.
+    The symplectic relation is checked at min(tol, TOL_GROUP), so ``tol``
+    can only tighten that check, never loosen it.
     """
     W = np.asarray(W, dtype=float)
-    form = _checked_form(W, min(tol, 1e-7))
+    if not tol >= TOL_GROUP:  # a NaN tol takes the check, and fails it
+        require_symplectic(W, tol)
+    form = _checked_form(W)
     p_min, p_max = float(form.p_min), float(form.p_max)
     scale = max(p_max, -p_min)
     margin = p_min / scale if scale > 0 else 0.0
@@ -300,10 +293,8 @@ def _log_and_splitting(
             "angle within 1e-6 of pi; logarithm is ill-conditioned",
             IllConditionedWarning,
         )
-    X, B_inv = split._ambient(split._rotations())
-    O = _omega(split.n)
-    S = O @ X
-    return -O @ ((S + S.T) / 2), split, B_inv
+    X, B_inv = split._ambient(block_rotation_generator(split.angles))
+    return -_omega(split.n) @ symmetrized_form(X), split, B_inv
 
 
 def log_elliptic(W: np.ndarray) -> np.ndarray:
@@ -330,5 +321,5 @@ def mu_elliptic(W: np.ndarray) -> float:
 
 def minus_inverse(W: np.ndarray) -> np.ndarray:
     """The involution W -> -W^{-1}; maps angles theta to pi - theta."""
-    W = require_symplectic(W, tol=1e-7)
+    W = require_symplectic(W, TOL_GROUP)
     return -symplectic_inverse(W)

@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .core import _content_memo, _omega, require_symplectic
+from .core import TOL_GROUP, _content_memo, _omega, require_symplectic
 from .exceptions import DimensionMismatchError, SignatureDegenerateError
 
 #: Relative gap below which eigenvalues are merged into one cluster.
@@ -160,7 +160,7 @@ def krein_spectrum(W: np.ndarray, on_degenerate: str = "raise") -> KreinSpectrum
     """
     if on_degenerate not in ("raise", "mark"):
         raise ValueError("on_degenerate must be 'raise' or 'mark'")
-    W = require_symplectic(W, tol=1e-7)
+    W = require_symplectic(W, TOL_GROUP)
     spec, degenerate_at = _spectrum(W)
     if on_degenerate == "raise" and degenerate_at is not None:
         raise SignatureDegenerateError(

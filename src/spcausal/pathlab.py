@@ -18,6 +18,7 @@ import scipy.optimize
 
 from ._version import __version__
 from .core import (
+    TOL_GROUP,
     ConeStatus,
     _omega,
     block_rotation,
@@ -25,6 +26,7 @@ from .core import (
     cone_status,
     is_symplectic,
     standard_J,
+    symplectic_inverse,
 )
 from .causal import (
     ExitReason,
@@ -57,8 +59,8 @@ from .exceptions import (
 )
 from .krein import _phases, krein_spectrum, nu
 
-#: Symplecticity drift bound for generated paths.
-DRIFT_TOL = 1e-7
+#: Symplecticity drift bound for generated paths: the group tolerance.
+DRIFT_TOL = TOL_GROUP
 #: Per-step phase jump bound before adaptive refinement kicks in.
 PHASE_JUMP = np.pi / 4
 _MAX_REFINE = 20
@@ -149,8 +151,7 @@ def random_elliptic_banded(
     rng = np.random.default_rng(seed)
     angles = np.sort(rng.uniform(lo, hi, n))
     S = random_symplectic(rng, n, scale=0.4)
-    O = _omega(n)
-    return S @ block_rotation(angles) @ (-O @ S.T @ O)
+    return S @ block_rotation(angles) @ symplectic_inverse(S)
 
 
 def random_torus_pair(seed, n: int):
@@ -168,8 +169,7 @@ def random_torus_pair(seed, n: int):
     angles = np.sort(rng.uniform(0.7, 2.2, n))
     speeds = rng.uniform(0.5, 1.0, n)
     S = random_symplectic(rng, n, scale=0.4)
-    O = _omega(n)
-    Si = -O @ S.T @ O
+    Si = symplectic_inverse(S)
     W0 = S @ block_rotation(angles) @ Si
     X = S @ block_rotation_generator(speeds) @ Si
     return W0, X, angles, speeds
@@ -229,7 +229,7 @@ def random_causal_path(
                 break
             try:
                 # the memo's symplectic check at DRIFT_TOL is the drift check
-                if _checked_form(W_next, DRIFT_TOL).inside:
+                if _checked_form(W_next).inside:
                     break
             except NotSymplecticError:
                 raise _drift_error(W_next) from None

@@ -34,12 +34,11 @@ from spcausal import (
     tau,
 )
 from spcausal import causal, elliptic, pathlab
-from spcausal.core import _omega, require_symplectic
+from spcausal.core import TOL_GROUP, _omega, is_symplectic, require_symplectic
 from spcausal.elliptic import (
     _GRAM_NOISE,
     ANGLE_BOUNDARY_BAND,
     _checked_form,
-    _form_of,
     _normal_form,
     _stack_verdicts,
     _symplectic_stack,
@@ -489,8 +488,8 @@ def test_minus_inverse_angle_complement():
 def _uncached():
     """Route every entry through a test-local, uncached require_symplectic
     and _normal_form in place of the memo."""
-    def form(W, tol=1e-7):
-        return _normal_form(require_symplectic(W, tol))
+    def form(W):
+        return _normal_form(require_symplectic(W, TOL_GROUP))
 
     saved = elliptic._checked_form
     elliptic._checked_form = causal._checked_form = pathlab._checked_form = form
@@ -559,13 +558,13 @@ def test_memo_matches_the_uncached_form_on_the_mixed_sample():
             inside = False
         entries = ROUTED[:-1] if inside else (is_positively_elliptic, tau, dist_formula)
         calls.append(entries + ROUTED[-1:] * (k % 10 == 0))
-    _form_of.cache_clear()
+    _checked_form.cache_clear()
     got = [[_outcome(f, W) for f in entries] for W, entries in zip(inputs, calls)]
     with _uncached():
         want = [[_outcome(f, W) for f in entries] for W, entries in zip(inputs, calls)]
     for k, (g, w) in enumerate(zip(got, want)):
         assert g == w, k
-    info = _form_of.cache_info()
+    info = _checked_form.cache_info()
     assert info.maxsize == info.currsize == 64 and info.hits > 2 * len(samples)
     assert sum(len(c) >= len(ROUTED) - 1 for c in calls) > 1000   # members
 
@@ -609,15 +608,15 @@ def test_memo_never_stores_an_error():
 
 
 def test_memo_holds_the_last_64_forms():
-    _form_of.cache_clear()
+    _checked_form.cache_clear()
     for k in range(100):
         tau(rot(0.01 + 0.03 * k))
-    info = _form_of.cache_info()
+    info = _checked_form.cache_info()
     assert info.maxsize == 64 and info.misses == 100 and info.currsize == 64
     tau(rot(0.01 + 0.03 * 36))   # the oldest kept
-    assert _form_of.cache_info().hits == info.hits + 1
+    assert _checked_form.cache_info().hits == info.hits + 1
     tau(rot(0.01 + 0.03 * 35))   # the newest evicted
-    assert _form_of.cache_info().misses == info.misses + 1
+    assert _checked_form.cache_info().misses == info.misses + 1
 
 
 def test_tau_along_a_fresh_confined_path_reads_the_forms_of_its_confine_check():
@@ -625,17 +624,63 @@ def test_tau_along_a_fresh_confined_path_reads_the_forms_of_its_confine_check():
     # checks, so it is the one miss
     for n in (1, 2, 3):
         W0 = random_elliptic_banded(n, n, lo=0.3, hi=1.8)
-        _form_of.cache_clear()
+        _checked_form.cache_clear()
         path = pathlab.random_causal_path(n, n, steps=50, W_start=W0,
                                           step_size=0.02, confine=True)
-        made = _form_of.cache_info()
+        made = _checked_form.cache_info()
         assert made.hits == 0 and 50 <= made.misses < 64
         got = [tau(W) for W in path.matrices]
-        info = _form_of.cache_info()
+        info = _checked_form.cache_info()
         assert info.misses == made.misses + 1 and info.hits == 50
         with _uncached():
             want = [tau(W) for W in path.matrices]
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_a_tightened_membership_check_shares_the_one_record():
+    W = random_elliptic(5, 2)
+    _checked_form.cache_clear()
+    assert is_positively_elliptic(W, tol=1e-9)
+    tau(W), elliptic_angles(W), dist_formula(W)
+    info = _checked_form.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+
+
+def _reference_check(W, tol):
+    """`is_positively_elliptic(W, tol)` from an uncached form checked at
+    min(tol, TOL_GROUP)."""
+    W = np.asarray(W, dtype=float)
+    form = _normal_form(require_symplectic(W, min(tol, TOL_GROUP)))
+    scale = max(float(form.p_max), -float(form.p_min))
+    margin = float(form.p_min) / scale if scale > 0 else 0.0
+    if not form.inside:
+        return EllipticCheck(False, elliptic._rejection_reason(W), gram_margin=margin)
+    th = form.theta
+    return EllipticCheck(True, None, margin, float(th[0]), float(np.pi - th[-1]))
+
+
+def test_membership_tolerance_only_tightens_the_group_check():
+    # a member whose relative residual lies between 1e-9 and 1e-7
+    drifted = rot(0.5)
+    drifted[0, 1] += 2e-8
+    rel = is_symplectic(drifted, tol=1.0).residual / np.linalg.norm(drifted) ** 2
+    assert 1e-9 < rel < TOL_GROUP
+    nonfinite = rot(0.5)
+    nonfinite[1, 0] = np.nan
+    inputs = [rot(0.5), random_elliptic(2, 2), random_elliptic(3, 3),
+              np.diag([2.0, 0.5]), -np.eye(4), block_rotation([0.7, -0.7]),
+              random_symplectic(4, 2), drifted, nonfinite]
+    tols = [-1.0, 0.0, 1e-12, 1e-9, 1e-7, 1e-5, 1.0, np.inf, np.nan]
+    _checked_form.cache_clear()
+    # both orders, so that a tight tol meets a record a loose one stored
+    for tol in tols + tols[::-1]:
+        for W in inputs:
+            got = _outcome(lambda W: is_positively_elliptic(W, tol), W)
+            assert got == _outcome(lambda W: _reference_check(W, tol), W), (tol, W)
+    assert _checked_form.cache_info().hits > 0
+    assert is_positively_elliptic(drifted, tol=1e-5)
+    with pytest.raises(NotSymplecticError, match="exceeds tolerance"):
+        is_positively_elliptic(drifted, tol=1e-9)
 
 
 @st.composite

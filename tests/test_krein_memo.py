@@ -24,7 +24,7 @@ from spcausal import (
 from spcausal import causal, cli, elliptic, krein, pathlab
 from spcausal.causal import dist_formula
 from spcausal.core import require_symplectic
-from spcausal.elliptic import _form_of, is_positively_elliptic
+from spcausal.elliptic import _checked_form, is_positively_elliptic
 from spcausal.exceptions import (
     NotSymplecticError,
     SignatureDegenerateError,
@@ -101,7 +101,7 @@ def _outcome(f, W):
 
 def _clear():
     _spectrum.cache_clear()
-    _form_of.cache_clear()
+    _checked_form.cache_clear()
 
 
 def _conjugated(rng, n, D):

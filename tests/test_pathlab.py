@@ -29,7 +29,7 @@ from spcausal import (
     verify_suite,
 )
 from spcausal.core import require_symplectic
-from spcausal.elliptic import _form_of, _normal_form
+from spcausal.elliptic import _checked_form, _normal_form
 from spcausal.exceptions import (
     DimensionMismatchError,
     DriftExceededError,
@@ -212,11 +212,11 @@ def test_confined_paths_match_the_parent_loop_byte_for_byte():
             W0 = random_elliptic_banded(seed, n, lo=0.3, hi=1.8)
             for confine in (True, False):
                 args = (seed, n, 50, W0, 0.02, confine)
-                before = _form_of.cache_info().misses
+                before = _checked_form.cache_info().misses
                 got = _path_outcome(random_causal_path, *args)
-                most = max(most, _form_of.cache_info().misses - before)
+                most = max(most, _checked_form.cache_info().misses - before)
                 assert got == _path_outcome(_parent_causal_path, *args), args
-    assert most > _form_of.cache_info().maxsize
+    assert most > _checked_form.cache_info().maxsize
 
 
 def test_drifting_start_raises_the_same_drift_error_confined_or_not():
