@@ -14,13 +14,13 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .core import (
     TOL_GROUP,
     ConeStatus,
     _eigh,
     _omega,
+    _optimize,
     cone_status,
     half_dim,
     require_hamiltonian,
@@ -336,7 +336,7 @@ def exit_times(
             return float("inf")
         # brentq evaluates the bracket ends first; the grid already holds them
         ends = {ts[k - 1]: g[k - 1], ts[k]: g[k]}
-        return scipy.optimize.brentq(
+        return _optimize().brentq(
             lambda t: ends[t] if t in ends else scalar_gap(sign * t),
             ts[k - 1], ts[k], xtol=min(tol, 1e-10),
         )

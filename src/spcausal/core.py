@@ -117,6 +117,12 @@ def _content_memo(maxsize: int):
     return decorate
 
 
+def _optimize():
+    """`scipy.optimize`, imported on first use: the package's slowest import."""
+    import scipy.optimize
+    return scipy.optimize
+
+
 def _not_converged(err, flag):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 

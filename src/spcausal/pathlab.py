@@ -9,18 +9,19 @@ derived deterministically from a single seed.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from ._version import __version__
 from .core import (
     TOL_GROUP,
     ConeStatus,
     _omega,
+    _optimize,
     block_rotation,
     block_rotation_generator,
     cone_status,
@@ -110,19 +111,28 @@ class PhaseTrack:
     off_circle: np.ndarray | None = None
 
 
+@functools.lru_cache(maxsize=16)
+def _cone_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """eps I and -Omega at n, the constant terms of `random_cone_element`."""
+    return 1e-3 * np.eye(2 * n), -_omega(n)
+
+
 def random_cone_element(seed, n: int, scale: float = 1.0) -> np.ndarray:
-    """Seeded interior cone element X = Omega^{-1} (A^T A + eps I) * scale."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    """Seeded interior cone element X = Omega^{-1} (A^T A + eps I) * scale.
+    Raises ValueError unless 0 < scale < inf."""
+    if not 0 < scale < np.inf:
+        raise ValueError("scale must be positive and finite")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((2 * n, 2 * n))
-    S = A.T @ A + 1e-3 * np.eye(2 * n)
-    O = _omega(n)
-    return -O @ S * scale
+    eps_I, minus_O = _cone_terms(n)
+    return minus_O @ (A.T @ A + eps_I) * scale
 
 
 def random_symplectic(seed, n: int, scale: float = 1.0) -> np.ndarray:
-    """Seeded symplectic matrix exp(X) for a random Hamiltonian X."""
+    """Seeded symplectic matrix exp(X) for a random Hamiltonian X.
+    Raises ValueError unless scale is finite."""
+    if not -np.inf < scale < np.inf:
+        raise ValueError("scale must be finite")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((2 * n, 2 * n))
     S = (A + A.T) / 2
@@ -147,7 +157,10 @@ def random_elliptic_banded(
 
     A conjugated block rotation; useful where quantities like the time
     function must be kept away from the region boundary at the start.
+    Raises ValueError unless 0 < lo <= hi < pi.
     """
+    if not 0 < lo <= hi < np.pi:
+        raise ValueError("lo and hi must satisfy 0 < lo <= hi < pi")
     rng = np.random.default_rng(seed)
     angles = np.sort(rng.uniform(lo, hi, n))
     S = random_symplectic(rng, n, scale=0.4)
@@ -254,8 +267,8 @@ def _drift_error(W: np.ndarray) -> DriftExceededError:
 
 
 def _wrap(a: np.ndarray | float) -> np.ndarray | float:
-    """Wrap angles to (-pi, pi]."""
-    return -((-np.asarray(a) + np.pi) % (2 * np.pi) - np.pi)
+    """Wrap angles to (-pi, pi]; a float stays a float."""
+    return -((-a + np.pi) % (2 * np.pi) - np.pi)
 
 
 def _labeled_args(W: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -276,11 +289,9 @@ def _match(prev: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, float]:
     """Continuous continuation of prev onto the raw phases (mod 2 pi)."""
     diff = _wrap(raw[None, :] - prev[:, None])
     # unlike |diff|, the squared cost never ties phases that move together
-    rows, cols = scipy.optimize.linear_sum_assignment(diff**2)
-    new = prev.copy()
-    new[rows] = prev[rows] + diff[rows, cols]
-    jump = float(np.max(np.abs(diff[rows, cols]))) if rows.size else 0.0
-    return new, jump
+    rows, cols = _optimize().linear_sum_assignment(diff**2)
+    d = diff[rows, cols]  # the cost is square: rows are every row, in order
+    return prev + d, max(map(abs, d.tolist()), default=0.0)
 
 
 def _grid_phases(path: CausalPath) -> list:
@@ -289,7 +300,7 @@ def _grid_phases(path: CausalPath) -> list:
     phases (theta, -theta), the other matrices go through the Krein spectrum."""
     form = _normal_form(_symplectic_stack(path.matrices))
     return [(th, -th) if inside else _labeled_args(W)
-            for W, inside, th in zip(path.matrices, form.inside, form.theta)]
+            for W, inside, th in zip(path.matrices, form.inside.tolist(), form.theta)]
 
 
 def track_phases(path: CausalPath) -> PhaseTrack:
@@ -300,21 +311,14 @@ def track_phases(path: CausalPath) -> PhaseTrack:
     label; a step whose phase jump exceeds pi/4 is refined by inserting
     midpoints through the stored tangent.  Only refinement computes
     matrices: the midpoints and the end of the refined step.  Off-circle
-    grid points are flagged and their phases set to NaN.
+    grid points are flagged and their phases set to NaN.  The crossings of
+    multiples of pi are read off the tracked phases after the walk.
     """
     N = path.steps
     n = path.matrices[0].shape[0] // 2
     plus = np.full((N + 1, n), np.nan)
     minus = np.full((N + 1, n), np.nan)
     off = np.zeros(N + 1, dtype=bool)
-    crossings: list[tuple[int, str, float]] = []
-    raw = _grid_phases(path)
-
-    first = raw[0]
-    if first is None:
-        off[0] = True
-    else:
-        plus[0], minus[0] = np.sort(first[0]), np.sort(first[1])
 
     def advance(p, m, W_from, X, dt, labeled, depth):
         if labeled is None:
@@ -334,33 +338,28 @@ def track_phases(path: CausalPath) -> PhaseTrack:
             return advance(*half, W_mid, X, dt / 2, _labeled_args(step @ W_mid), depth + 1)
         return new_p, new_m
 
-    for i in range(N):
-        if off[i]:
-            nxt = raw[i + 1]
-            if nxt is None:
-                off[i + 1] = True
-            else:
-                plus[i + 1], minus[i + 1] = np.sort(nxt[0]), np.sort(nxt[1])
-            continue
-        dt = path.grid[i + 1] - path.grid[i]
-        result = advance(plus[i], minus[i], path.matrices[i], path.tangents[i], dt,
-                         raw[i + 1], 0)
+    raw = _grid_phases(path)
+    for i in range(N + 1):
+        if i == 0 or off[i - 1]:  # a start: the raw phases, sorted
+            result = raw[i] and (np.sort(raw[i][0]), np.sort(raw[i][1]))
+        else:
+            result = advance(plus[i - 1], minus[i - 1], path.matrices[i - 1],
+                             path.tangents[i - 1], path.grid[i] - path.grid[i - 1],
+                             raw[i], 0)
         if result is None:
-            off[i + 1] = True
-            continue
-        plus[i + 1], minus[i + 1] = result
-        for label, old, new in (("+", plus[i], plus[i + 1]), ("-", minus[i], minus[i + 1])):
-            for a, b in zip(old, new):
-                k0, k1 = np.floor(a / np.pi), np.floor(b / np.pi)
-                for k in range(int(min(k0, k1)) + 1, int(max(k0, k1)) + 1):
-                    crossings.append((i + 1, label, k * np.pi))
-    return PhaseTrack(
-        grid=path.grid,
-        plus=plus,
-        minus=minus,
-        crossings=tuple(crossings),
-        off_circle=off,
-    )
+            off[i] = True
+        else:
+            plus[i], minus[i] = result
+    # on a step between on-circle points, a phase whose floor(phase / pi)
+    # moves from k0 to k1 crosses k pi for each k in (min, max] of the two
+    F = np.floor(np.hstack([plus, minus]) / np.pi)
+    moved = ~off[:-1] & ~off[1:] & (F[1:] != F[:-1]).any(axis=1)
+    crossings = [(i + 1, "+-"[j // n], k * np.pi)
+                 for i in np.flatnonzero(moved).tolist()
+                 for j, (k0, k1) in enumerate(zip(F[i].tolist(), F[i + 1].tolist()))
+                 for k in range(int(min(k0, k1)) + 1, int(max(k0, k1)) + 1)]
+    return PhaseTrack(grid=path.grid, plus=plus, minus=minus,
+                      crossings=tuple(crossings), off_circle=off)
 
 
 def mu_along_path(path: CausalPath, start: float | None = None) -> np.ndarray:
@@ -378,7 +377,7 @@ def mu_along_path(path: CausalPath, start: float | None = None) -> np.ndarray:
         return float(np.angle(nu(W)))
 
     def lift_segment(a_prev, W_from, X, dt, a_next, depth):
-        d = float(_wrap(a_next - a_prev))
+        d = _wrap(a_next - a_prev)
         if abs(d) > np.pi / 2:
             if depth >= _MAX_REFINE:
                 raise MatchingAmbiguousError("nu winds too fast for the grid")
@@ -391,9 +390,9 @@ def mu_along_path(path: CausalPath, start: float | None = None) -> np.ndarray:
         return d, a_next
 
     form = _normal_form(_symplectic_stack(path.matrices))
-    args = [float(np.sum(th)) if inside else nu_arg(W)
-            for W, inside, th in zip(path.matrices, form.inside, form.theta)]
-    cont = [float(_wrap(args[0]))]
+    args = [s if inside else nu_arg(W) for W, inside, s in
+            zip(path.matrices, form.inside.tolist(), form.theta.sum(axis=1).tolist())]
+    cont = [_wrap(args[0])]
     a_prev = args[0]
     for i in range(path.steps):
         dt = path.grid[i + 1] - path.grid[i]

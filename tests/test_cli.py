@@ -269,6 +269,16 @@ def test_stdin_subprocess():
     assert out["result"]["dist"] == np.pi / 2
 
 
+def test_import_defers_scipy_optimize_to_its_first_use():
+    code = ("import sys, spcausal, spcausal.cli\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "spcausal.core._optimize()\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 # ---------------------------------------------------------------------------
 # one parser per process, and the exact-type JSON writer
 

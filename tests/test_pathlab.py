@@ -6,12 +6,14 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from spcausal import (
     CausalPath,
     ConeStatus,
     block_rotation,
     cone_status,
+    elliptic_angles,
     geodesic_path,
     is_positively_elliptic,
     is_symplectic,
@@ -29,16 +31,19 @@ from spcausal import (
     verify_suite,
 )
 from spcausal.core import require_symplectic
-from spcausal.elliptic import _checked_form, _normal_form
+from spcausal.elliptic import _checked_form, _normal_form, _symplectic_stack
 from spcausal.exceptions import (
     DimensionMismatchError,
     DriftExceededError,
+    MatchingAmbiguousError,
     NotSymplecticError,
 )
+from spcausal.krein import nu
 from spcausal.pathlab import (
     _MAX_REFINE,
     DRIFT_TOL,
     PHASE_JUMP,
+    _labeled_args,
     _match,
     _wrap,
 )
@@ -56,8 +61,25 @@ def test_random_cone_element_interior_and_deterministic():
 
 
 def test_random_cone_element_rejects_scale():
-    with pytest.raises(ValueError):
-        random_cone_element(0, 1, scale=0.0)
+    for scale in (0.0, -1.0, np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="scale"):
+            random_cone_element(0, 1, scale=scale)
+
+
+def test_random_symplectic_rejects_a_non_finite_scale():
+    for scale in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="scale"):
+            random_symplectic(0, 1, scale=scale)
+    assert is_symplectic(random_symplectic(0, 2, scale=-0.5))
+
+
+def test_random_elliptic_banded_rejects_bounds_outside_zero_to_pi():
+    for lo, hi in ((-1.0, 4.0), (0.0, 1.0), (1.0, np.pi), (2.0, 1.0), (np.nan, 1.0),
+                   (0.5, np.nan), (-np.inf, 1.0)):
+        with pytest.raises(ValueError, match="lo and hi"):
+            random_elliptic_banded(0, 2, lo=lo, hi=hi)
+    W = random_elliptic_banded(0, 2, lo=1.2, hi=1.2)
+    np.testing.assert_allclose(elliptic_angles(W), [1.2, 1.2], rtol=0, atol=1e-8)
 
 
 def test_random_symplectic_is_symplectic():
@@ -73,7 +95,6 @@ def test_random_elliptic_is_elliptic():
 
 
 def test_random_elliptic_banded_angles():
-    from spcausal import elliptic_angles
     for seed in range(10):
         th = elliptic_angles(random_elliptic_banded(seed, 3, lo=0.5, hi=2.5))
         assert np.all(th >= 0.5 - 1e-9) and np.all(th <= 2.5 + 1e-9)
@@ -430,6 +451,169 @@ def test_track_phases_and_mu_match_the_per_matrix_reference():
                                        rtol=0, atol=1e-12)
     # the sample leaves the circle and crosses -1
     assert off_points > 0 and crossing_count > 0
+
+
+# -- differential: the tracking loop against its per-step predecessor --------
+
+def _loop_wrap(a):
+    return -((-np.asarray(a) + np.pi) % (2 * np.pi) - np.pi)
+
+
+def _loop_match(prev, raw):
+    diff = _loop_wrap(raw[None, :] - prev[:, None])
+    rows, cols = scipy.optimize.linear_sum_assignment(diff**2)
+    new = prev.copy()
+    new[rows] = prev[rows] + diff[rows, cols]
+    jump = float(np.max(np.abs(diff[rows, cols]))) if rows.size else 0.0
+    return new, jump
+
+
+def _loop_track_phases(path):
+    """track_phases as it matched through copies and scatters and scanned
+    for crossings per step and angle on numpy scalars; returns (plus, minus,
+    crossings, off_circle)."""
+    N = path.steps
+    n = path.matrices[0].shape[0] // 2
+    plus = np.full((N + 1, n), np.nan)
+    minus = np.full((N + 1, n), np.nan)
+    off = np.zeros(N + 1, dtype=bool)
+    crossings = []
+    form = _normal_form(_symplectic_stack(path.matrices))
+    raw = [(th, -th) if inside else _labeled_args(W)
+           for W, inside, th in zip(path.matrices, form.inside, form.theta)]
+    if raw[0] is None:
+        off[0] = True
+    else:
+        plus[0], minus[0] = np.sort(raw[0][0]), np.sort(raw[0][1])
+
+    def advance(p, m, W_from, X, dt, labeled, depth):
+        if labeled is None:
+            return None
+        new_p, j1 = _loop_match(p, labeled[0])
+        new_m, j2 = _loop_match(m, labeled[1])
+        if max(j1, j2) > PHASE_JUMP:
+            if depth >= _MAX_REFINE:
+                raise MatchingAmbiguousError("refinement exhausted")
+            step = scipy.linalg.expm((dt / 2) * X)
+            W_mid = step @ W_from
+            half = advance(p, m, W_from, X, dt / 2, _labeled_args(W_mid), depth + 1)
+            if half is None:
+                return None
+            return advance(*half, W_mid, X, dt / 2, _labeled_args(step @ W_mid),
+                           depth + 1)
+        return new_p, new_m
+
+    for i in range(N):
+        if off[i]:
+            nxt = raw[i + 1]
+            if nxt is None:
+                off[i + 1] = True
+            else:
+                plus[i + 1], minus[i + 1] = np.sort(nxt[0]), np.sort(nxt[1])
+            continue
+        dt = path.grid[i + 1] - path.grid[i]
+        result = advance(plus[i], minus[i], path.matrices[i], path.tangents[i], dt,
+                         raw[i + 1], 0)
+        if result is None:
+            off[i + 1] = True
+            continue
+        plus[i + 1], minus[i + 1] = result
+        for label, old, new in (("+", plus[i], plus[i + 1]),
+                                ("-", minus[i], minus[i + 1])):
+            for a, b in zip(old, new):
+                k0, k1 = np.floor(a / np.pi), np.floor(b / np.pi)
+                for k in range(int(min(k0, k1)) + 1, int(max(k0, k1)) + 1):
+                    crossings.append((i + 1, label, k * np.pi))
+    return plus, minus, crossings, off
+
+
+def _loop_mu_along_path(path, start=None):
+    """mu_along_path as it lifted on 0-d arrays and summed each member's
+    angles apart."""
+    def nu_arg(W):
+        return float(np.angle(nu(W)))
+
+    def lift_segment(a_prev, W_from, X, dt, a_next, depth):
+        d = float(_loop_wrap(a_next - a_prev))
+        if abs(d) > np.pi / 2:
+            if depth >= _MAX_REFINE:
+                raise MatchingAmbiguousError("nu winds too fast for the grid")
+            step = scipy.linalg.expm((dt / 2) * X)
+            W_mid = step @ W_from
+            d1, a_mid = lift_segment(a_prev, W_from, X, dt / 2, nu_arg(W_mid), depth + 1)
+            d2, a_end = lift_segment(a_mid, W_mid, X, dt / 2, nu_arg(step @ W_mid),
+                                     depth + 1)
+            return d1 + d2, a_end
+        return d, a_next
+
+    form = _normal_form(_symplectic_stack(path.matrices))
+    args = [float(np.sum(th)) if inside else nu_arg(W)
+            for W, inside, th in zip(path.matrices, form.inside, form.theta)]
+    cont = [float(_loop_wrap(args[0]))]
+    a_prev = args[0]
+    for i in range(path.steps):
+        dt = path.grid[i + 1] - path.grid[i]
+        d, a_prev = lift_segment(
+            a_prev, path.matrices[i], path.tangents[i], dt, args[i + 1], 0
+        )
+        cont.append(cont[-1] + d)
+    mu = np.array(cont) / (2 * np.pi)
+    if start is not None:
+        mu += start - mu[0]
+    return mu
+
+
+def _path_lab_paths(seed):
+    """The confined and the free path of each op of the path_lab benchmark
+    recipe at seed."""
+    def seq(*key):
+        return np.random.SeedSequence(entropy=seed, spawn_key=(4, *key))
+
+    out = []
+    for i in range(60):
+        n = 1 + i % 3
+        for r in range(50):
+            W0 = random_elliptic_banded(seq(i, r, 0), n, lo=0.3, hi=1.8)
+            try:
+                out.append(random_causal_path(seq(i, r, 1), n, steps=50, W_start=W0,
+                                              step_size=0.02, confine=True))
+                break
+            except DriftExceededError:
+                continue
+        out.append(random_causal_path(seq(i, 0, 2), n, steps=20, step_size=0.05))
+    return out
+
+
+def test_path_tracking_matches_the_per_step_loop_bit_for_bit():
+    confined, free, special = _differential_paths()
+    # a path with one tangent fewer than its matrices is tracked over its steps
+    backwards = geodesic_path(-standard_J(1), np.eye(2), 0.0, 1.0, 4)
+    short = CausalPath(backwards.grid, backwards.tangents[:-1], backwards.matrices)
+    paths = (confined + free + special + [backwards, short] + _path_lab_paths(1)
+             + _path_lab_paths(3))
+    crossing_count = off_points = 0
+    for k, path in enumerate(paths):
+        got = track_phases(path)
+        plus, minus, crossings, off = _loop_track_phases(path)
+        assert got.plus.tobytes() == plus.tobytes(), k
+        assert got.minus.tobytes() == minus.tobytes(), k
+        assert got.off_circle.tobytes() == off.tobytes(), k
+        assert got.crossings == tuple(crossings), k
+        crossing_count += len(crossings)
+        off_points += int(off.sum())
+        for start in (None, 0.0):
+            want = _loop_mu_along_path(path, start=start)
+            assert mu_along_path(path, start=start).tobytes() == want.tobytes(), k
+    assert crossing_count > 0 and off_points > 0
+
+
+def test_wrap_of_a_float_matches_the_array_form_to_the_bit():
+    for a in (0.0, -0.0, np.pi, -np.pi, 3 * np.pi, 1e300, -1e300, np.nan,
+              0.5, -2.5, 7.0, float(np.nextafter(np.pi, 0.0)),
+              float(np.nextafter(-np.pi, 0.0))):
+        got = _wrap(a)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(_loop_wrap(a)).tobytes(), a
 
 
 def test_track_phases_keeps_columns_on_equal_speed_geodesics():

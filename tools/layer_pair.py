@@ -33,7 +33,9 @@ The path rows follow the benchmark's path_lab recipe: "path + tau" is a
 confined 50-step `random_causal_path` from a banded elliptic start followed
 by `tau` on every grid matrix, and "track_phases" tracks the phases of that
 path.  Both cycle over 16 seeds whose confinement succeeds, so no path's
-forms are still stored when its seed comes round again.
+forms are still stored when its seed comes round again.  "free path + mu" is
+the recipe's unconfined 20-step path of step 0.05 from id followed by
+`mu_along_path` from 0, cycling over 16 seeds.
 
 The geodesic rows follow the benchmark's causal_geodesics recipe at seed 1:
 a banded elliptic W0 and the endpoint W1 of a confined 10-step path from it,
@@ -259,6 +261,13 @@ def measure(np, trees: dict) -> list:
              lambda sp: _cycled(lambda *a: path_tau(sp, *a), paths[sp.__name__]))
         _row(np, trees, table, "track_phases", "cycle", n,
              lambda sp: _cycled(lambda s, W0, p: sp.track_phases(p), paths[sp.__name__]))
+
+        def free_mu(sp, seed):
+            free = sp.random_causal_path(seed, n, steps=20, step_size=0.05)
+            return sp.mu_along_path(free, start=0.0)
+
+        _row(np, trees, table, "free path + mu", "cycle", n,
+             lambda sp: _cycled(lambda s: free_mu(sp, s), [(s,) for s in range(PATHS)]))
     geodesic = {
         "connect": lambda sp, W0, W1, Wt, Xt, Xg, P: sp.connect(W0, W1, samples=64),
         "exit_times torus": lambda sp, W0, W1, Wt, Xt, Xg, P: sp.exit_times(Wt, Xt, t_max=5e3),
