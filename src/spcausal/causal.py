@@ -103,8 +103,6 @@ def finsler_G(X: np.ndarray, tol: float = 1e-9) -> float:
 
     Exactly zero on the cone boundary; raises OutsideConeError elsewhere.
     """
-    X = np.asarray(X, dtype=float)
-    n = half_dim(X)
     status = cone_status(X, tol)
     if status is ConeStatus.BOUNDARY:
         return 0.0
@@ -112,7 +110,7 @@ def finsler_G(X: np.ndarray, tol: float = 1e-9) -> float:
         raise OutsideConeError(f"direction has cone status {status.value}")
     L = np.linalg.cholesky(symmetrized_form(X))
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return float(np.exp(logdet / (2 * n)))
+    return float(np.exp(logdet / len(L)))
 
 
 def geodesic_flow(X: np.ndarray, W0: np.ndarray):
@@ -120,11 +118,23 @@ def geodesic_flow(X: np.ndarray, W0: np.ndarray):
 
     A scalar t gives the point; a 1-D array of N values gives the
     (N, 2n, 2n) stack of points.  Falls back to scipy.linalg.expm when the
-    eigenbasis of X is ill-conditioned.
+    eigenbasis of X is ill-conditioned.  Raises DimensionMismatchError
+    when X and W0 differ in shape.
     """
-    X = require_hamiltonian(X)
     W0 = np.asarray(W0, dtype=float)
+    X = _direction(X, W0)
     return _flow(X, W0, _eigen_flow(X, W0))
+
+
+def _direction(X: np.ndarray, W0: np.ndarray) -> np.ndarray:
+    """X after `require_hamiltonian`; DimensionMismatchError unless it has
+    W0's shape."""
+    X = require_hamiltonian(X)
+    if X.shape != W0.shape:
+        raise DimensionMismatchError(
+            f"direction has shape {X.shape}, expected {W0.shape}"
+        )
+    return X
 
 
 def _eigen_flow(X: np.ndarray, W0: np.ndarray):
@@ -294,11 +304,7 @@ def exit_times(
         raise ValueError("tol must be positive and finite")
     W0 = np.asarray(W0, dtype=float)
     start = _checked_form(W0)
-    X = require_hamiltonian(X)
-    if X.shape != W0.shape:
-        raise DimensionMismatchError(
-            f"direction has shape {X.shape}, expected {W0.shape}"
-        )
+    X = _direction(X, W0)
     status = cone_status(X)
     if status is ConeStatus.ZERO:
         raise ZeroDirectionError("direction is numerically zero")
@@ -312,7 +318,7 @@ def exit_times(
 
     def gap(t):
         M = O @ flow(t)
-        return np.linalg.eigvalsh(M + np.swapaxes(M, -1, -2))[..., 0]
+        return _eigh(M + np.swapaxes(M, -1, -2), vectors=False)[0][..., 0]
 
     scalar_gap = gap
     if eigen is not None:

@@ -129,25 +129,22 @@ def _not_converged(err, flag):
 
 def _eigh(A: np.ndarray, vectors: bool = True):
     """`np.linalg.eigh(A)`, or (`np.linalg.eigvalsh(A)`, None), of a float64
-    or complex128 A.  A single matrix calls their LAPACK kernel (?syevd or
-    ?heevd on the lower triangle) without the wrapper's per-call checks, so
-    its results are numpy's to the bit; a failed solve, which raises the
-    invalid flag, raises LinAlgError as in the wrapper."""
+    or complex128 A: the package's one Hermitian eigensolver entry.  A single
+    matrix calls their LAPACK kernel (?syevd or ?heevd on the lower
+    triangle) without the wrapper's per-call checks, under the wrapper's
+    error state, so its results and warnings are numpy's; a failed solve,
+    which raises the invalid flag, raises LinAlgError as in the wrapper."""
     if A.ndim > 2:
         return np.linalg.eigh(A) if vectors else (np.linalg.eigvalsh(A), None)
     kernels = np.linalg._umath_linalg
-    with np.errstate(call=_not_converged, invalid="call"):
+    with np.errstate(call=_not_converged, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
         return kernels.eigh_lo(A) if vectors else (kernels.eigvalsh_lo(A), None)
 
 
 def standard_J(n: int) -> np.ndarray:
-    """Standard omega-compatible complex structure; Omega @ J = I."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, n:] = -np.eye(n)
-    J[n:, :n] = np.eye(n)
-    return J
+    """Standard omega-compatible complex structure J = Omega^T; Omega @ J = I."""
+    return omega_matrix(n).T.copy()
 
 
 def block_rotation_generator(angles) -> np.ndarray:
@@ -226,12 +223,17 @@ def symplectic_inverse(W: np.ndarray) -> np.ndarray:
 
 
 def is_hamiltonian(X: np.ndarray, tol: float = TOL_HAM) -> CheckResult:
-    """Test membership in sp(2n); |Omega X - (Omega X)^T|_F <= tol ||X||_F."""
+    """Test membership in sp(2n); |Omega X - (Omega X)^T|_F <= tol ||X||_F.
+    Non-finite entries, or a norm of 1e154 or more, fail with residual inf
+    and no numpy warning, as in `is_symplectic`."""
     X = np.asarray(X, dtype=float)
-    S = _omega(half_dim(X)) @ X
-    r = float(np.linalg.norm(S - S.T))
-    scale = max(float(np.linalg.norm(X)), _TINY)
-    return CheckResult(r <= tol * scale, r)
+    O = _omega(half_dim(X))
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = O @ X
+        norm, r = float(np.linalg.norm(X)), float(np.linalg.norm(S - S.T))
+    if not norm < 1e154:  # the norm rule of `_symplectic_check`
+        return CheckResult(False, math.inf)
+    return CheckResult(r <= tol * max(norm, _TINY), r)
 
 
 def require_hamiltonian(X: np.ndarray, tol: float = TOL_HAM) -> np.ndarray:
@@ -239,7 +241,7 @@ def require_hamiltonian(X: np.ndarray, tol: float = TOL_HAM) -> np.ndarray:
     chk = is_hamiltonian(X, tol)
     if not chk:
         raise NotHamiltonianError(
-            f"Omega @ X asymmetry {chk.residual:.3e} exceeds tolerance"
+            f"Hamiltonian residual {chk.residual:.3e} exceeds tolerance"
         )
     return X
 
@@ -263,7 +265,7 @@ def cone_status(X: np.ndarray, tol: float = TOL_CONE) -> ConeStatus:
     norm_x = float(np.linalg.norm(X))
     if norm_x <= tol:
         return ConeStatus.ZERO
-    w = np.linalg.eigvalsh(symmetrized_form(X))
+    w = _eigh(symmetrized_form(X), vectors=False)[0]
     band = tol * max(1.0, norm_x)
     lo, hi = float(w[0]), float(w[-1])
     if lo > band:

@@ -94,10 +94,7 @@ class EllipticSplitting:
     def complex_structure(self, k: int) -> np.ndarray:
         """Ambient matrix acting as the compatible complex structure on V_k
         and as zero on the other planes."""
-        S = np.zeros((2 * self.n, 2 * self.n))
-        S[self.n + k, k] = 1.0
-        S[k, self.n + k] = -1.0
-        return self._ambient(S)[0]
+        return self._ambient(block_rotation_generator(np.eye(self.n)[k]))[0]
 
     def _ambient(self, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """B K B^{-1} for the basis B, with B^{-1}."""
@@ -308,10 +305,14 @@ def log_elliptic(W: np.ndarray) -> np.ndarray:
     return _log_and_splitting(W)[0]
 
 
+def _tau_of(theta: np.ndarray) -> np.ndarray:
+    """The time function of angles (..., n), summed over the last axis."""
+    return np.sum(np.log(theta) - np.log(np.pi - theta), axis=-1)
+
+
 def tau(W: np.ndarray) -> float:
     """Time function: sum of ln(theta_k) - ln(pi - theta_k) over the angles."""
-    th = _region_form(W).theta
-    return float(np.sum(np.log(th) - np.log(np.pi - th)))
+    return float(_tau_of(_region_form(W).theta))
 
 
 def mu_elliptic(W: np.ndarray) -> float:

@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .core import TOL_GROUP, _content_memo, _omega, require_symplectic
+from .core import TOL_GROUP, _content_memo, _eigh, _omega, require_symplectic
 from .exceptions import DimensionMismatchError, SignatureDegenerateError
 
 #: Relative gap below which eigenvalues are merged into one cluster.
@@ -195,8 +195,7 @@ def _spectrum(W: np.ndarray) -> tuple[KreinSpectrum, complex | None]:
     degenerate_at = None
     for g, rep, loc in zip(groups, reps, locs):
         mult = len(g)
-        signature = None
-        degenerate = False
+        signature, degenerate = None, False
         if loc.on_circle:
             if mult == 1:
                 ew, widened = [kappa[g[0]]], False
@@ -206,26 +205,14 @@ def _spectrum(W: np.ndarray) -> tuple[KreinSpectrum, complex | None]:
                 U = _invariant_subspace(W, rep, radius)
                 # a selection of another dimension cannot label the cluster
                 widened = U.shape[1] != mult
-                ew = np.linalg.eigvalsh(krein_gram(U.T)).tolist()
+                ew = _eigh(krein_gram(U.T), vectors=False)[0].tolist()
             sig_tol = SIGMA_REL * max(max(abs(e) for e in ew), _EPS)
             degenerate = widened or any(abs(e) <= sig_tol for e in ew)
-            if degenerate:
-                if degenerate_at is None:
-                    degenerate_at = rep
-            else:
-                signature = (
-                    sum(e > sig_tol for e in ew),
-                    sum(e < -sig_tol for e in ew),
-                )
-        clusters.append(
-            EigenCluster(
-                value=rep,
-                alg_mult=mult,
-                location=loc,
-                krein_signature=signature,
-                degenerate=degenerate,
-            )
-        )
+            if not degenerate:
+                signature = sum(e > sig_tol for e in ew), sum(e < -sig_tol for e in ew)
+            elif degenerate_at is None:
+                degenerate_at = rep
+        clusters.append(EigenCluster(rep, mult, loc, signature, degenerate))
     angles = np.round(np.angle(np.array(reps)), 12).tolist()
     order = sorted(range(len(clusters)), key=lambda i: (angles[i], abs(reps[i])))
     return KreinSpectrum(n, tuple(clusters[i] for i in order)), degenerate_at

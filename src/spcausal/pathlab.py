@@ -41,6 +41,7 @@ from .elliptic import (
     _checked_form,
     _normal_form,
     _symplectic_stack,
+    _tau_of,
     elliptic_angles,
     is_positively_elliptic,
     log_elliptic,
@@ -53,7 +54,6 @@ from .exceptions import (
     DriftExceededError,
     MatchingAmbiguousError,
     NotConnectableError,
-    NotEllipticError,
     NotSymplecticError,
     OutsideConeError,
     SignatureDegenerateError,
@@ -142,7 +142,9 @@ def random_symplectic(seed, n: int, scale: float = 1.0) -> np.ndarray:
 
 def random_elliptic(seed, n: int, margin: float = 0.05) -> np.ndarray:
     """Seeded positively elliptic matrix with largest angle in
-    (margin, pi - margin)."""
+    (margin, pi - margin).  Raises ValueError unless 0 < margin < pi / 2."""
+    if not 0 < margin < np.pi / 2:
+        raise ValueError("margin must satisfy 0 < margin < pi / 2")
     rng = np.random.default_rng(seed)
     X = random_cone_element(rng, n)
     rho = float(np.max(np.abs(np.linalg.eigvals(X).imag)))
@@ -191,7 +193,10 @@ def random_torus_pair(seed, n: int):
 def geodesic_path(
     X: np.ndarray, W0: np.ndarray, t0: float, t1: float, steps: int
 ) -> CausalPath:
-    """Uniform-grid discretisation of the geodesic t -> exp(t X) W0."""
+    """Uniform-grid discretisation of the geodesic t -> exp(t X) W0.
+    Raises ValueError unless steps >= 1."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     grid = np.linspace(t0, t1, steps + 1)
     flow = geodesic_flow(X, W0)
     matrices = tuple(flow(grid))
@@ -463,15 +468,12 @@ def _broken_geodesic_max(seed, dims, trials):
         a = float(rng.uniform(0.2, 0.8))
         Y = random_cone_element(rng, n)
         M = scipy.linalg.expm(a * X + 0.05 * Y / np.linalg.norm(Y))
-        try:
-            if not is_positively_elliptic(M):
-                continue
-            conn_in = connect(np.eye(2 * n), M, samples=0)
-            conn_out = connect(M, W, samples=0)
-        except (NotConnectableError, NotEllipticError):
+        # connect's quotients are M and W M^{-1}; it raises on a non-causal log
+        if not (_checked_form(M).inside
+                and _checked_form(W @ symplectic_inverse(M)).inside):
             continue
-        if not (conn_in.status.causal and conn_out.status.causal):
-            continue
+        conn_in = connect(np.eye(2 * n), M, samples=0)
+        conn_out = connect(M, W, samples=0)
         broken = finsler_G(conn_in.tangent) + finsler_G(conn_out.tangent)
         worst_excess = max(worst_excess, broken - dist_formula(W))
         pairs += 1
@@ -493,7 +495,7 @@ def _tau_monotone(seed, dims, trials):
     for k, n in _schedule(dims, trials):
         _, path = _confined_trial(seed, 30_000 + k, n, steps=50, step_size=0.02)
         form = _normal_form(_symplectic_stack(path.matrices))
-        taus = np.sum(np.log(form.theta) - np.log(np.pi - form.theta), axis=1)
+        taus = _tau_of(form.theta)
         # a non-member fails the check
         step = float(np.min(np.diff(taus))) if form.inside.all() else np.nan
         min_dtau = np.minimum(min_dtau, step)
@@ -538,9 +540,9 @@ def _endpoint_connect(seed, dims, trials):
     ok = True
     for k, n in _schedule(dims, trials):
         W0, path = _confined_trial(seed, 50_000 + k, n, steps=10, step_size=0.05)
-        try:
-            ok = connect(W0, path.endpoint, samples=64).status.causal and ok
-        except (NotConnectableError, NotEllipticError):
+        try:  # connect raises rather than return a non-causal status
+            connect(W0, path.endpoint, samples=64)
+        except NotConnectableError:
             ok = False
     return ok, 0.0, "connect succeeds on region-confined path endpoints"
 
@@ -612,12 +614,11 @@ def _diamond_bounded(seed, dims, trials):
         Y = random_cone_element(rng, n)
         Y = Y / np.linalg.norm(Y)
         M = scipy.linalg.expm(float(rng.uniform(0.0, 0.5)) * Y) @ W0
-        try:
-            if not is_positively_elliptic(M):
-                continue
-            connect(M, W1, samples=0)
-        except (NotConnectableError, NotEllipticError):
+        # W1 M^{-1} is connect's quotient
+        if not (_checked_form(M).inside
+                and _checked_form(W1 @ symplectic_inverse(M)).inside):
             continue
+        connect(M, W1, samples=0)
         max_norm = max(max_norm, float(np.linalg.norm(M)))
         accepted += 1
     return (accepted == trials and np.isfinite(max_norm), max_norm,
@@ -658,11 +659,10 @@ def _quasimorphism_defect(seed, dims, trials):
         n = dims[pairs % len(dims)]
         V = random_elliptic(rng, n)
         W = random_elliptic(rng, n)
-        try:
-            VW = mu_elliptic(V @ W)
-        except NotEllipticError:
+        VW = V @ W
+        if not _checked_form(VW).inside:
             continue
-        defect = max(defect, abs(VW - mu_elliptic(V) - mu_elliptic(W)))
+        defect = max(defect, abs(mu_elliptic(VW) - mu_elliptic(V) - mu_elliptic(W)))
         pairs += 1
     return True, defect, f"max |mu(VW) - mu(V) - mu(W)| over {pairs} pairs"
 

@@ -700,6 +700,12 @@ def test_exit_times_rejects_a_direction_of_another_shape():
         exit_times(rot(0.5), standard_J(2))
 
 
+def test_geodesic_flow_rejects_a_start_of_another_shape():
+    for X, W0 in ((standard_J(1), np.eye(4)), (standard_J(2), rot(0.5))):
+        with pytest.raises(DimensionMismatchError, match="direction has shape"):
+            geodesic_flow(X, W0)
+
+
 def test_exit_times_t_max_flag():
     et = exit_times(rot(np.pi / 2), standard_J(1), t_max=0.5)
     assert not et.finite

@@ -129,6 +129,14 @@ def test_geodesic_rejects_non_symplectic_start(tmp_path, capsys):
     assert "symplectic residual" in out["error"]
 
 
+def test_geodesic_rejects_a_start_of_another_shape(tmp_path, capsys):
+    g = write_doc(tmp_path, "x.json", standard_J(1))
+    h = write_doc(tmp_path, "w.json", np.eye(4))
+    code, out = run_cli(capsys, ["geodesic", "--t", "0.5", g, h])
+    assert code == 1
+    assert "direction has shape" in out["error"]
+
+
 def test_connect_and_exit_times(tmp_path, capsys):
     f = write_doc(tmp_path, "a.json", rot(0.3))
     g = write_doc(tmp_path, "b.json", rot(1.0))

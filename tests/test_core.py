@@ -14,11 +14,13 @@ from spcausal import (
     cone_membership_tangent,
     cone_status,
     elliptic_angles,
+    finsler_G,
     is_hamiltonian,
     is_positively_elliptic,
     is_symplectic,
     krein_spectrum,
     omega_matrix,
+    random_cone_element,
     standard_J,
     symplectic_inverse,
 )
@@ -57,6 +59,15 @@ def test_omega_rejects_nonpositive_n():
 
 def test_standard_J_n1():
     np.testing.assert_array_equal(standard_J(1), [[0, -1], [1, 0]])
+
+
+def test_standard_J_is_the_transpose_of_omega():
+    for n in range(1, 7):
+        J = standard_J(n)
+        assert J.flags.c_contiguous and J.flags.writeable
+        assert J.tobytes() == np.ascontiguousarray(omega_matrix(n).T).tobytes()
+    with pytest.raises(ValueError, match="positive integer"):
+        standard_J(0)
 
 
 def test_omega_J_is_identity():
@@ -114,6 +125,43 @@ def test_symplectic_inverse_matches_numpy():
 def test_is_hamiltonian():
     assert is_hamiltonian(standard_J(2))
     assert not is_hamiltonian(np.eye(2))
+
+
+def _reference_is_hamiltonian(X, tol=1e-9):
+    # the membership test without the norm rule: the differential reference
+    X = np.asarray(X, dtype=float)
+    S = omega_matrix(X.shape[0] // 2) @ X
+    with np.errstate(over="ignore"):
+        r = float(np.linalg.norm(S - S.T))
+    return r <= tol * max(float(np.linalg.norm(X)), 1e-300), r
+
+
+def test_is_hamiltonian_matches_the_reference_below_the_overflow_rule():
+    rng = np.random.default_rng(19)
+    for k in range(600):
+        n = 1 + k % 3
+        X = random_cone_element(rng, n) if k % 2 else rng.standard_normal((2 * n, 2 * n))
+        X = X * (10.0 ** rng.uniform(-300, 153.99) / np.linalg.norm(X))
+        for tol in (1e-9, 1e-7):
+            chk = is_hamiltonian(X, tol)
+            ok, r = _reference_is_hamiltonian(X, tol)
+            assert (chk.ok, repr(chk.residual)) == (ok, repr(r)), k
+
+
+def test_is_hamiltonian_fails_huge_and_non_finite_inputs_without_warnings():
+    X = random_cone_element(4, 2)
+    X /= np.linalg.norm(X)
+    inf_entry, nan_entry = X.copy(), X.copy()
+    inf_entry[0, 2], nan_entry[1, 3] = np.inf, np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cone_status(X * 1e153) is ConeStatus.INTERIOR
+        for bad in (X * 1e154, X * 1e200, -X * 1e300, inf_entry, nan_entry):
+            chk = is_hamiltonian(bad)
+            assert (chk.ok, chk.residual) == (False, np.inf)
+            for entry in (cone_status, finsler_G):
+                with pytest.raises(NotHamiltonianError, match="residual inf"):
+                    entry(bad)
 
 
 def test_cone_status_J_interior():

@@ -22,6 +22,7 @@ from spcausal.elliptic import (
     log_elliptic,
 )
 from spcausal.exceptions import SymplecticDomainError
+from spcausal.krein import krein_gram
 
 from labelling_reference import differential_sample
 
@@ -180,6 +181,38 @@ def test_a_failed_solve_raises_linalg_error():
                     _eigh(A, vectors)
     with pytest.raises(np.linalg.LinAlgError):
         _normal_form(nan)
+
+
+def test_values_only_solves_of_the_cone_and_krein_grams_match_numpy():
+    # the values-only solves of cone_status and of the Krein Gram of a
+    # clustered eigenvalue
+    for k, W in enumerate(_inputs()):
+        W = np.asarray(W, dtype=float)
+        for H in (symmetrized_form(W), krein_gram(W.T + 0.5j * W.T[::-1])):
+            w, none = _eigh(H, vectors=False)
+            assert none is None and _bits(w) == _bits(np.linalg.eigvalsh(H)), k
+
+
+def test_a_single_matrix_solve_warns_as_numpy_does():
+    # LAPACK's scaling of an infinite entry divides by zero, a flag numpy's
+    # wrapper ignores; the solve then fails to converge or returns NaN
+    def outcome(solve):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                return _bits(solve()[0])
+            except (np.linalg.LinAlgError, RuntimeWarning) as exc:
+                return type(exc)
+
+    inf_pair = np.eye(4)
+    inf_pair[0, 1] = inf_pair[1, 0] = np.inf
+    for A in (np.full((4, 4), np.inf), inf_pair):
+        for H in (A, A + 0j):
+            want = outcome(lambda: np.linalg.eigh(H))
+            assert want is not RuntimeWarning
+            assert outcome(lambda: _eigh(H)) == want
+            want = outcome(lambda: (np.linalg.eigvalsh(H),))
+            assert outcome(lambda: _eigh(H, vectors=False)) == want
 
 
 def test_tau_monotone_fails_on_a_path_through_a_non_member(monkeypatch):

@@ -13,10 +13,14 @@ from spcausal import (
     ConeStatus,
     block_rotation,
     cone_status,
+    connect,
+    dist_formula,
     elliptic_angles,
+    finsler_G,
     geodesic_path,
     is_positively_elliptic,
     is_symplectic,
+    log_elliptic,
     mu_along_path,
     mu_elliptic,
     random_causal_path,
@@ -36,15 +40,21 @@ from spcausal.exceptions import (
     DimensionMismatchError,
     DriftExceededError,
     MatchingAmbiguousError,
+    NotConnectableError,
+    NotEllipticError,
     NotSymplecticError,
 )
-from spcausal.krein import nu
+from spcausal.krein import _spectrum, nu
 from spcausal.pathlab import (
     _MAX_REFINE,
     DRIFT_TOL,
     PHASE_JUMP,
+    PROPERTIES,
+    _diamond_base,
     _labeled_args,
     _match,
+    _schedule,
+    _spawn,
     _wrap,
 )
 
@@ -82,6 +92,18 @@ def test_random_elliptic_banded_rejects_bounds_outside_zero_to_pi():
     np.testing.assert_allclose(elliptic_angles(W), [1.2, 1.2], rtol=0, atol=1e-8)
 
 
+def test_random_elliptic_rejects_a_margin_outside_zero_to_half_pi():
+    for margin in (-1.0, 0.0, np.pi / 2, 2.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="margin"):
+            random_elliptic(0, 2, margin=margin)
+    # a valid margin draws as before: the check consumes no random numbers
+    rng = np.random.default_rng(3)
+    X = random_cone_element(rng, 2)
+    rho = float(np.max(np.abs(np.linalg.eigvals(X).imag)))
+    want = scipy.linalg.expm(X * (rng.uniform(1.5, np.pi - 1.5) / rho))
+    assert random_elliptic(3, 2, margin=1.5).tobytes() == want.tobytes()
+
+
 def test_random_symplectic_is_symplectic():
     for seed in range(10):
         W = random_symplectic(seed, 3, scale=0.5)
@@ -114,6 +136,13 @@ def test_geodesic_path_half_turn():
     path = geodesic_path(np.pi * standard_J(1), W0, 0.0, 1.0, 8)
     np.testing.assert_allclose(path.endpoint, -W0, atol=1e-10)
     path.validate()
+
+
+def test_geodesic_path_rejects_steps_below_one():
+    for steps in (0, -1):
+        with pytest.raises(ValueError, match="steps"):
+            geodesic_path(standard_J(1), np.eye(2), 0.0, 1.0, steps)
+    assert geodesic_path(standard_J(1), np.eye(2), 0.0, 1.0, 1).steps == 1
 
 
 def test_random_causal_path_invariants():
@@ -645,6 +674,121 @@ def test_grid_matrices_are_checked_as_a_stack():
         with pytest.raises(NotSymplecticError) as stacked:
             along(broken)
         assert str(stacked.value) == str(single.value)
+
+
+# -- registry samplers -------------------------------------------------------
+
+# The three samplers as they decided acceptance before they read the form
+# memo's verdict: through is_positively_elliptic, whose rejection names a
+# reason from the Krein spectrum, and through connect and mu_elliptic, whose
+# rejections raise; kept as the differential reference.
+def _diagnosing_broken_geodesic_max(seed, dims, trials):
+    rng = np.random.default_rng(_spawn(seed, 20_000))
+    worst_excess = -np.inf
+    pairs = guard = 0
+    while pairs < trials and guard < 50 * trials:
+        guard += 1
+        n = dims[int(rng.integers(len(dims)))]
+        W = random_elliptic_banded(rng, n, lo=0.4, hi=2.6)
+        X = log_elliptic(W)
+        a = float(rng.uniform(0.2, 0.8))
+        Y = random_cone_element(rng, n)
+        M = scipy.linalg.expm(a * X + 0.05 * Y / np.linalg.norm(Y))
+        try:
+            if not is_positively_elliptic(M):
+                continue
+            conn_in = connect(np.eye(2 * n), M, samples=0)
+            conn_out = connect(M, W, samples=0)
+        except (NotConnectableError, NotEllipticError):
+            continue
+        if not (conn_in.status.causal and conn_out.status.causal):
+            continue
+        broken = finsler_G(conn_in.tangent) + finsler_G(conn_out.tangent)
+        worst_excess = max(worst_excess, broken - dist_formula(W))
+        pairs += 1
+    worst_eq = 0.0
+    for k, n in _schedule(dims, 50):
+        W = random_elliptic_banded(_spawn(seed, 21_000 + k), n, lo=0.4, hi=2.6)
+        X = log_elliptic(W)
+        a = 0.2 + 0.012 * k
+        broken = finsler_G(a * X) + finsler_G((1 - a) * X)
+        worst_eq = max(worst_eq, abs(broken - dist_formula(W)))
+    margin = max(worst_excess, worst_eq)
+    return (pairs == trials and margin <= 1e-9, margin,
+            f"max excess of broken over dist: {pairs} perturbed, 50 collinear")
+
+
+def _diagnosing_diamond_bounded(seed, dims, trials):
+    rng = np.random.default_rng(_spawn(seed, 90_000))
+    ends = {}
+    for n in dims:
+        W0 = _diamond_base(n)
+        Z = random_cone_element(rng, n)
+        Z = Z / np.linalg.norm(Z)
+        ends[n] = W0, scipy.linalg.expm(0.8 * Z) @ W0
+    max_norm = 0.0
+    accepted = guard = 0
+    while accepted < trials and guard < 100 * trials:
+        guard += 1
+        n = dims[accepted % len(dims)]
+        W0, W1 = ends[n]
+        Y = random_cone_element(rng, n)
+        Y = Y / np.linalg.norm(Y)
+        M = scipy.linalg.expm(float(rng.uniform(0.0, 0.5)) * Y) @ W0
+        try:
+            if not is_positively_elliptic(M):
+                continue
+            connect(M, W1, samples=0)
+        except (NotConnectableError, NotEllipticError):
+            continue
+        max_norm = max(max_norm, float(np.linalg.norm(M)))
+        accepted += 1
+    return (accepted == trials and np.isfinite(max_norm), max_norm,
+            f"max Frobenius norm over {accepted} sampled diamond midpoints")
+
+
+def _diagnosing_quasimorphism_defect(seed, dims, trials):
+    defect = 0.0
+    rng = np.random.default_rng(_spawn(seed, 160_000))
+    pairs = guard = 0
+    while pairs < trials and guard < 50 * trials:
+        guard += 1
+        n = dims[pairs % len(dims)]
+        V = random_elliptic(rng, n)
+        W = random_elliptic(rng, n)
+        try:
+            VW = mu_elliptic(V @ W)
+        except NotEllipticError:
+            continue
+        defect = max(defect, abs(VW - mu_elliptic(V) - mu_elliptic(W)))
+        pairs += 1
+    return True, defect, f"max |mu(VW) - mu(V) - mu(W)| over {pairs} pairs"
+
+
+_VERDICT_SAMPLERS = {
+    "broken_geodesic_max": (_diagnosing_broken_geodesic_max, 20),
+    "diamond_bounded": (_diagnosing_diamond_bounded, 12),
+    "quasimorphism_defect": (_diagnosing_quasimorphism_defect, 20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VERDICT_SAMPLERS))
+def test_registry_samplers_match_the_diagnosing_reference(name):
+    reference, trials = _VERDICT_SAMPLERS[name]
+    for seed in (42, 7):
+        for dims in ((1, 2, 3), (2,)):
+            passed, margin, detail = PROPERTIES[name](seed, dims, trials)
+            want = reference(seed, dims, trials)
+            assert (passed, repr(margin), detail) == (want[0], repr(want[1]), want[2])
+
+
+@pytest.mark.parametrize("name", sorted(_VERDICT_SAMPLERS))
+def test_registry_samplers_compute_no_krein_spectrum(name):
+    # a rejected candidate needs its verdict, not the reason for it
+    trials = _VERDICT_SAMPLERS[name][1]
+    _spectrum.cache_clear()
+    PROPERTIES[name](42, (2,), trials)
+    assert _spectrum.cache_info().misses == 0
 
 
 # -- suite ------------------------------------------------------------------
