@@ -21,8 +21,8 @@ from .core import (
     _eigh,
     _omega,
     _optimize,
+    _real,
     cone_status,
-    half_dim,
     require_hamiltonian,
     require_symplectic,
     symplectic_inverse,
@@ -39,6 +39,7 @@ from .exceptions import (
     NotCausalError,
     NotConnectableError,
     NotEllipticError,
+    NotSymplecticError,
     OutsideConeError,
     ZeroDirectionError,
 )
@@ -121,42 +122,34 @@ def geodesic_flow(X: np.ndarray, W0: np.ndarray):
     eigenbasis of X is ill-conditioned.  Raises DimensionMismatchError
     when X and W0 differ in shape.
     """
-    W0 = np.asarray(W0, dtype=float)
-    X = _direction(X, W0)
-    return _flow(X, W0, _eigen_flow(X, W0))
+    return _flow(*_direction(X, W0))
 
 
-def _direction(X: np.ndarray, W0: np.ndarray) -> np.ndarray:
-    """X after `require_hamiltonian`; DimensionMismatchError unless it has
-    W0's shape."""
-    X = require_hamiltonian(X)
+def _direction(X: np.ndarray, W0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X after `require_hamiltonian` and the start W0 as floats;
+    DimensionMismatchError unless X has W0's shape."""
+    W0, X = _real(W0, NotSymplecticError), require_hamiltonian(X)
     if X.shape != W0.shape:
         raise DimensionMismatchError(
             f"direction has shape {X.shape}, expected {W0.shape}"
         )
-    return X
+    return X, W0
 
 
-def _eigen_flow(X: np.ndarray, W0: np.ndarray):
-    """(d, V, V^{-1} W0) with X = V diag(d) V^{-1}, or None when the
+def _flow(X: np.ndarray, W0: np.ndarray):
+    """t -> exp(t X) @ W0 from X = V diag(d) V^{-1}, or from expm when the
     eigenbasis of X is ill-conditioned (cond(V) >= _BASIS_COND_MAX) or eig
     fails."""
     try:
         d, V = np.linalg.eig(X)
         if np.linalg.cond(V) < _BASIS_COND_MAX:
-            return d, V, np.linalg.inv(V) @ W0.astype(complex)
+            VW = np.linalg.inv(V) @ W0.astype(complex)
+            return lambda t: np.real(
+                (V * np.exp(np.multiply.outer(t, d)[..., None, :])) @ VW
+            )
     except np.linalg.LinAlgError:
         pass
-    return None
-
-
-def _flow(X: np.ndarray, W0: np.ndarray, eigen):
-    """`geodesic_flow` from the `_eigen_flow` of X and W0, or from expm
-    where that is None."""
-    if eigen is None:
-        return lambda t: scipy.linalg.expm(np.multiply.outer(t, X)) @ W0
-    d, V, VW = eigen
-    return lambda t: np.real((V * np.exp(np.multiply.outer(t, d)[..., None, :])) @ VW)
+    return lambda t: scipy.linalg.expm(np.multiply.outer(t, X)) @ W0
 
 
 def dist_formula(W: np.ndarray) -> float:
@@ -170,7 +163,6 @@ def dist_formula(W: np.ndarray) -> float:
     below -1e-8 max(1, lambda_max(P)), a Jordan shear at +-1 of the wrong
     sign, raises NotEllipticError("outside the closure of the region").
     """
-    W = np.asarray(W, dtype=float)
     form = _checked_form(W)
     if form.inside:
         return float(np.exp(np.mean(np.log(form.theta))))
@@ -283,17 +275,17 @@ def exit_times(
 
     W is in the region exactly when sym(Omega W) is positive definite (see
     `elliptic._normal_form`).  Each exit is the first root of
-    g(t) = lambda_min(sym(Omega exp(+-t X) W0)): g is evaluated as one stack
-    on 0 and the doubling sequence 1, 2, 4, ... <= t_max, the first grid
-    point with g <= 0 brackets the root, and brentq locates it to
-    xtol = min(tol, 1e-10).  Each brentq evaluation is one complex product
-    with Omega V, for X = V diag(d) V^{-1}, and one values-only LAPACK solve;
-    an ill-conditioned eigenbasis takes the expm flow of `geodesic_flow` for
-    both.  The start check puts g(0) above its roundoff, 4 eps
-    |sym(Omega W0)|, so an accepted start is never on the boundary;
-    an exit within xtol of it reads exactly 0.0.  By Krein continuity (see
-    ExitReason) the flow leaves backward through +1 and forward through -1,
-    as Krein-positive eigenvalues turn counterclockwise along a causal flow.
+    g(t) = lambda_min(sym(Omega exp(+-t X) W0)), one point of the flow of
+    `geodesic_flow` and one values-only LAPACK solve per evaluation.  Each
+    direction scans the doubling sequence s, 2s, 4s, ... <= t_max from
+    s = min(1, t_max) and stops at the first g <= 0, which brackets the root
+    with the point before it (0 for the first); brentq locates it on the
+    same g to xtol = min(tol, 1e-10), starting from the two scanned ends.  The start check puts g(0) above its
+    roundoff, 4 eps |sym(Omega W0)|, so an accepted start is never on the
+    boundary; an exit within xtol of it reads exactly 0.0.  By Krein
+    continuity (see ExitReason) the flow leaves backward through +1 and
+    forward through -1, as Krein-positive eigenvalues turn counterclockwise
+    along a causal flow.
     Raises ValueError unless 0 < t_max < inf and 0 < tol < inf,
     DimensionMismatchError when X and W0 differ in shape, and
     NotEllipticError when W0 fails `is_positively_elliptic`.
@@ -302,9 +294,8 @@ def exit_times(
         raise ValueError("t_max must be positive and finite")
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
-    W0 = np.asarray(W0, dtype=float)
     start = _checked_form(W0)
-    X = _direction(X, W0)
+    X, W0 = _direction(X, W0)
     status = cone_status(X)
     if status is ConeStatus.ZERO:
         raise ZeroDirectionError("direction is numerically zero")
@@ -312,43 +303,29 @@ def exit_times(
         raise OutsideConeError(f"direction has cone status {status.value}")
     if not start.inside:
         raise NotEllipticError("starting point is not positively elliptic")
-    eigen = _eigen_flow(X, W0)
-    flow = _flow(X, W0, eigen)
-    O = _omega(half_dim(W0))
+    flow = _flow(X, W0)
+    O = _omega(W0.shape[0] // 2)
 
-    def gap(t):
+    def gap(t: float):
         M = O @ flow(t)
-        return _eigh(M + np.swapaxes(M, -1, -2), vectors=False)[0][..., 0]
+        return _eigh(M + M.T, vectors=False)[0][0]
 
-    scalar_gap = gap
-    if eigen is not None:
-        d, V, VW = eigen
-        OV = O @ V
+    g0 = gap(0.0)  # > 0 at an accepted start
 
-        def scalar_gap(t):
-            M = ((OV * np.exp(t * d)) @ VW).real
-            return _eigh(M + M.T, vectors=False)[0][0]
-
-    ts = [0.0, min(1.0, t_max)]
-    while 2.0 * ts[-1] <= t_max:
-        ts.append(2.0 * ts[-1])
-    ts = np.array(ts)
-    # both directions in one stack: 0, the forward grid, the backward grid
-    g_both = gap(np.concatenate([ts, -ts[1:]]))
-
-    def locate(sign: float, g: np.ndarray) -> float:
-        k = 1 + int(np.argmax(g[1:] <= 0))  # g(0) > 0 at an accepted start
-        if g[k] > 0:
-            return float("inf")
-        # brentq evaluates the bracket ends first; the grid already holds them
-        ends = {ts[k - 1]: g[k - 1], ts[k]: g[k]}
+    def locate(sign: float) -> float:
+        a, g_a, b = 0.0, g0, min(1.0, t_max)
+        while not (g_b := gap(sign * b)) <= 0:
+            if 2.0 * b > t_max:
+                return float("inf")
+            a, g_a, b = b, g_b, 2.0 * b
+        # brentq evaluates the bracket ends first; the scan already holds them
+        ends = {a: g_a, b: g_b}
         return _optimize().brentq(
-            lambda t: ends[t] if t in ends else scalar_gap(sign * t),
-            ts[k - 1], ts[k], xtol=min(tol, 1e-10),
+            lambda t: ends[t] if t in ends else gap(sign * t),
+            a, b, xtol=min(tol, 1e-10),
         )
 
-    c1 = locate(-1.0, np.r_[g_both[0], g_both[ts.size:]])
-    c2 = locate(1.0, g_both[:ts.size])
+    c1, c2 = locate(-1.0), locate(1.0)
     bwd = ExitReason.EIGENVALUE_ONE if c1 < np.inf else None
     fwd = ExitReason.EIGENVALUE_MINUS_ONE if c2 < np.inf else None
     return ExitTimes(c1=c1, c2=c2, backward_reason=bwd, forward_reason=fwd)

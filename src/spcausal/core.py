@@ -70,13 +70,25 @@ class CheckResult:
 
 
 def half_dim(M: np.ndarray) -> int:
-    """Half-dimension n of a 2n x 2n matrix; raises on odd or non-square."""
+    """Half-dimension n >= 1 of a 2n x 2n matrix; raises on any other shape."""
     M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size:
+        raise DimensionMismatchError(f"expected a 2n x 2n matrix, got shape {M.shape}")
     if M.shape[0] % 2:
         raise OddDimensionError(f"dimension {M.shape[0]} is odd")
     return M.shape[0] // 2
+
+
+def _real(M, error: type[Exception] | None = None) -> np.ndarray:
+    """A caller's matrix M as float64.  An entry with a nonzero imaginary
+    part raises ``error``, or without one reads as NaN, which the predicates
+    fail as a non-finite entry."""
+    M = np.asarray(M)
+    if M.dtype.kind != "c":
+        return M.astype(float, copy=False)
+    if error is not None and M.imag.any():
+        raise error("complex entries with a nonzero imaginary part")
+    return np.where(M.imag == 0, M.real.astype(float), np.nan)
 
 
 def omega_matrix(n: int) -> np.ndarray:
@@ -109,7 +121,7 @@ def _content_memo(maxsize: int):
 
         @functools.wraps(fn)
         def memo(W):
-            W = np.asarray(W, dtype=float)
+            W = _real(W, NotSymplecticError)
             return record(W.shape, W.tobytes())
 
         memo.cache_info, memo.cache_clear = record.cache_info, record.cache_clear
@@ -197,13 +209,13 @@ def _symplectic_check(M: np.ndarray, tol: float, stack: bool = False):
 
 def is_symplectic(M: np.ndarray, tol: float = TOL_SYMP) -> CheckResult:
     """Test the symplectic relation; residual is compared to tol * ||M||_F^2.
-    Non-finite entries, or a norm of 1e154 or more, fail with residual inf
-    and no numpy warning."""
-    return CheckResult(*_symplectic_check(np.asarray(M, dtype=float), tol))
+    Non-finite or non-real entries, or a norm of 1e154 or more, fail with
+    residual inf and no numpy warning."""
+    return CheckResult(*_symplectic_check(_real(M), tol))
 
 
 def require_symplectic(M: np.ndarray, tol: float = TOL_SYMP) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
+    M = _real(M, NotSymplecticError)
     ok, residual = _symplectic_check(M, tol)
     if not ok:
         if not np.isfinite(M).all():
@@ -217,16 +229,16 @@ def require_symplectic(M: np.ndarray, tol: float = TOL_SYMP) -> np.ndarray:
 
 def symplectic_inverse(W: np.ndarray) -> np.ndarray:
     """Exact group inverse W^{-1} = Omega^{-1} W^T Omega of a symplectic W."""
-    W = np.asarray(W, dtype=float)
+    W = _real(W, NotSymplecticError)
     O = _omega(half_dim(W))
     return -O @ W.T @ O
 
 
 def is_hamiltonian(X: np.ndarray, tol: float = TOL_HAM) -> CheckResult:
     """Test membership in sp(2n); |Omega X - (Omega X)^T|_F <= tol ||X||_F.
-    Non-finite entries, or a norm of 1e154 or more, fail with residual inf
-    and no numpy warning, as in `is_symplectic`."""
-    X = np.asarray(X, dtype=float)
+    Non-finite or non-real entries, or a norm of 1e154 or more, fail with
+    residual inf and no numpy warning, as in `is_symplectic`."""
+    X = _real(X)
     O = _omega(half_dim(X))
     with np.errstate(over="ignore", invalid="ignore"):
         S = O @ X
@@ -237,7 +249,7 @@ def is_hamiltonian(X: np.ndarray, tol: float = TOL_HAM) -> CheckResult:
 
 
 def require_hamiltonian(X: np.ndarray, tol: float = TOL_HAM) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
+    X = _real(X, NotHamiltonianError)
     chk = is_hamiltonian(X, tol)
     if not chk:
         raise NotHamiltonianError(
@@ -248,7 +260,7 @@ def require_hamiltonian(X: np.ndarray, tol: float = TOL_HAM) -> np.ndarray:
 
 def symmetrized_form(X: np.ndarray) -> np.ndarray:
     """Symmetric part of Omega @ X, the quadratic form omega(., X .)."""
-    X = np.asarray(X, dtype=float)
+    X = _real(X, NotHamiltonianError)
     S = _omega(half_dim(X)) @ X
     return (S + S.T) / 2
 
@@ -259,8 +271,11 @@ def cone_status(X: np.ndarray, tol: float = TOL_CONE) -> ConeStatus:
     The classification reads the eigenvalues of the symmetrised Omega @ X
     against a band of width tol * max(1, ||X||_F).  The asymmetric part is
     checked first and reported separately as NotHamiltonianError, so "not in
-    the Lie algebra" is never conflated with "not in the cone".
+    the Lie algebra" is never conflated with "not in the cone".  Raises
+    ValueError unless 0 <= tol < inf.
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError("tol must be non-negative and finite")
     X = require_hamiltonian(X, tol=max(tol, TOL_HAM))
     norm_x = float(np.linalg.norm(X))
     if norm_x <= tol:
@@ -282,9 +297,12 @@ def cone_status(X: np.ndarray, tol: float = TOL_CONE) -> ConeStatus:
 def cone_membership_tangent(
     W: np.ndarray, A: np.ndarray, tol: float = TOL_CONE
 ) -> ConeStatus:
-    """Classify a tangent A at the group element W via X = A @ W^{-1}."""
+    """Classify a tangent A at the group element W via X = A @ W^{-1}.
+    Raises ValueError unless 0 <= tol < inf."""
+    if not 0 <= tol < math.inf:
+        raise ValueError("tol must be non-negative and finite")
     W = require_symplectic(W, tol=max(tol, TOL_GROUP))
-    A = np.asarray(A, dtype=float)
+    A = _real(A, NotHamiltonianError)
     if A.shape != W.shape:
         raise DimensionMismatchError(
             f"tangent shape {A.shape} does not match {W.shape}"

@@ -32,13 +32,14 @@ from .core import (
     _content_memo,
     _eigh,
     _omega,
+    _real,
     _symplectic_check,
     block_rotation_generator,
     require_symplectic,
     symmetrized_form,
     symplectic_inverse,
 )
-from .exceptions import IllConditionedWarning, NotEllipticError
+from .exceptions import IllConditionedWarning, NotEllipticError, NotSymplecticError
 # krein_spectrum stays importable from this module, which the benchmark's
 # tracer rebinds; the rejection diagnosis of a checked W reads the memo _spectrum
 from .krein import _phases, _spectrum, krein_spectrum  # noqa: F401
@@ -204,7 +205,7 @@ def _checked_form(W: np.ndarray) -> _Form:
 def _symplectic_stack(Ws: np.ndarray) -> np.ndarray:
     """An (N, 2n, 2n) stack as floats after the symplectic check at TOL_GROUP;
     the first matrix that fails raises with the single-matrix message."""
-    Ws = np.asarray(Ws, dtype=float)
+    Ws = _real(Ws, NotSymplecticError)
     for W in Ws[~_symplectic_check(Ws, TOL_GROUP, stack=True)[0]]:
         require_symplectic(W, TOL_GROUP)
     return Ws
@@ -220,7 +221,6 @@ def _region_form(W: np.ndarray) -> _Form:
     """The memoised form of a region element.  A non-member raises
     NotEllipticError naming the first condition the Krein spectrum finds
     violated, or "boundary" when it finds none."""
-    W = np.asarray(W, dtype=float)
     form = _checked_form(W)
     if not form.inside:
         raise NotEllipticError(_rejection_reason(W))
@@ -239,7 +239,6 @@ def is_positively_elliptic(W: np.ndarray, tol: float = TOL_GROUP) -> EllipticChe
     The symplectic relation is checked at min(tol, TOL_GROUP), so ``tol``
     can only tighten that check, never loosen it.
     """
-    W = np.asarray(W, dtype=float)
     if not tol >= TOL_GROUP:  # a NaN tol takes the check, and fails it
         require_symplectic(W, tol)
     form = _checked_form(W)

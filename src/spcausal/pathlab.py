@@ -22,10 +22,12 @@ from .core import (
     ConeStatus,
     _omega,
     _optimize,
+    _real,
     block_rotation,
     block_rotation_generator,
     cone_status,
     is_symplectic,
+    require_symplectic,
     standard_J,
     symplectic_inverse,
 )
@@ -219,19 +221,21 @@ def random_causal_path(
     halved step size (up to 20 halvings), each attempt checked through
     the form memo (README, "The two memos").  Symplecticity drift beyond
     DRIFT_TOL raises DriftExceededError; it is checked before membership.
-    Raises ValueError unless steps >= 1 and 0 < step_size < inf, and
-    DimensionMismatchError unless W_start is (2n, 2n).
+    Raises ValueError unless steps >= 1 and 0 < step_size < inf,
+    DimensionMismatchError unless W_start is (2n, 2n), and NotSymplecticError
+    unless it is symplectic at TOL_GROUP.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not 0 < step_size < np.inf:
         raise ValueError("step_size must be positive and finite")
     rng = np.random.default_rng(seed)
-    W = np.eye(2 * n) if W_start is None else np.asarray(W_start, dtype=float)
+    W = np.eye(2 * n) if W_start is None else _real(W_start, NotSymplecticError)
     if W.shape != (2 * n, 2 * n):
         raise DimensionMismatchError(
             f"W_start has shape {W.shape}, expected {(2 * n, 2 * n)}"
         )
+    require_symplectic(W, TOL_GROUP)
     grid = [0.0]
     tangents: list[np.ndarray] = []
     matrices = [W]

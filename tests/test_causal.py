@@ -35,6 +35,8 @@ from spcausal.exceptions import (
     DimensionMismatchError,
     NotConnectableError,
     NotEllipticError,
+    NotHamiltonianError,
+    NotSymplecticError,
     OutsideConeError,
     ZeroDirectionError,
 )
@@ -710,3 +712,185 @@ def test_exit_times_t_max_flag():
     et = exit_times(rot(np.pi / 2), standard_J(1), t_max=0.5)
     assert not et.finite
     assert et.forward_reason is None
+
+
+# -- the one-gap exit scan against the stacked grid it replaced -------------
+
+def _grid_flow(X, W0):
+    """geodesic_flow as it was assembled from a separate eigen record:
+    (d, V, V^{-1} W0), or None for the expm flow."""
+    eigen = None
+    try:
+        d, V = np.linalg.eig(X)
+        if np.linalg.cond(V) < causal._BASIS_COND_MAX:
+            eigen = d, V, np.linalg.inv(V) @ W0.astype(complex)
+    except np.linalg.LinAlgError:
+        pass
+    if eigen is None:
+        return lambda t: scipy.linalg.expm(np.multiply.outer(t, X)) @ W0, None
+    d, V, VW = eigen
+    return (lambda t: np.real((V * np.exp(np.multiply.outer(t, d)[..., None, :])) @ VW),
+            eigen)
+
+
+def _grid_exit_times(W0, X, t_max=1e3, tol=1e-8):
+    """exit_times as it was with a stacked grid: g on 0 and the doubling
+    sequence of both directions as one stack, the bracket ends read from the
+    stack, and every other brentq evaluation one complex product with
+    Omega V (the stacked g on the expm flow)."""
+    W0 = np.asarray(W0, dtype=float)
+    flow, eigen = _grid_flow(X, W0)
+    O = omega_matrix(W0.shape[0] // 2)
+
+    def gap(t):
+        M = O @ flow(t)
+        return np.linalg.eigvalsh(M + np.swapaxes(M, -1, -2))[..., 0]
+
+    scalar_gap = gap
+    if eigen is not None:
+        d, V, VW = eigen
+        OV = O @ V
+
+        def scalar_gap(t):
+            M = ((OV * np.exp(t * d)) @ VW).real
+            return np.linalg.eigvalsh(M + M.T)[0]
+
+    ts = [0.0, min(1.0, t_max)]
+    while 2.0 * ts[-1] <= t_max:
+        ts.append(2.0 * ts[-1])
+    ts = np.array(ts)
+    g_both = gap(np.concatenate([ts, -ts[1:]]))
+
+    def locate(sign, g):
+        k = 1 + int(np.argmax(g[1:] <= 0))
+        if g[k] > 0:
+            return float("inf")
+        ends = {ts[k - 1]: g[k - 1], ts[k]: g[k]}
+        return scipy.optimize.brentq(
+            lambda t: ends[t] if t in ends else scalar_gap(sign * t),
+            ts[k - 1], ts[k], xtol=min(tol, 1e-10),
+        )
+
+    c1 = locate(-1.0, np.r_[g_both[0], g_both[ts.size:]])
+    c2 = locate(1.0, g_both[:ts.size])
+    bwd = ExitReason.EIGENVALUE_ONE if c1 < np.inf else None
+    fwd = ExitReason.EIGENVALUE_MINUS_ONE if c2 < np.inf else None
+    return c1, c2, bwd, fwd
+
+
+def _assert_exits_equal_the_grid(cases, t_maxes=(0.5, 1e3, 5e3)):
+    """Byte-equal c1, c2 and reasons on every case and t_max; returns the
+    number of exits found past t_max (the infinite flags)."""
+    unbracketed = 0
+    for W0, X in cases:
+        for t_max in t_maxes:
+            et = exit_times(W0, X, t_max=t_max)
+            c1, c2, bwd, fwd = _grid_exit_times(W0, X, t_max=t_max)
+            assert np.float64(et.c1).tobytes() == np.float64(c1).tobytes()
+            assert np.float64(et.c2).tobytes() == np.float64(c2).tobytes()
+            assert (et.backward_reason, et.forward_reason) == (bwd, fwd)
+            unbracketed += (c1 == np.inf) + (c2 == np.inf)
+    return unbracketed
+
+
+def _bench_exit_cases(seed):
+    """The exit-time inputs of the causal_geodesics benchmark pool: a torus
+    pair and a unit generic direction from its start, at n = 1, 2, 3."""
+    cases = []
+    for i in range(60):
+        n = 1 + i % 3
+        Wt, Xt, _, _ = random_torus_pair(np.random.SeedSequence(seed, spawn_key=(3, i, 0, 2)), n)
+        Xg = random_cone_element(np.random.SeedSequence(seed, spawn_key=(3, i, 0, 3)), n)
+        cases += [(Wt, Xt), (Wt, Xg / np.linalg.norm(Xg))]
+    return cases
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
+def test_exit_times_equal_the_stacked_grid_on_the_bench_pool(seed):
+    # 120 calls per seed, each at t_max 0.5 (no exit bracketed for most),
+    # 1e3 and 5e3
+    assert _assert_exits_equal_the_grid(_bench_exit_cases(seed)) > 0
+
+
+def test_exit_times_equal_the_stacked_grid_on_adversarial_starts():
+    # the reference cases, and the starts of
+    # test_exit_times_ill_conditioned_start that exit_times accepts
+    cases = _reference_cases()
+    for seed in range(24):
+        rng = np.random.default_rng((107, seed))
+        n = 1 + seed % 3
+        S = random_symplectic(rng, n, scale=4.0 + seed % 2)
+        Si = symplectic_inverse(S)
+        angles = np.sort(rng.uniform(0.5, 2.5, n))
+        for theta in (3e-8, 1e-6):
+            for a in (theta, np.pi - theta):
+                W0 = S @ block_rotation(np.r_[a, angles[1:]]) @ Si
+                X = random_cone_element(rng, n)
+                if is_positively_elliptic(W0):
+                    cases.append((W0, X / np.linalg.norm(X)))
+    assert len(cases) > 60
+    _assert_exits_equal_the_grid(cases)
+
+
+def _jordan_cases():
+    """Causal boundary directions X = [[0, 0], [A, 0]] with A >= 0, whose
+    eigenbasis is singular, from elliptic starts."""
+    rng = np.random.default_rng(127)
+    cases = []
+    for k in range(6):
+        n = 1 + k % 3
+        A = rng.standard_normal((n, n))
+        A = A @ A.T if k >= 3 else np.outer(A[0], A[0])
+        X = np.zeros((2 * n, 2 * n))
+        X[n:, :n] = A / np.linalg.norm(A)
+        cases.append((random_elliptic(rng, n, margin=0.2), X))
+    return cases
+
+
+def test_exit_times_equal_the_stacked_grid_on_the_expm_flow(monkeypatch):
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda A: calls.append(1) or expm(A))
+    _assert_exits_equal_the_grid(_jordan_cases())
+    assert len(calls) > 0
+
+
+def test_exit_times_solve_no_stack(monkeypatch):
+    # the scan evaluates g one point at a time and stops at the first
+    # bracket, on the eigenbasis flow and on the expm flow
+    shapes = []
+    eigh = causal._eigh
+    monkeypatch.setattr(causal, "_eigh",
+                        lambda A, vectors=True: shapes.append(A.shape) or eigh(A, vectors))
+    for W0, X in _bench_exit_cases(1)[:30] + _jordan_cases():
+        shapes.clear()
+        exit_times(W0, X, t_max=5e3)
+        assert shapes and all(len(s) == 2 for s in shapes)
+
+
+def test_geodesic_flow_is_bit_identical_to_the_eigen_record_flow():
+    ts = np.array([-1.3, 0.0, 0.4, 2.1])
+    rng = np.random.default_rng(131)
+    cases = [(X, W0) for W0, X in _jordan_cases()]
+    for _ in range(12):
+        n = int(rng.integers(1, 4))
+        cases.append((random_cone_element(rng, n), random_symplectic(rng, n, scale=0.3)))
+    paths = set()
+    for X, W0 in cases:
+        flow = geodesic_flow(X, W0)
+        ref, eigen = _grid_flow(X, W0)
+        paths.add(eigen is None)
+        assert flow(ts).tobytes() == ref(ts).tobytes()
+        for t in ts:
+            assert flow(t).tobytes() == ref(t).tobytes()
+    assert paths == {True, False}
+
+
+def test_geodesic_entries_reject_a_complex_start():
+    W0, X = rot(0.5) + 1e-3j * np.eye(2), standard_J(1)
+    for call in (lambda: geodesic_flow(X, W0), lambda: exit_times(W0, X),
+                 lambda: dist_formula(W0), lambda: connect(W0, rot(0.7))):
+        with pytest.raises(NotSymplecticError, match="nonzero imaginary part"):
+            call()
+    with pytest.raises(NotHamiltonianError, match="nonzero imaginary part"):
+        exit_times(rot(0.5), X + 1e-3j * X)

@@ -15,6 +15,7 @@ from spcausal import (
     cone_status,
     elliptic_angles,
     finsler_G,
+    half_dim,
     is_hamiltonian,
     is_positively_elliptic,
     is_symplectic,
@@ -23,7 +24,9 @@ from spcausal import (
     random_cone_element,
     standard_J,
     symplectic_inverse,
+    tau,
 )
+from spcausal.core import symmetrized_form
 from spcausal.exceptions import (
     DimensionMismatchError,
     NotHamiltonianError,
@@ -269,3 +272,53 @@ def test_non_finite_input_typed_error_without_warning():
             for f in (is_positively_elliptic, elliptic_angles, krein_spectrum):
                 with pytest.raises(NotSymplecticError, match=message):
                     f(M)
+
+
+def test_cone_tests_reject_a_negative_nan_or_infinite_tol():
+    # before any other check: -J, 0 and diag(1, -1) read INTERIOR at
+    # tol = -1, and every direction ZERO at tol = inf
+    J = standard_J(1)
+    for tol in (-1.0, -1e-300, np.nan, np.inf, -np.inf):
+        for call in (lambda: cone_status(J, tol),
+                     lambda: cone_status(np.diag([1.0, -1.0]), tol),
+                     lambda: cone_membership_tangent(np.eye(2), -J, tol),
+                     lambda: finsler_G(-J, tol)):
+            with pytest.raises(ValueError, match="tol must be non-negative and finite") as exc:
+                call()
+            assert type(exc.value) is ValueError
+    assert cone_status(J, 0.0) is ConeStatus.INTERIOR
+    assert cone_status(-J, 0.0) is ConeStatus.NEGATIVE_INTERIOR
+    assert cone_status(np.zeros((2, 2)), 0.0) is ConeStatus.ZERO
+    assert cone_membership_tangent(np.eye(2), J, 0.0) is ConeStatus.INTERIOR
+
+
+def test_complex_inputs_with_an_imaginary_part_are_rejected_without_warning():
+    R, J = block_rotation([0.4, 1.1]), standard_J(2)
+    W, X = R + 1e-3j * np.eye(4), J + 1j * J
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_symplectic(W) == CheckResult(False, float("inf"))
+        assert is_hamiltonian(X) == CheckResult(False, float("inf"))
+        for call in (lambda: is_positively_elliptic(W), lambda: tau(W),
+                     lambda: elliptic_angles(W), lambda: krein_spectrum(W),
+                     lambda: symplectic_inverse(W),
+                     lambda: cone_membership_tangent(W, J)):
+            with pytest.raises(NotSymplecticError, match="nonzero imaginary part"):
+                call()
+        for call in (lambda: cone_status(X), lambda: symmetrized_form(X),
+                     lambda: cone_membership_tangent(R, X @ R)):
+            with pytest.raises(NotHamiltonianError, match="nonzero imaginary part"):
+                call()
+        # a complex dtype with zero imaginary parts reads as the real matrix
+        assert is_symplectic(R.astype(complex)) == is_symplectic(R)
+        assert tau(R.astype(complex)) == tau(R)
+        assert cone_status(J.astype(complex)) is ConeStatus.INTERIOR
+        assert np.array_equal(symplectic_inverse(R.astype(complex)), symplectic_inverse(R))
+
+
+def test_an_empty_matrix_raises_a_dimension_mismatch():
+    E = np.zeros((0, 0))
+    for f in (half_dim, is_symplectic, is_hamiltonian, cone_status,
+              krein_spectrum, is_positively_elliptic):
+        with pytest.raises(DimensionMismatchError, match="expected a 2n x 2n matrix"):
+            f(E)

@@ -48,7 +48,8 @@ def _parent_kernel():
     closure branch of `dist_formula` run the unchecked kernel in "mark"
     mode.  Asserts that the memo is not consulted meanwhile."""
     def marked(W):
-        return reference_spectrum(W, "mark"), None
+        # the memo converts its argument before the kernel reads it
+        return reference_spectrum(np.asarray(W, dtype=float), "mark"), None
 
     bindings = [(m, "krein_spectrum", reference_krein_spectrum)
                 for m in (krein, pathlab, cli)]

@@ -269,18 +269,21 @@ def test_confined_paths_match_the_parent_loop_byte_for_byte():
     assert most > _checked_form.cache_info().maxsize
 
 
-def test_drifting_start_raises_the_same_drift_error_confined_or_not():
+def test_a_non_symplectic_start_raises_not_symplectic_confined_or_not():
+    # the start is checked at TOL_GROUP before the first step, so a bad
+    # start is named as such rather than as the drift of a step
     W0 = random_elliptic_banded(0, 2, lo=0.3, hi=1.8)
     off = W0.copy()
     off[0, 1] += 1e-3
     nonfinite = W0.copy()
     nonfinite[1, 0] = np.nan
-    for bad in (off, nonfinite):
-        want = _path_outcome(_parent_causal_path, 0, 2, 5, bad, 0.02, False)
-        assert want[0] == "raised" and "exceeds 1e-07" in want[1]
+    for bad in (off, nonfinite, 2 * np.eye(4), W0 + 1e-3j):
+        with pytest.raises(NotSymplecticError) as want:
+            require_symplectic(bad, DRIFT_TOL)
         for confine in (True, False):
-            args = (0, 2, 5, bad, 0.02, confine)
-            assert _path_outcome(random_causal_path, *args) == want
+            with pytest.raises(NotSymplecticError) as got:
+                random_causal_path(0, 2, 5, W_start=bad, step_size=0.02, confine=confine)
+            assert str(got.value) == str(want.value)
 
 
 def test_random_causal_path_rejects_a_start_of_another_shape():
