@@ -186,9 +186,13 @@ def path_length(path) -> float:
 
     Accepts any object with `grid` and `tangents` attributes (see
     pathlab.CausalPath).  Raises OutsideConeError naming the offending grid
-    index if a tangent is not cone-admissible.
+    index if a tangent is not cone-admissible, and DimensionMismatchError
+    unless the grid has at least steps + 1 entries.
     """
     grid = np.asarray(path.grid, dtype=float)
+    if len(grid) <= len(path.tangents):
+        raise DimensionMismatchError(f"{len(path.tangents)} steps need steps + 1 "
+                                     f"grid points, got {len(grid)}")
     total = 0.0
     for i, X in enumerate(path.tangents):
         dt = grid[i + 1] - grid[i]

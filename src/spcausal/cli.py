@@ -257,7 +257,7 @@ def _cmd_exit_times(args) -> dict:
 def _cmd_geodesic(args) -> dict:
     X, W0 = _load_docs(args.files, 2)
     # geodesic_flow leaves W0 unchecked: connect and exit_times check it
-    W0 = require_symplectic(W0, TOL_SYMP)
+    W0 = require_symplectic(W0, TOL_GROUP)
     return {"point": geodesic_flow(X, W0)(args.t), "t": args.t}
 
 
@@ -299,10 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, nfiles=0, tol_symp=TOL_GROUP, **kw):
-        # tol_symp: the symplectic tolerance of the subcommand's library calls
+    def add(name, handler, nfiles=0, **kw):
         sp = sub.add_parser(name, **kw)
-        sp.set_defaults(handler=handler, tol=None, tol_symp=tol_symp)
+        sp.set_defaults(handler=handler, tol=None)
         if nfiles:
             sp.add_argument(
                 "files", nargs="*",
@@ -310,8 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
         return sp
 
-    sp = add("check", _cmd_check, nfiles=1, tol_symp=TOL_SYMP,
-             help="predicate checks on a matrix")
+    sp = add("check", _cmd_check, nfiles=1, help="predicate checks on a matrix")
     sp.add_argument("--tol", type=_nonnegative_finite, default=None,
                     help="override the default tolerance")
     grp = sp.add_mutually_exclusive_group()
@@ -337,8 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
              help="exit parameters of exp(tX) W0 from the region")
     sp.add_argument("--t-max", type=_positive_finite, default=1e3)
 
-    sp = add("geodesic", _cmd_geodesic, nfiles=2, tol_symp=TOL_SYMP,
-             help="evaluate exp(tX) W0")
+    sp = add("geodesic", _cmd_geodesic, nfiles=2, help="evaluate exp(tX) W0")
     sp.add_argument("--t", type=_finite, required=True)
 
     sp = add("path-verify", _cmd_path_verify,
@@ -358,11 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tolerances(args) -> dict:
-    tol_symp = args.tol_symp if args.tol is None else args.tol
-    if args.command == "check" and not (
-        args.symplectic or args.hamiltonian or args.cone
-    ):
-        # the elliptic check defaults to TOL_GROUP and checks at min(tol, TOL_GROUP)
+    if args.command == "check" and (args.symplectic or args.hamiltonian or args.cone):
+        tol_symp = TOL_SYMP if args.tol is None else args.tol
+    else:
+        # every group element is checked at TOL_GROUP; only check's elliptic
+        # mode takes --tol, and checks at min(tol, TOL_GROUP)
         tol_symp = TOL_GROUP if args.tol is None else min(args.tol, TOL_GROUP)
     return {
         "tol_symp": tol_symp,

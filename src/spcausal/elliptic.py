@@ -174,10 +174,12 @@ def _normal_form(W: np.ndarray) -> _Form:
     and i G^T (M - M^T) G the eigenvalue cot theta (Williamson 1936).  So
     E = G U, with U the positive eigenspace of i Omega', spans the
     Krein-positive subspace, and the eigenvalues c_k of the Hermitian
-    i E* (M - M^T) E give theta_k = arctan2(1, c_k).  Membership asks
-    lam_min > 4 eps lam_max, the working-precision noise of P, and every
-    angle inside the boundary band, which is read from the eigenvalues of
-    i Omega' alone: the angles lie in [band, pi - band] exactly when
+    i E* (M - M^T) E give theta_k = arctan2(1, c_k): one angle kernel, run
+    on c in the solver's order and then reversed, so that a matrix and a
+    stack take numpy's same arctan2 loop and agree to the bit.  Membership
+    asks lam_min > 4 eps lam_max, the working-precision noise of P, and
+    every angle inside the boundary band, which is read from the eigenvalues
+    of i Omega' alone: the angles lie in [band, pi - band] exactly when
     lambda_max(i Omega') = 1 / (2 sin theta) is at most 1 / (2 sin band)
     (`_gram_stage`, which the stacked verdicts share).
     """
@@ -186,8 +188,9 @@ def _normal_form(W: np.ndarray) -> _Form:
     E = G @ U[..., n:]
     A = 1j * (M - M.swapaxes(-1, -2))
     c, Y = _eigh(E.conj().swapaxes(-1, -2) @ A @ E)
-    # the largest c_k gives the smallest angle, so theta is ascending
-    theta = np.arctan2(1.0, c[..., ::-1])
+    # the largest c_k gives the smallest angle, so theta is ascending; copied
+    # contiguous, as numpy's log too picks its loop by stride (tau, dist)
+    theta = np.arctan2(1.0, c)[..., ::-1].copy()
     return _Form(inside, theta, E, Y[..., ::-1], lam[..., 0], lam[..., -1])
 
 

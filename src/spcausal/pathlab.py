@@ -192,13 +192,21 @@ def random_torus_pair(seed, n: int):
     return W0, X, angles, speeds
 
 
+def _require_count(value, name: str) -> None:
+    """Raise ValueError unless value is an integer >= 1 (numpy's too)."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
+
+
 def geodesic_path(
     X: np.ndarray, W0: np.ndarray, t0: float, t1: float, steps: int
 ) -> CausalPath:
     """Uniform-grid discretisation of the geodesic t -> exp(t X) W0.
-    Raises ValueError unless steps >= 1."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    Raises ValueError unless steps is an integer >= 1 and t0, t1 are finite."""
+    _require_count(steps, "steps")
+    for name, t in (("t0", t0), ("t1", t1)):
+        if not -np.inf < t < np.inf:
+            raise ValueError(f"{name} must be finite, got {t!r}")
     grid = np.linspace(t0, t1, steps + 1)
     flow = geodesic_flow(X, W0)
     matrices = tuple(flow(grid))
@@ -221,12 +229,12 @@ def random_causal_path(
     halved step size (up to 20 halvings), each attempt checked through
     the form memo (README, "The two memos").  Symplecticity drift beyond
     DRIFT_TOL raises DriftExceededError; it is checked before membership.
-    Raises ValueError unless steps >= 1 and 0 < step_size < inf,
-    DimensionMismatchError unless W_start is (2n, 2n), and NotSymplecticError
-    unless it is symplectic at TOL_GROUP.
+    Raises ValueError unless n and steps are integers >= 1 and
+    0 < step_size < inf, DimensionMismatchError unless W_start is (2n, 2n),
+    and NotSymplecticError unless it is symplectic at TOL_GROUP.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    _require_count(n, "n")
+    _require_count(steps, "steps")
     if not 0 < step_size < np.inf:
         raise ValueError("step_size must be positive and finite")
     rng = np.random.default_rng(seed)
@@ -303,58 +311,74 @@ def _match(prev: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, float]:
     return prev + d, max(map(abs, d.tolist()), default=0.0)
 
 
-def _grid_phases(path: CausalPath) -> list:
-    """`_labeled_args` of every grid matrix, whose symplectic relation is
-    checked once as a stack: a region member with angles theta has the raw
-    phases (theta, -theta), the other matrices go through the Krein spectrum."""
+def _grid_readings(path: CausalPath, members: Callable, read: Callable) -> list:
+    """One reading per grid matrix, the matrices checked once as a stack:
+    ``members(theta)`` reads the region members off the rows of the stacked
+    angles, and `read` every other matrix.  Raises DimensionMismatchError
+    unless the grid and the matrices have at least steps + 1 entries."""
+    if min(len(path.grid), len(path.matrices)) <= path.steps:
+        raise DimensionMismatchError(
+            f"{path.steps} steps need steps + 1 grid points and matrices, "
+            f"got {len(path.grid)} and {len(path.matrices)}")
     form = _normal_form(_symplectic_stack(path.matrices))
-    return [(th, -th) if inside else _labeled_args(W)
-            for W, inside, th in zip(path.matrices, form.inside.tolist(), form.theta)]
+    return [m if inside else read(W) for W, inside, m in
+            zip(path.matrices, form.inside.tolist(), members(form.theta))]
+
+
+def _walker(read: Callable, step: Callable, limit: float, message: str) -> Callable:
+    """``walk(state, W_from, X, dt, reading)`` over one path step: the end
+    state and the signed jumps of ``step(state, reading)``, summed as the
+    halvings nest; a None state ends the walk.  A jump above `limit` in size
+    halves the step through the tangent X and reads the midpoint and the end
+    with `read`; past _MAX_REFINE halvings it raises MatchingAmbiguousError."""
+    def walk(state, W_from, X, dt, reading, depth=0):
+        new, jump = step(state, reading)
+        if not abs(jump) > limit:
+            return new, jump
+        if depth >= _MAX_REFINE:
+            raise MatchingAmbiguousError(message)
+        half = scipy.linalg.expm((dt / 2) * X)
+        W_mid = half @ W_from
+        mid, j1 = walk(state, W_from, X, dt / 2, read(W_mid), depth + 1)
+        if mid is None:
+            return None, j1
+        end, j2 = walk(mid, W_mid, X, dt / 2, read(half @ W_mid), depth + 1)
+        return end, j1 + j2
+
+    return walk
 
 
 def track_phases(path: CausalPath) -> PhaseTrack:
     """Continuous-argument eigenphases with Krein labels along a path.
 
-    The phases at the grid points are read from the path's stored matrices.
-    Consecutive grid points are joined by nearest-angle assignment per
-    label; a step whose phase jump exceeds pi/4 is refined by inserting
-    midpoints through the stored tangent.  Only refinement computes
-    matrices: the midpoints and the end of the refined step.  Off-circle
-    grid points are flagged and their phases set to NaN.  The crossings of
+    The grid points' phases are read from the stored matrices
+    (`_grid_readings`; a member with angles theta has the raw phases
+    (theta, -theta)) and joined by nearest-angle assignment per label, a
+    step whose phase jump exceeds pi/4 refined (`_walker`).  Off-circle grid
+    points are flagged and their phases set to NaN.  The crossings of
     multiples of pi are read off the tracked phases after the walk.
     """
+    def match(state, labeled):
+        if labeled is None:
+            return None, 0.0
+        (p, j1), (m, j2) = map(_match, state, labeled)
+        return (p, m), max(j1, j2)
+
+    walk = _walker(_labeled_args, match, PHASE_JUMP,
+                   "phase jump above pi/4 after refinement is exhausted")
+    raw = _grid_readings(path, lambda th: zip(th, -th), _labeled_args)
     N = path.steps
     n = path.matrices[0].shape[0] // 2
     plus = np.full((N + 1, n), np.nan)
     minus = np.full((N + 1, n), np.nan)
     off = np.zeros(N + 1, dtype=bool)
-
-    def advance(p, m, W_from, X, dt, labeled, depth):
-        if labeled is None:
-            return None
-        new_p, j1 = _match(p, labeled[0])
-        new_m, j2 = _match(m, labeled[1])
-        if max(j1, j2) > PHASE_JUMP:
-            if depth >= _MAX_REFINE:
-                raise MatchingAmbiguousError(
-                    "phase jump above pi/4 after refinement is exhausted"
-                )
-            step = scipy.linalg.expm((dt / 2) * X)
-            W_mid = step @ W_from
-            half = advance(p, m, W_from, X, dt / 2, _labeled_args(W_mid), depth + 1)
-            if half is None:
-                return None
-            return advance(*half, W_mid, X, dt / 2, _labeled_args(step @ W_mid), depth + 1)
-        return new_p, new_m
-
-    raw = _grid_phases(path)
     for i in range(N + 1):
         if i == 0 or off[i - 1]:  # a start: the raw phases, sorted
             result = raw[i] and (np.sort(raw[i][0]), np.sort(raw[i][1]))
         else:
-            result = advance(plus[i - 1], minus[i - 1], path.matrices[i - 1],
-                             path.tangents[i - 1], path.grid[i] - path.grid[i - 1],
-                             raw[i], 0)
+            result = walk((plus[i - 1], minus[i - 1]), path.matrices[i - 1],
+                          path.tangents[i - 1], path.grid[i] - path.grid[i - 1],
+                          raw[i])[0]
         if result is None:
             off[i] = True
         else:
@@ -374,40 +398,22 @@ def track_phases(path: CausalPath) -> PhaseTrack:
 def mu_along_path(path: CausalPath, start: float | None = None) -> np.ndarray:
     """Continuous real lift of arg(nu) / 2 pi along the path.
 
-    arg(nu) at the grid points is read from the path's stored matrices,
-    checked once as a stack: a region member has nu = exp(i sum theta_k),
-    the other matrices go through `nu`.  A step on which arg(nu) turns by
-    more than pi/2 is refined by midpoints through the stored tangent; only
-    refinement computes matrices.  Anchored at ``start`` when given;
-    otherwise at the wrapped argument of nu at the first grid point, which
-    is 0 for paths starting at id.
+    arg(nu) at the grid points is read from the stored matrices
+    (`_grid_readings`; a member has nu = exp(i sum theta_k)).  A step on
+    which arg(nu) turns by more than pi/2 is refined (`_walker`).  Anchored
+    at ``start`` when given; otherwise at the wrapped argument of nu at the
+    first grid point, which is 0 for paths starting at id.
     """
     def nu_arg(W):
         return float(np.angle(nu(W)))
 
-    def lift_segment(a_prev, W_from, X, dt, a_next, depth):
-        d = _wrap(a_next - a_prev)
-        if abs(d) > np.pi / 2:
-            if depth >= _MAX_REFINE:
-                raise MatchingAmbiguousError("nu winds too fast for the grid")
-            step = scipy.linalg.expm((dt / 2) * X)
-            W_mid = step @ W_from
-            d1, a_mid = lift_segment(a_prev, W_from, X, dt / 2, nu_arg(W_mid), depth + 1)
-            d2, a_end = lift_segment(a_mid, W_mid, X, dt / 2, nu_arg(step @ W_mid),
-                                     depth + 1)
-            return d1 + d2, a_end
-        return d, a_next
-
-    form = _normal_form(_symplectic_stack(path.matrices))
-    args = [s if inside else nu_arg(W) for W, inside, s in
-            zip(path.matrices, form.inside.tolist(), form.theta.sum(axis=1).tolist())]
-    cont = [_wrap(args[0])]
-    a_prev = args[0]
+    walk = _walker(nu_arg, lambda a_prev, a: (a, _wrap(a - a_prev)), np.pi / 2,
+                   "nu winds too fast for the grid")
+    args = _grid_readings(path, lambda th: th.sum(axis=1).tolist(), nu_arg)
+    cont, a = [_wrap(args[0])], args[0]
     for i in range(path.steps):
-        dt = path.grid[i + 1] - path.grid[i]
-        d, a_prev = lift_segment(
-            a_prev, path.matrices[i], path.tangents[i], dt, args[i + 1], 0
-        )
+        a, d = walk(a, path.matrices[i], path.tangents[i],
+                    path.grid[i + 1] - path.grid[i], args[i + 1])
         cont.append(cont[-1] + d)
     mu = np.array(cont) / (2 * np.pi)
     if start is not None:
@@ -698,9 +704,10 @@ def verify_suite(seed: int, n: int, trials: int) -> dict:
 
     Every property records a pass flag and its worst-case margin; failures
     are reported, never thrown.  The report is deterministic per seed.
+    Raises ValueError unless n and trials are integers >= 1.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _require_count(n, "n")
+    _require_count(trials, "trials")
     props = {}
     for name, check in PROPERTIES.items():
         passed, margin, detail = check(seed, (n,), trials)

@@ -11,7 +11,9 @@ import scipy.linalg
 
 from spcausal import (
     CausalPath,
+    geodesic_flow,
     geodesic_path,
+    is_symplectic,
     random_elliptic,
     random_symplectic,
     standard_J,
@@ -129,6 +131,22 @@ def test_geodesic_rejects_non_symplectic_start(tmp_path, capsys):
     assert "symplectic residual" in out["error"]
 
 
+def test_geodesic_checks_its_start_at_the_group_tolerance(tmp_path, capsys):
+    # a start whose relative residual lies between 1e-9 and 1e-7 is accepted,
+    # as connect and exit_times accept it
+    drifted = rot(0.5)
+    drifted[0, 1] += 2e-8
+    rel = is_symplectic(drifted, tol=1.0).residual / np.linalg.norm(drifted) ** 2
+    assert 1e-9 < rel < 1e-7
+    g = write_doc(tmp_path, "x.json", standard_J(1))
+    h = write_doc(tmp_path, "w.json", drifted)
+    code, out = run_cli(capsys, ["geodesic", "--t", "0.5", g, h])
+    assert code == 0
+    np.testing.assert_array_equal(out["result"]["point"],
+                                  geodesic_flow(standard_J(1), drifted)(0.5))
+    assert out["tolerances"]["tol_symp"] == 1e-7
+
+
 def test_geodesic_rejects_a_start_of_another_shape(tmp_path, capsys):
     g = write_doc(tmp_path, "x.json", standard_J(1))
     h = write_doc(tmp_path, "w.json", np.eye(4))
@@ -164,6 +182,7 @@ def test_connect_and_exit_times(tmp_path, capsys):
 
 def test_tol_only_on_check_and_reported_as_in_force(tmp_path, capsys):
     f = write_doc(tmp_path, "w.json", rot(np.pi / 3))
+    x = write_doc(tmp_path, "x.json", standard_J(1))
     with pytest.raises(SystemExit) as exc:
         main(["tau", "--tol", "1e-5", f])
     assert exc.value.code == 2
@@ -176,6 +195,7 @@ def test_tol_only_on_check_and_reported_as_in_force(tmp_path, capsys):
         (["check", "--elliptic", "--tol", "1e-9", f], 1e-9),
         (["check", "--elliptic", "--tol", "1e-5", f], 1e-7),
         (["check", "--symplectic", f], 1e-9),
+        (["geodesic", "--t", "0.5", x, f], 1e-7),
         # verify_suite's library calls check at 1e-7
         (["suite", "--seed", "1", "--n", "1", "--trials", "1"], 1e-7),
     ]

@@ -44,7 +44,7 @@ def _numpy_normal_form(W: np.ndarray) -> tuple:
     E = G @ U[..., n:]
     A = 1j * (M - M.swapaxes(-1, -2))
     c, Y = np.linalg.eigh(E.conj().swapaxes(-1, -2) @ A @ E)
-    return (inside, np.arctan2(1.0, c[..., ::-1]), E, Y[..., ::-1],
+    return (inside, np.arctan2(1.0, c)[..., ::-1], E, Y[..., ::-1],
             lam[..., 0], lam[..., -1])
 
 

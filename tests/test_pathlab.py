@@ -23,6 +23,7 @@ from spcausal import (
     log_elliptic,
     mu_along_path,
     mu_elliptic,
+    path_length,
     random_causal_path,
     random_cone_element,
     random_elliptic,
@@ -637,6 +638,94 @@ def test_path_tracking_matches_the_per_step_loop_bit_for_bit():
             want = _loop_mu_along_path(path, start=start)
             assert mu_along_path(path, start=start).tobytes() == want.tobytes(), k
     assert crossing_count > 0 and off_points > 0
+
+
+def _deep_refinement_paths():
+    """Torus-flow paths, whose phases are angles + t * speeds, with the turn
+    of arg(nu) per step, dt * sum(speeds), in 1.05-1.45 pi or 2.55-2.95 pi:
+    each step of the lift then refines two or three levels deep on both
+    halves."""
+    out = []
+    for k in range(24):
+        n = 1 + k % 3
+        rng = np.random.default_rng((223, k))
+        W0, X, _, speeds = random_torus_pair(rng, n)
+        turn = np.pi * rng.uniform(*((1.05, 1.45), (2.55, 2.95))[k % 2])
+        steps = 4 + k % 3
+        path = geodesic_path(X, W0, 0.0, steps * turn / speeds.sum(), steps)
+        out.append((path, turn))
+    return out
+
+
+def test_lifts_refined_two_or_more_levels_deep_match_the_per_step_loop(monkeypatch):
+    expm = scipy.linalg.expm
+    for k, (path, turn) in enumerate(_deep_refinement_paths()):
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(scipy.linalg, "expm", lambda A: calls.append(A) or expm(A))
+            mu = mu_along_path(path)
+        # a step refined two levels deep on both halves computes 3 matrices
+        assert len(calls) >= 3 * path.steps, k
+        for start in (None, 0.0):
+            want = _loop_mu_along_path(path, start=start)
+            assert mu_along_path(path, start=start).tobytes() == want.tobytes(), k
+        np.testing.assert_allclose(np.diff(mu), turn / (2 * np.pi), rtol=0, atol=1e-9)
+        plus, minus, crossings, off = _loop_track_phases(path)
+        got = track_phases(path)
+        assert got.plus.tobytes() == plus.tobytes(), k
+        assert got.minus.tobytes() == minus.tobytes(), k
+        assert got.crossings == tuple(crossings), k
+
+
+def test_exhausted_refinement_raises_matching_ambiguous(monkeypatch):
+    # one step of e^{tJ} over 2^20 * 2 pi / 3: every halving still turns by
+    # 2 pi / 3, past both entries' limits, until refinement is exhausted.
+    # The halvings' rotations are taken in closed form: at t ~ 1e6, expm's
+    # eigenvalues leave the circle by 2e-8, which would end the walks early
+    J = standard_J(1)
+    path = geodesic_path(J, np.eye(2), 0.0, 2 ** _MAX_REFINE * 2 * np.pi / 3, 1)
+    monkeypatch.setattr(scipy.linalg, "expm", lambda A: block_rotation([A[1, 0]]))
+    with pytest.raises(MatchingAmbiguousError,
+                       match=r"^phase jump above pi/4 after refinement is exhausted$"):
+        track_phases(path)
+    with pytest.raises(MatchingAmbiguousError, match=r"^nu winds too fast for the grid$"):
+        mu_along_path(path)
+
+
+def test_a_malformed_path_raises_dimension_mismatch():
+    p = geodesic_path(standard_J(1), np.eye(2), 0.0, 1.0, 4)
+    short_matrices = CausalPath(p.grid, p.tangents, p.matrices[:-1])
+    short_grid = CausalPath(p.grid[:-1], p.tangents, p.matrices)
+    empty = CausalPath(np.array([]), (), ())
+    for path in (short_matrices, short_grid, empty):
+        for along in (track_phases, mu_along_path):
+            with pytest.raises(DimensionMismatchError, match="steps need steps \\+ 1"):
+                along(path)
+    for path in (short_grid, empty):
+        with pytest.raises(DimensionMismatchError, match="steps need steps \\+ 1"):
+            path_length(path)
+    assert path_length(short_matrices) == path_length(p)
+
+
+def test_counts_must_be_integers_and_times_finite():
+    J, I = standard_J(1), np.eye(2)
+    cases = [
+        (lambda: geodesic_path(J, I, 0.0, 1.0, 2.5), "steps must be >= 1"),
+        (lambda: random_causal_path(0, 1, 2.5), "steps must be >= 1"),
+        (lambda: random_causal_path(0, 1.5, 3), "n must be >= 1"),
+        (lambda: random_causal_path(0, 0, 3), "n must be >= 1"),
+        (lambda: verify_suite(42, 1, 2.5), "trials must be >= 1"),
+        (lambda: verify_suite(42, 1.5, 1), "n must be >= 1"),
+    ] + [
+        (lambda t=t: geodesic_path(J, I, 0.0, t, 2), "t1 must be finite")
+        for t in (np.nan, np.inf, -np.inf)
+    ] + [(lambda: geodesic_path(J, I, np.nan, 1.0, 2), "t0 must be finite")]
+    for make, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            make()
+    # numpy integers are counts
+    assert geodesic_path(J, I, 0.0, 1.0, np.int64(2)).steps == 2
+    assert random_causal_path(0, np.int32(1), np.uint8(3)).steps == 3
 
 
 def test_wrap_of_a_float_matches_the_array_form_to_the_bit():
