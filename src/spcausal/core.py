@@ -40,6 +40,7 @@ TOL_HAM = 1e-9
 TOL_CONE = 1e-9
 
 _TINY = 1e-300
+_FLOAT = np.dtype(float)
 
 
 class ConeStatus(Enum):
@@ -83,6 +84,8 @@ def _real(M, error: type[Exception] | None = None) -> np.ndarray:
     """A caller's matrix M as float64.  An entry with a nonzero imaginary
     part raises ``error``, or without one reads as NaN, which the predicates
     fail as a non-finite entry."""
+    if type(M) is np.ndarray and M.dtype is _FLOAT:
+        return M  # what asarray and astype would return, sooner
     M = np.asarray(M)
     if M.dtype.kind != "c":
         return M.astype(float, copy=False)
@@ -113,10 +116,16 @@ def _content_memo(maxsize: int):
     """Decorator: memoise fn(W) by (W's shape, the bytes of W as C-ordered
     float64); a miss calls fn on the read-only array rebuilt from the bytes.
     The last ``maxsize`` records are kept and shared by every caller;
-    exceptions are never stored."""
+    exceptions are never stored.  ``memo.prime(W, value)`` stores a value
+    the caller computed as fn(W) would, without calling fn, unless W has a
+    record; it counts as a miss."""
     def decorate(fn):
+        primed = {}
+
         @functools.lru_cache(maxsize=maxsize)
         def record(shape, data):
+            if (shape, data) in primed:
+                return primed.pop((shape, data))
             return fn(np.frombuffer(data).reshape(shape))
 
         @functools.wraps(fn)
@@ -124,7 +133,15 @@ def _content_memo(maxsize: int):
             W = _real(W, NotSymplecticError)
             return record(W.shape, W.tobytes())
 
+        def prime(W, value):
+            W = _real(W, NotSymplecticError)
+            key = W.shape, W.tobytes()
+            primed[key] = value
+            record(*key)
+            primed.pop(key, None)  # W had a record
+
         memo.cache_info, memo.cache_clear = record.cache_info, record.cache_clear
+        memo.prime = prime
         return memo
     return decorate
 

@@ -197,7 +197,8 @@ def _normal_form(W: np.ndarray) -> _Form:
 @_content_memo(64)
 def _checked_form(W: np.ndarray) -> _Form:
     """`_normal_form` of one matrix W after `require_symplectic(W, TOL_GROUP)`,
-    memoised by content; its arrays are read-only."""
+    memoised by content; its arrays are read-only.  `random_causal_path`
+    stores the forms of its steps here (``prime``)."""
     require_symplectic(W, TOL_GROUP)
     form = _normal_form(W)
     for a in form[1:4]:

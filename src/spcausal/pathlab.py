@@ -9,6 +9,7 @@ derived deterministically from a single seed.
 
 from __future__ import annotations
 
+import copy
 import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from .core import (
     _omega,
     _optimize,
     _real,
+    _symplectic_check,
     block_rotation,
     block_rotation_generator,
     cone_status,
@@ -124,10 +126,14 @@ def random_cone_element(seed, n: int, scale: float = 1.0) -> np.ndarray:
     Raises ValueError unless 0 < scale < inf."""
     if not 0 < scale < np.inf:
         raise ValueError("scale must be positive and finite")
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((2 * n, 2 * n))
+    return _cone_draws(np.random.default_rng(seed), n) * scale
+
+
+def _cone_draws(rng, n: int, shape: tuple = ()) -> np.ndarray:
+    """Omega^{-1} (A^T A + eps I) for standard normal A of shape (*shape, 2n, 2n)."""
+    A = rng.standard_normal((*shape, 2 * n, 2 * n))
     eps_I, minus_O = _cone_terms(n)
-    return minus_O @ (A.T @ A + eps_I) * scale
+    return minus_O @ (A.swapaxes(-1, -2) @ A + eps_I)
 
 
 def random_symplectic(seed, n: int, scale: float = 1.0) -> np.ndarray:
@@ -226,61 +232,85 @@ def random_causal_path(
 
     Tangents are normalised to unit Frobenius norm.  With ``confine=True``
     steps that would leave the positively elliptic region are retried with
-    halved step size (up to 20 halvings), each attempt checked through
-    the form memo (README, "The two memos").  Symplecticity drift beyond
+    halved step size (up to 20 halvings).  Symplecticity drift beyond
     DRIFT_TOL raises DriftExceededError; it is checked before membership.
-    Raises ValueError unless n and steps are integers >= 1 and
-    0 < step_size < inf, DimensionMismatchError unless W_start is (2n, 2n),
-    and NotSymplecticError unless it is symplectic at TOL_GROUP.
+    Attempts are checked a window at a time as one stack, with the path,
+    error and Generator draws of trying them one by one: a chain of at most
+    as many steps as the form memo holds, restarting at one after a reject
+    and doubling while all are accepted, or after a reject the ladder of
+    the step's halvings.  Accepted forms are stored in the memo (README,
+    "The two memos").  Raises ValueError unless n and steps are integers
+    >= 1 and 0 < step_size < inf, DimensionMismatchError unless W_start is
+    (2n, 2n), and NotSymplecticError unless it is symplectic at TOL_GROUP.
     """
     _require_count(n, "n")
     _require_count(steps, "steps")
     if not 0 < step_size < np.inf:
         raise ValueError("step_size must be positive and finite")
-    rng = np.random.default_rng(seed)
+    rng = caller = np.random.default_rng(seed)
+    if rng is seed or isinstance(seed, np.random.BitGenerator):
+        rng = copy.deepcopy(caller)  # the caller's advances by the draws tried
     W = np.eye(2 * n) if W_start is None else _real(W_start, NotSymplecticError)
     if W.shape != (2 * n, 2 * n):
         raise DimensionMismatchError(
             f"W_start has shape {W.shape}, expected {(2 * n, 2 * n)}"
         )
     require_symplectic(W, TOL_GROUP)
-    grid = [0.0]
-    tangents: list[np.ndarray] = []
-    matrices = [W]
-    for _ in range(steps):
-        dt = step_size
-        for _attempt in range(_MAX_REFINE + 1):
-            X = random_cone_element(rng, n)
-            X = X / np.linalg.norm(X)
-            W_next = scipy.linalg.expm(dt * X) @ W
-            if not confine:
-                if not is_symplectic(W_next, tol=DRIFT_TOL):
-                    raise _drift_error(W_next)
+    dts = [step_size]
+    for _ in range(_MAX_REFINE):
+        dts.append(dts[-1] / 2)
+    window = _checked_form.cache_info().maxsize
+    grid, tangents, matrices = [0.0], [], [W]
+    drawn = np.empty((0, 2 * n, 2 * n))  # unit tangents not yet tried
+    chain = steps  # the next chain's length; 0 for a ladder
+    while len(tangents) < steps:
+        k = min(chain, steps - len(tangents), window) if chain else _MAX_REFINE
+        if len(drawn) < k:
+            X = _cone_draws(rng, n, (k - len(drawn),))
+            X /= np.array([np.linalg.norm(x) for x in X])[:, None, None]
+            drawn = np.concatenate((drawn, X))
+        X, W = drawn[:k], matrices[-1]
+        E = scipy.linalg.expm(
+            (step_size if chain else np.array(dts[1:])[:, None, None]) * X)
+        Ws = np.empty_like(E) if chain else E @ W
+        ok = 0  # the attempts that pass the drift rule, in order
+        while ok < k:
+            if chain:
+                np.matmul(E[ok], Ws[ok - 1] if ok else W, out=Ws[ok])
+            if not _symplectic_check(Ws[ok], DRIFT_TOL)[0]:
                 break
-            try:
-                # the memo's symplectic check at DRIFT_TOL is the drift check
-                if _checked_form(W_next).inside:
-                    break
-            except NotSymplecticError:
-                raise _drift_error(W_next) from None
-            dt /= 2
+            ok += 1
+        form = _normal_form(Ws[:ok]) if confine else None
+        inside = form.inside.tolist() if confine else [True] * ok
+        # a window ends at a reject in a chain, at the step in a ladder
+        event = inside.index(not chain) if (not chain) in inside else ok
+        tried = min(event + 1, k)  # the attempts the one-by-one walk makes
+        drawn = drawn[tried:]
+        if caller is not rng:
+            caller.standard_normal((tried, 2 * n, 2 * n))
+        if event == ok < k:
+            r = _symplectic_check(Ws[ok], DRIFT_TOL)[1]
+            raise DriftExceededError(f"symplectic drift {r:.3e} exceeds {DRIFT_TOL}")
+        if chain:
+            take, dt = range(event), step_size
+            chain = 2 * chain if event == k else 0
+        elif event < k:
+            take, dt, chain = (event,), dts[event + 1], 1
         else:
-            raise DriftExceededError(
-                "could not confine step to the elliptic region"
-            )
-        tangents.append(X)
-        grid.append(grid[-1] + dt)
-        matrices.append(W_next)
-        W = W_next
+            raise DriftExceededError("could not confine step to the elliptic region")
+        if confine:
+            for a in form[1:4]:
+                a.setflags(write=False)
+        for j in take:
+            tangents.append(X[j])
+            grid.append(grid[-1] + dt)
+            matrices.append(Ws[j])
+            if confine:  # each field as in a single form: p_min and p_max 0-d
+                _checked_form.prime(Ws[j], form._make(
+                    (form.inside[j], *(a[j, ...] for a in form[1:]))))
     return CausalPath(
         grid=np.array(grid), tangents=tuple(tangents), matrices=tuple(matrices)
     )
-
-
-def _drift_error(W: np.ndarray) -> DriftExceededError:
-    """The error for a step W past DRIFT_TOL, naming its residual."""
-    residual = is_symplectic(W, tol=DRIFT_TOL).residual
-    return DriftExceededError(f"symplectic drift {residual:.3e} exceeds {DRIFT_TOL}")
 
 
 def _wrap(a: np.ndarray | float) -> np.ndarray | float:

@@ -26,7 +26,7 @@ from spcausal import (
     symplectic_inverse,
     tau,
 )
-from spcausal.core import symmetrized_form
+from spcausal.core import _real, symmetrized_form
 from spcausal.exceptions import (
     DimensionMismatchError,
     NotHamiltonianError,
@@ -322,3 +322,32 @@ def test_an_empty_matrix_raises_a_dimension_mismatch():
               krein_spectrum, is_positively_elliptic):
         with pytest.raises(DimensionMismatchError, match="expected a 2n x 2n matrix"):
             f(E)
+
+
+def _asarray_real(M, error=None):
+    """`core._real` as it was before its float64 shortcut."""
+    M = np.asarray(M)
+    if M.dtype.kind != "c":
+        return M.astype(float, copy=False)
+    if error is not None and M.imag.any():
+        raise error("complex entries with a nonzero imaginary part")
+    return np.where(M.imag == 0, M.real.astype(float), np.nan)
+
+
+@pytest.mark.filterwarnings("ignore:the matrix subclass:PendingDeprecationWarning")
+def test_real_returns_a_float_array_itself_and_the_rest_as_before():
+    W = np.eye(2)
+    assert _real(W) is W and _real(W, NotSymplecticError) is W
+    inputs = [W, W.T, [[0, 1], [-1, 0]], 3, 2.5, np.matrix(W), W.astype(np.float32),
+              W.astype(">f8"), W.astype(complex), W + 1e-3j, np.eye(2, dtype=int)]
+    for M in inputs:
+        for error in (None, NotSymplecticError):
+            try:
+                want = _asarray_real(M, error)
+            except NotSymplecticError as exc:
+                with pytest.raises(NotSymplecticError, match=str(exc)):
+                    _real(M, error)
+                continue
+            got = _real(M, error)
+            assert (type(got), got.dtype, got.shape) == (type(want), want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes() and (got is M) == (want is M)

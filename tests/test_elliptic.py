@@ -651,6 +651,18 @@ def test_memo_holds_the_last_64_forms():
     assert _checked_form.cache_info().misses == info.misses + 1
 
 
+def test_a_primed_record_is_stored_without_a_form_and_never_replaces_one():
+    _checked_form.cache_clear()
+    W, V = rot(0.5), rot(0.7)
+    form = _checked_form(V)
+    _checked_form.prime(W, form)   # the memo takes the value on trust
+    assert _checked_form(W) is form
+    _checked_form.prime(V, None)   # V has a record, which stays
+    assert _checked_form(V) is form
+    info = _checked_form.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 3, 2)
+
+
 def test_tau_along_a_fresh_confined_path_reads_the_forms_of_its_confine_check():
     # the path_lab recipe; W_0 is the one grid matrix the generator never
     # checks, so it is the one miss

@@ -35,6 +35,7 @@ from spcausal import (
     track_phases,
     verify_suite,
 )
+from spcausal import pathlab
 from spcausal.core import require_symplectic
 from spcausal.elliptic import _checked_form, _normal_form, _symplectic_stack
 from spcausal.exceptions import (
@@ -241,33 +242,160 @@ def _parent_causal_path(seed, n, steps, W_start, step_size, confine):
                       matrices=tuple(matrices))
 
 
-def _path_outcome(make, *args):
-    """sha256 over a path's grid, tangents and matrices, or the error raised."""
-    try:
-        path = make(*args)
-    except DriftExceededError as exc:
-        return "raised", str(exc)
+def _path_hash(path):
+    """sha256 over a path's grid, tangents and matrices."""
     h = hashlib.sha256(path.grid.tobytes())
     for a in path.tangents + path.matrices:
         h.update(a.tobytes())
     return h.hexdigest()
 
 
-def test_confined_paths_match_the_parent_loop_byte_for_byte():
+def _path_outcome(make, *args):
+    """`_path_hash` of the path made, or the error raised."""
+    try:
+        path = make(*args)
+    except DriftExceededError as exc:
+        return "raised", str(exc)
+    return _path_hash(path)
+
+
+def test_confined_paths_match_the_parent_loop_byte_for_byte(monkeypatch):
     # the path_lab recipe; at seed 13, n = 1 the confinement is exhausted,
-    # and seeds 14 (n = 1), 12 (n = 2) and 8 (n = 3) make 100 to 182 forms,
-    # more than the form memo holds
+    # and seeds 14 (n = 1), 12 (n = 2) and 8 (n = 3) make 100 to 182
+    # attempts, more than a window holds.  The parent loop makes one form
+    # per confine attempt, so its forms count the attempts
+    attempts = []
+    monkeypatch.setitem(globals(), "_normal_form",
+                        lambda W, form=_normal_form: attempts.append(W) or form(W))
     most = 0
     for n in (1, 2, 3):
         for seed in range(16):
             W0 = random_elliptic_banded(seed, n, lo=0.3, hi=1.8)
             for confine in (True, False):
                 args = (seed, n, 50, W0, 0.02, confine)
-                before = _checked_form.cache_info().misses
                 got = _path_outcome(random_causal_path, *args)
-                most = max(most, _checked_form.cache_info().misses - before)
+                attempts.clear()
                 assert got == _path_outcome(_parent_causal_path, *args), args
+                most = max(most, len(attempts))
     assert most > _checked_form.cache_info().maxsize
+
+
+def test_criterion_3_trials_match_the_parent_loop_byte_for_byte(monkeypatch):
+    # tau_monotone's trials at seed 42: 103 (n = 2), 204 (n = 1) and 815
+    # (n = 3) redraw the whole trial after an exhausted ladder; 251 (n = 3)
+    # accepts a step at its 20th halving, 50, 447 and 815 at their 17th or
+    # 18th
+    ks = (0, 1, 2, 50, 103, 204, 251, 447, 815)
+
+    def trials():
+        out = []
+        for k in ks:
+            n = 1 + k % 3
+            W0, path = pathlab._confined_trial(42, 30_000 + k, n, steps=50,
+                                               step_size=0.02)
+            first = random_elliptic_banded(_spawn(42, 30_000 + k), n, lo=0.3, hi=1.8)
+            depth = int(np.max(np.round(np.log2(0.02 / np.diff(path.grid)))))
+            out.append((W0.tobytes() != first.tobytes(), depth, _path_hash(path)))
+        return out
+
+    got = trials()
+    monkeypatch.setattr(pathlab, "random_causal_path", _parent_causal_path)
+    assert got == trials()
+    assert [redrawn for redrawn, _, _ in got] == [k in (103, 204, 815) for k in ks]
+    assert max(depth for _, depth, _ in got) == _MAX_REFINE
+
+
+def test_a_drift_raises_only_where_the_one_by_one_walk_reaches_it(monkeypatch):
+    # each exponential the walk takes drifts in turn, through an expm
+    # patched per slice, so a stacked call and a single one drift the same
+    # matrix.  From near the boundary a chain's first step is rejected and
+    # a ladder's first member is not its last rung: a drift after either
+    # is never reached one by one, and must not raise
+    args = (1, 1, 3, scipy.linalg.expm((np.pi - 0.05) * standard_J(1)), 0.2, True)
+    expm = scipy.linalg.expm
+    taken = []
+    monkeypatch.setattr(scipy.linalg, "expm",
+                        lambda A: taken.extend(A.reshape(-1, 2, 2)) or expm(A))
+    clean = _path_outcome(random_causal_path, *args)
+
+    def drifting(A):
+        E = expm(A)
+        for a, e in zip(A.reshape(-1, 2, 2), E.reshape(-1, 2, 2)):
+            if a.tobytes() == target:
+                e[0, 1] += 1e-5
+        return E
+
+    monkeypatch.setattr(scipy.linalg, "expm", drifting)
+    outcomes = []
+    for target in [a.tobytes() for a in taken]:
+        got = _path_outcome(random_causal_path, *args)
+        assert got == _path_outcome(_parent_causal_path, *args)
+        outcomes.append(got)
+    raised = [got for got in outcomes if got[0] == "raised"]
+    assert raised and all("symplectic drift" in msg for _, msg in raised)
+    assert outcomes.count(clean) > 1
+
+
+def test_an_exhausted_ladder_raises_as_the_parent_loop():
+    # a start 2e-8 inside the region edge: even the 20th halving leaves it
+    edge = block_rotation([np.pi - 2e-8])
+    for steps in (1, 4):
+        args = (3, 1, steps, edge, 0.2, True)
+        got = _path_outcome(random_causal_path, *args)
+        assert got == ("raised", "could not confine step to the elliptic region")
+        assert got == _path_outcome(_parent_causal_path, *args)
+
+
+def test_a_generator_passed_as_seed_advances_by_the_draws_tried():
+    # the walk draws a window ahead; a caller's Generator or BitGenerator
+    # still ends where the one-by-one walk leaves it, also on an error
+    def state(g):
+        return (g if isinstance(g, np.random.BitGenerator) else g.bit_generator).state
+
+    cases = ((1, 50, random_elliptic_banded(8, 1, lo=0.3, hi=1.8), 0.02, True),
+             (1, 3, scipy.linalg.expm((np.pi - 0.05) * standard_J(1)), 0.2, True),
+             (2, 20, None, 0.05, False),
+             (1, 2, block_rotation([np.pi - 2e-8]), 0.2, True))
+    for args in cases:
+        for make in (np.random.default_rng, np.random.PCG64):
+            mine, theirs = make(7), make(7)
+            got = _path_outcome(random_causal_path, mine, *args)
+            assert got == _path_outcome(_parent_causal_path, theirs, *args)
+            assert state(mine) == state(theirs)
+
+
+def test_a_window_stacks_at_most_as_many_attempts_as_the_form_memo_holds(monkeypatch):
+    W0 = random_elliptic_banded(0, 2, lo=0.3, hi=1.8)
+    expm, form = scipy.linalg.expm, pathlab._normal_form
+    rows = {"expm": [], "form": []}
+    monkeypatch.setattr(scipy.linalg, "expm",
+                        lambda A: rows["expm"].append(len(A)) or expm(A))
+    monkeypatch.setattr(pathlab, "_normal_form",
+                        lambda W: rows["form"].append(len(W)) or form(W))
+    for confine in (True, False):
+        path = random_causal_path(0, 2, 500, W_start=W0, step_size=2e-3,
+                                  confine=confine)
+        assert path.steps == 500
+    cap = _checked_form.cache_info().maxsize
+    assert max(rows["expm"]) == max(rows["form"]) == cap
+    assert sum(rows["expm"]) >= 1000
+
+
+def test_the_walk_stores_the_forms_of_its_steps_as_a_fresh_check_would():
+    # every grid matrix after the start reads a stored record, equal in
+    # every field, dtype, stride and write flag to the one a fresh check
+    # stores
+    def fields(form):
+        return [(type(a), a.dtype, a.shape, a.strides, a.flags.writeable, a.tobytes())
+                for a in form]
+
+    for seed in range(1, 9):
+        for path in _path_lab_confined(seed):
+            made = _checked_form.cache_info()
+            stored = [fields(_checked_form(W)) for W in path.matrices[1:]]
+            assert _checked_form.cache_info().hits == made.hits + path.steps
+            _checked_form.cache_clear()
+            assert stored == [fields(_checked_form(W)) for W in path.matrices[1:]]
 
 
 def test_a_non_symplectic_start_raises_not_symplectic_confined_or_not():
@@ -596,25 +724,31 @@ def _loop_mu_along_path(path, start=None):
     return mu
 
 
-def _path_lab_paths(seed):
-    """The confined and the free path of each op of the path_lab benchmark
-    recipe at seed."""
-    def seq(*key):
-        return np.random.SeedSequence(entropy=seed, spawn_key=(4, *key))
+def _path_lab_seq(seed, *key):
+    return np.random.SeedSequence(entropy=seed, spawn_key=(4, *key))
 
-    out = []
+
+def _path_lab_confined(seed):
+    """The confined path of each op of the path_lab benchmark recipe at
+    seed, yielded as it is made."""
     for i in range(60):
         n = 1 + i % 3
         for r in range(50):
-            W0 = random_elliptic_banded(seq(i, r, 0), n, lo=0.3, hi=1.8)
+            W0 = random_elliptic_banded(_path_lab_seq(seed, i, r, 0), n, lo=0.3, hi=1.8)
             try:
-                out.append(random_causal_path(seq(i, r, 1), n, steps=50, W_start=W0,
-                                              step_size=0.02, confine=True))
+                yield random_causal_path(_path_lab_seq(seed, i, r, 1), n, steps=50,
+                                         W_start=W0, step_size=0.02, confine=True)
                 break
             except DriftExceededError:
                 continue
-        out.append(random_causal_path(seq(i, 0, 2), n, steps=20, step_size=0.05))
-    return out
+
+
+def _path_lab_paths(seed):
+    """The confined and the free paths of the path_lab benchmark recipe at
+    seed."""
+    return list(_path_lab_confined(seed)) + [
+        random_causal_path(_path_lab_seq(seed, i, 0, 2), 1 + i % 3, steps=20,
+                           step_size=0.05) for i in range(60)]
 
 
 def test_path_tracking_matches_the_per_step_loop_bit_for_bit():
