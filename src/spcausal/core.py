@@ -40,7 +40,6 @@ TOL_HAM = 1e-9
 TOL_CONE = 1e-9
 
 _TINY = 1e-300
-_FLOAT = np.dtype(float)
 
 
 class ConeStatus(Enum):
@@ -84,8 +83,6 @@ def _real(M, error: type[Exception] | None = None) -> np.ndarray:
     """A caller's matrix M as float64.  An entry with a nonzero imaginary
     part raises ``error``, or without one reads as NaN, which the predicates
     fail as a non-finite entry."""
-    if type(M) is np.ndarray and M.dtype is _FLOAT:
-        return M  # what asarray and astype would return, sooner
     M = np.asarray(M)
     if M.dtype.kind != "c":
         return M.astype(float, copy=False)

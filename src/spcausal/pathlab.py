@@ -293,6 +293,8 @@ def random_causal_path(
             raise DriftExceededError(f"symplectic drift {r:.3e} exceeds {DRIFT_TOL}")
         if chain:
             take, dt = range(event), step_size
+            # a chain restarts short after a ladder: near the boundary a
+            # full window would mostly compute attempts past the next reject
             chain = 2 * chain if event == k else 0
         elif event < k:
             take, dt, chain = (event,), dts[event + 1], 1
@@ -301,10 +303,10 @@ def random_causal_path(
         if confine:
             for a in form[1:4]:
                 a.setflags(write=False)
-        for j in take:
-            tangents.append(X[j])
+        for j in take:  # copies, so a path never holds a window's stacks
+            tangents.append(X[j].copy())
             grid.append(grid[-1] + dt)
-            matrices.append(Ws[j])
+            matrices.append(Ws[j].copy())
             if confine:  # each field as in a single form: p_min and p_max 0-d
                 _checked_form.prime(Ws[j], form._make(
                     (form.inside[j], *(a[j, ...] for a in form[1:]))))

@@ -325,7 +325,7 @@ def test_an_empty_matrix_raises_a_dimension_mismatch():
 
 
 def _asarray_real(M, error=None):
-    """`core._real` as it was before its float64 shortcut."""
+    """`core._real` spelt out: asarray, then a float64 view or the real part."""
     M = np.asarray(M)
     if M.dtype.kind != "c":
         return M.astype(float, copy=False)
@@ -335,7 +335,7 @@ def _asarray_real(M, error=None):
 
 
 @pytest.mark.filterwarnings("ignore:the matrix subclass:PendingDeprecationWarning")
-def test_real_returns_a_float_array_itself_and_the_rest_as_before():
+def test_real_returns_a_float_array_itself_and_converts_the_rest():
     W = np.eye(2)
     assert _real(W) is W and _real(W, NotSymplecticError) is W
     inputs = [W, W.T, [[0, 1], [-1, 0]], 3, 2.5, np.matrix(W), W.astype(np.float32),

@@ -398,6 +398,21 @@ def test_the_walk_stores_the_forms_of_its_steps_as_a_fresh_check_would():
             assert stored == [fields(_checked_form(W)) for W in path.matrices[1:]]
 
 
+def test_a_path_owns_each_matrix_and_tangent_it_holds():
+    # a step taken from a ladder, or from a chain cut short by a reject,
+    # holds no view of its window's stacks, so a kept path is no larger
+    # than the one-by-one walk's
+    near_edge = scipy.linalg.expm((np.pi - 0.05) * standard_J(1))
+    cases = ((1, 1, 10, near_edge, 0.2, True),
+             (14, 1, 50, random_elliptic_banded(14, 1, lo=0.3, hi=1.8), 0.02, True),
+             (0, 2, 100, None, 0.05, False))
+    for seed, n, steps, W0, dt, confine in cases:
+        path = random_causal_path(seed, n, steps, W_start=W0, step_size=dt,
+                                  confine=confine)
+        assert (np.min(np.diff(path.grid)) < dt / 1.5) == confine  # halved
+        assert all(a.base is None for a in path.tangents + path.matrices[1:])
+
+
 def test_a_non_symplectic_start_raises_not_symplectic_confined_or_not():
     # the start is checked at TOL_GROUP before the first step, so a bad
     # start is named as such rather than as the drift of a step
