@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,6 +41,7 @@ TOL_HAM = 1e-9
 TOL_CONE = 1e-9
 
 _TINY = 1e-300
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 class ConeStatus(Enum):
@@ -112,33 +114,43 @@ def _omega(n: int) -> np.ndarray:
 def _content_memo(maxsize: int):
     """Decorator: memoise fn(W) by (W's shape, the bytes of W as C-ordered
     float64); a miss calls fn on the read-only array rebuilt from the bytes.
-    The last ``maxsize`` records are kept and shared by every caller;
+    The last ``maxsize`` records used are kept and shared by every caller;
     exceptions are never stored.  ``memo.prime(W, value)`` stores a value
-    the caller computed as fn(W) would, without calling fn, unless W has a
-    record; it counts as a miss."""
+    computed as fn(W) would be, unless W has a record, and counts as a call.
+    ``memo.peek(W)`` returns W's record or None, counting and reordering
+    nothing."""
     def decorate(fn):
-        primed = {}
+        records: OrderedDict = OrderedDict()
+        hits = misses = 0
 
-        @functools.lru_cache(maxsize=maxsize)
-        def record(shape, data):
-            if (shape, data) in primed:
-                return primed.pop((shape, data))
-            return fn(np.frombuffer(data).reshape(shape))
-
-        @functools.wraps(fn)
-        def memo(W):
-            W = _real(W, NotSymplecticError)
-            return record(W.shape, W.tobytes())
-
-        def prime(W, value):
+        def lookup(W, make):
+            nonlocal hits, misses
             W = _real(W, NotSymplecticError)
             key = W.shape, W.tobytes()
-            primed[key] = value
-            record(*key)
-            primed.pop(key, None)  # W had a record
+            value = records.get(key, records)  # the dict itself: no record
+            if value is not records:
+                hits += 1
+                records.move_to_end(key)
+                return value
+            misses += 1
+            value = records[key] = make(np.frombuffer(key[1]).reshape(key[0]))
+            if len(records) > maxsize:
+                records.popitem(last=False)
+            return value
 
-        memo.cache_info, memo.cache_clear = record.cache_info, record.cache_clear
-        memo.prime = prime
+        def peek(W):
+            W = _real(W, NotSymplecticError)
+            return records.get((W.shape, W.tobytes()))
+
+        def cache_clear():
+            nonlocal hits, misses
+            records.clear()
+            hits = misses = 0
+
+        memo = functools.wraps(fn)(lambda W: lookup(W, fn))
+        memo.cache_info = lambda: _CacheInfo(hits, misses, maxsize, len(records))
+        memo.cache_clear, memo.peek = cache_clear, peek
+        memo.prime = lambda W, value: lookup(W, lambda _: value)
         return memo
     return decorate
 
@@ -200,16 +212,24 @@ def block_rotation(angles) -> np.ndarray:
     return W
 
 
+def _row_norms(M: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the rows of a C-ordered stack M, each summed as
+    ``x.dot(x)`` sums the raveled row: the bits of `np.linalg.norm(M[i])`."""
+    x = M.reshape(len(M), 1, math.prod(M.shape[1:]))
+    return np.sqrt((x @ x.swapaxes(1, 2))[:, 0, 0])
+
+
 def _symplectic_check(M: np.ndarray, tol: float, stack: bool = False):
     """The symplectic rule for a float M, one matrix or, with ``stack``, an
     (N, 2n, 2n) stack: ok when |M|_F < 1e154 and r = |M^T Omega M - Omega|_F
-    <= tol |M|_F^2.  (ok, r) as (bool, float), norms as `np.linalg.norm`
-    computes them and r inf for |M|_F >= 1e154, or as (N,) arrays."""
+    <= tol |M|_F^2.  (ok, r) as (bool, float), r inf for |M|_F >= 1e154, or
+    as (N,) arrays.  Both sum norms as x.dot(x) (`_row_norms`), so a stack's
+    verdicts, and its residuals where they pass, are its rows' own."""
     with np.errstate(over="ignore", invalid="ignore"):
         if stack:
             O = _omega(M.shape[-1] // 2)
-            norm = np.linalg.norm(M, axis=(1, 2))
-            r = np.linalg.norm(np.swapaxes(M, 1, 2) @ O @ M - O, axis=(1, 2))
+            norm = _row_norms(M)
+            r = _row_norms(np.swapaxes(M, 1, 2) @ O @ M - O)
             return (norm < 1e154) & (r <= tol * np.maximum(norm**2, _TINY)), r
         x = M.ravel(order="K")
         norm = math.sqrt(x.dot(x))

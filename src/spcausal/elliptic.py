@@ -198,7 +198,8 @@ def _normal_form(W: np.ndarray) -> _Form:
 def _checked_form(W: np.ndarray) -> _Form:
     """`_normal_form` of one matrix W after `require_symplectic(W, TOL_GROUP)`,
     memoised by content; its arrays are read-only.  `random_causal_path`
-    stores the forms of its steps here (``prime``)."""
+    stores the forms of its steps here (``prime``), and the path readers
+    take stored forms before they compute any (``peek``)."""
     require_symplectic(W, TOL_GROUP)
     form = _normal_form(W)
     for a in form[1:4]:

@@ -24,6 +24,7 @@ from .core import (
     _omega,
     _optimize,
     _real,
+    _row_norms,
     _symplectic_check,
     block_rotation,
     block_rotation_generator,
@@ -234,13 +235,13 @@ def random_causal_path(
     steps that would leave the positively elliptic region are retried with
     halved step size (up to 20 halvings).  Symplecticity drift beyond
     DRIFT_TOL raises DriftExceededError; it is checked before membership.
-    Attempts are checked a window at a time as one stack, with the path,
-    error and Generator draws of trying them one by one: a chain of at most
-    as many steps as the form memo holds, restarting at one after a reject
-    and doubling while all are accepted, or after a reject the ladder of
-    the step's halvings.  Accepted forms are stored in the memo (README,
-    "The two memos").  Raises ValueError unless n and steps are integers
-    >= 1 and 0 < step_size < inf, DimensionMismatchError unless W_start is
+    Attempts are checked a window at a time, each check as one stack, with
+    the path, error and Generator draws of trying them one by one: a chain of
+    at most as many steps as the form memo holds, restarting at one after a
+    reject and doubling while all are accepted, or after a reject the ladder
+    of the step's halvings.  Accepted forms are stored in the memo (README,
+    "The two memos").  Raises ValueError unless n and steps are integers >= 1
+    and 0 < step_size < inf, DimensionMismatchError unless W_start has shape
     (2n, 2n), and NotSymplecticError unless it is symplectic at TOL_GROUP.
     """
     _require_count(n, "n")
@@ -267,19 +268,17 @@ def random_causal_path(
         k = min(chain, steps - len(tangents), window) if chain else _MAX_REFINE
         if len(drawn) < k:
             X = _cone_draws(rng, n, (k - len(drawn),))
-            X /= np.array([np.linalg.norm(x) for x in X])[:, None, None]
+            X /= _row_norms(X)[:, None, None]
             drawn = np.concatenate((drawn, X))
         X, W = drawn[:k], matrices[-1]
         E = scipy.linalg.expm(
             (step_size if chain else np.array(dts[1:])[:, None, None]) * X)
-        Ws = np.empty_like(E) if chain else E @ W
-        ok = 0  # the attempts that pass the drift rule, in order
-        while ok < k:
-            if chain:
-                np.matmul(E[ok], Ws[ok - 1] if ok else W, out=Ws[ok])
-            if not _symplectic_check(Ws[ok], DRIFT_TOL)[0]:
-                break
-            ok += 1
+        with np.errstate(over="ignore", invalid="ignore"):  # rows past a drift too
+            Ws = np.empty_like(E) if chain else E @ W
+            for j in range(k if chain else 0):  # a chain's steps, each from the last
+                np.matmul(E[j], Ws[j - 1] if j else W, out=Ws[j])
+        passed = _symplectic_check(Ws, DRIFT_TOL, stack=True)[0].tolist()
+        ok = passed.index(False) if False in passed else k  # before a drift
         form = _normal_form(Ws[:ok]) if confine else None
         inside = form.inside.tolist() if confine else [True] * ok
         # a window ends at a reject in a chain, at the step in a ladder
@@ -344,17 +343,25 @@ def _match(prev: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _grid_readings(path: CausalPath, members: Callable, read: Callable) -> list:
-    """One reading per grid matrix, the matrices checked once as a stack:
-    ``members(theta)`` reads the region members off the rows of the stacked
-    angles, and `read` every other matrix.  Raises DimensionMismatchError
-    unless the grid and the matrices have at least steps + 1 entries."""
+    """One reading per grid matrix: ``members(theta)`` reads the region
+    members off the rows of the stacked angles, and `read` every other
+    matrix.  Stored forms are read first (``peek``); only the rest are checked
+    and formed, as one stack.  Raises DimensionMismatchError unless the grid
+    and the matrices have at least steps + 1 entries."""
     if min(len(path.grid), len(path.matrices)) <= path.steps:
         raise DimensionMismatchError(
             f"{path.steps} steps need steps + 1 grid points and matrices, "
             f"got {len(path.grid)} and {len(path.matrices)}")
-    form = _normal_form(_symplectic_stack(path.matrices))
-    return [m if inside else read(W) for W, inside, m in
-            zip(path.matrices, form.inside.tolist(), members(form.theta))]
+    # each a stored form (inside, theta, ...) or None, then the misses' rows
+    found = [_checked_form.peek(W) for W in path.matrices]
+    miss = [i for i, f in enumerate(found) if f is None]
+    if miss:
+        form = _normal_form(_symplectic_stack([path.matrices[i] for i in miss]))
+        for i, row in zip(miss, zip(form.inside, form.theta)):
+            found[i] = row
+    theta = np.array([f[1] for f in found])
+    return [m if f[0] else read(W) for W, f, m in
+            zip(path.matrices, found, members(theta))]
 
 
 def _walker(read: Callable, step: Callable, limit: float, message: str) -> Callable:
@@ -536,11 +543,9 @@ def _tau_monotone(seed, dims, trials):
     min_dtau = np.inf
     for k, n in _schedule(dims, trials):
         _, path = _confined_trial(seed, 30_000 + k, n, steps=50, step_size=0.02)
-        form = _normal_form(_symplectic_stack(path.matrices))
-        taus = _tau_of(form.theta)
-        # a non-member fails the check
-        step = float(np.min(np.diff(taus))) if form.inside.all() else np.nan
-        min_dtau = np.minimum(min_dtau, step)
+        # a non-member reads NaN, which fails the check
+        taus = _grid_readings(path, lambda th: _tau_of(th).tolist(), lambda W: np.nan)
+        min_dtau = np.minimum(min_dtau, np.min(np.diff(taus)))
     return min_dtau > 0, min_dtau, "min per-step increment of tau on confined paths"
 
 

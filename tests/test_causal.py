@@ -22,8 +22,10 @@ from spcausal import (
     log_elliptic,
     omega_matrix,
     path_length,
+    random_causal_path,
     random_cone_element,
     random_elliptic,
+    random_elliptic_banded,
     random_symplectic,
     random_torus_pair,
     standard_J,
@@ -31,8 +33,11 @@ from spcausal import (
     tau,
 )
 from spcausal import causal
+from spcausal.core import TOL_GROUP, _omega, _symplectic_check
+from spcausal.elliptic import _checked_form
 from spcausal.exceptions import (
     DimensionMismatchError,
+    DriftExceededError,
     NotConnectableError,
     NotEllipticError,
     NotHamiltonianError,
@@ -338,6 +343,45 @@ def test_connect_samples_follow_the_geodesic_flow(monkeypatch):
         ref = geodesic_flow(conn.tangent, W0)(s)
         err = np.linalg.norm(seen[0] - ref, axis=(1, 2))
         assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=(1, 2)))
+
+
+def _geodesics_pool():
+    """(W0, W1) of each input of the causal_geodesics benchmark recipe at
+    seed 1: a banded start and the end of a confined 10-step path from it."""
+    for i in range(60):
+        n = 1 + i % 3
+        for r in range(50):
+            def seq(k):
+                return np.random.SeedSequence(entropy=1, spawn_key=(3, i, r, k))
+
+            W0 = random_elliptic_banded(seq(0), n, lo=0.3, hi=1.8)
+            try:
+                path = random_causal_path(seq(1), n, steps=10, W_start=W0,
+                                          step_size=0.05, confine=True)
+            except DriftExceededError:
+                continue
+            yield W0, path.endpoint
+            break
+
+
+def test_stack_verdicts_on_the_geodesics_pool_are_the_single_checks(monkeypatch):
+    # connect's samples: the stacked drift check, whose norms are summed as
+    # the single check sums them, passes every sample that the stack of
+    # np.linalg.norm norms passed, and the verdicts are the memo's
+    seen = []
+    verdicts = causal._stack_verdicts
+    monkeypatch.setattr(causal, "_stack_verdicts",
+                        lambda Ws: seen.append(Ws) or verdicts(Ws))
+    for W0, W1 in _geodesics_pool():
+        connect(W0, W1, samples=64)
+    assert len(seen) == 60
+    for P in seen:
+        O = _omega(P.shape[-1] // 2)
+        norm = np.linalg.norm(P, axis=(1, 2))
+        r = np.linalg.norm(P.swapaxes(1, 2) @ O @ P - O, axis=(1, 2))
+        assert (r <= TOL_GROUP * norm**2).all()
+        assert _symplectic_check(P, TOL_GROUP, stack=True)[0].all()
+        assert verdicts(P).tolist() == [bool(_checked_form(W).inside) for W in P]
 
 
 def test_connect_takes_geodesic_flow_for_an_ill_conditioned_splitting(monkeypatch):

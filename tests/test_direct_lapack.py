@@ -10,8 +10,21 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spcausal import block_rotation, block_rotation_generator, is_symplectic, pathlab
-from spcausal.core import _eigh, _omega, require_symplectic, symmetrized_form
+from spcausal import (
+    CausalPath,
+    block_rotation,
+    block_rotation_generator,
+    is_symplectic,
+    pathlab,
+)
+from spcausal.core import (
+    _eigh,
+    _omega,
+    _row_norms,
+    _symplectic_check,
+    require_symplectic,
+    symmetrized_form,
+)
 from spcausal.elliptic import (
     _BAND_EIGENVALUE,
     _GRAM_NOISE,
@@ -119,6 +132,51 @@ def test_is_symplectic_matches_the_numpy_norm_reference_to_the_bit():
                 assert (chk.ok, repr(chk.residual)) == (ok, repr(r)), k
 
 
+def test_a_stacked_check_matches_the_single_check_row_by_row():
+    # the mixed sample, each matrix also perturbed in one entry by 1e-12 to
+    # 1e-5 relative, and with a NaN entry, an infinite one or a scale past
+    # 1e154 in turn: 12000 rows, the verdict of each and the residual of each
+    # that passes to the bit
+    rng = np.random.default_rng(23)
+    by_n: dict[int, list] = {1: [], 2: [], 3: []}
+    for k, W in enumerate(_inputs()[:3000]):
+        nudged = W.copy()
+        nudged.flat[rng.integers(W.size)] += 10 ** rng.uniform(-12, -5) * np.abs(W).max()
+        odd = W.copy()
+        if k % 3 == 2:
+            odd *= 10 ** rng.uniform(154.1, 160)
+        else:
+            odd.flat[rng.integers(W.size)] = (np.nan, np.inf)[k % 3]
+        by_n[W.shape[0] // 2] += [W, nudged, W * (1 + 10 ** rng.uniform(-12, -5)), odd]
+    passed = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for Ws in by_n.values():
+            Ws = np.array(Ws)
+            for tol in (1e-9, 1e-7):
+                ok, r = _symplectic_check(Ws, tol, stack=True)
+                for k, W in enumerate(Ws):
+                    want_ok, want_r = _symplectic_check(W, tol)
+                    assert bool(ok[k]) is want_ok, k
+                    if want_ok:
+                        assert repr(float(r[k])) == repr(want_r), k
+                    passed += want_ok
+    assert 8000 < passed < 16000  # of 24000 checks
+
+
+def test_row_norms_match_numpy_norm_per_matrix_to_the_bit():
+    # the walk's unit tangents and the mixed sample
+    rng = np.random.default_rng(29)
+    stacks = [pathlab._cone_draws(rng, n, (2000,)) for n in (1, 2, 3)]
+    stacks += [np.array([W for W in _inputs()[:3000] if W.shape[0] == 2 * n])
+               for n in (1, 2, 3)]
+    for Ws in stacks:
+        want = np.array([np.linalg.norm(W) for W in Ws])
+        assert _bits(_row_norms(Ws)) == _bits(want)
+        assert _bits(Ws / _row_norms(Ws)[:, None, None]) == _bits(
+            np.array([W / np.linalg.norm(W) for W in Ws]))
+
+
 def test_require_symplectic_keeps_its_messages():
     off = block_rotation([0.5])
     off[0, 1] += 1e-3
@@ -218,12 +276,18 @@ def test_a_single_matrix_solve_warns_as_numpy_does():
 def test_tau_monotone_fails_on_a_path_through_a_non_member(monkeypatch):
     # the stacked form's verdicts, not NaN angles, fail the criterion
     members = [block_rotation([0.3 + 0.1 * k, 1.0 + 0.1 * k]) for k in range(4)]
-    path = SimpleNamespace(matrices=members[:2] + [block_rotation([0.5, -1.0])]
-                           + members[2:])
-    monkeypatch.setattr(pathlab, "_confined_trial", lambda *args, **kw: (None, path))
+    trial = SimpleNamespace(matrices=members[:2] + [block_rotation([0.5, -1.0])]
+                            + members[2:])
+
+    def confined_trial(*args, **kw):  # a path over the trial's matrices
+        steps = len(trial.matrices) - 1
+        return None, CausalPath(np.arange(steps + 1.0), (np.zeros((4, 4)),) * steps,
+                                tuple(trial.matrices))
+
+    monkeypatch.setattr(pathlab, "_confined_trial", confined_trial)
     ok, margin, _ = pathlab._tau_monotone(42, (2,), 1)
     assert not ok and np.isnan(margin)
-    path.matrices = members
+    trial.matrices = members
     ok, margin, _ = pathlab._tau_monotone(42, (2,), 1)
     assert ok and margin > 0
     assert _normal_form(_symplectic_stack(members)).inside.all()

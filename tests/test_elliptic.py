@@ -663,6 +663,30 @@ def test_a_primed_record_is_stored_without_a_form_and_never_replaces_one():
     assert (info.misses, info.hits, info.currsize) == (2, 3, 2)
 
 
+def test_a_peek_returns_the_record_and_counts_and_reorders_nothing():
+    # 100 tau calls evict the same keys with a peek at the oldest kept
+    # record before each call; a peek that refreshed it would keep it
+    def run(peek):
+        _checked_form.cache_clear()
+        seen = []
+        for k in range(100):
+            if peek and k:
+                record = _checked_form.peek(rot(0.01 + 0.03 * max(0, k - 64)))
+                seen.append(record is not None)
+            tau(rot(0.01 + 0.03 * k))
+        kept = [_checked_form.peek(rot(0.01 + 0.03 * k)) is not None for k in range(100)]
+        return _checked_form.cache_info(), kept, seen
+
+    info, kept, _ = run(peek=False)
+    assert run(peek=True)[:2] == (info, kept)
+    assert all(run(peek=True)[2])
+    assert kept == [k >= 36 for k in range(100)]
+    assert _checked_form.peek(rot(0.005)) is None
+    record = _checked_form.peek(rot(0.01 + 0.03 * 99))
+    assert _checked_form.cache_info() == info
+    assert record is _checked_form(rot(0.01 + 0.03 * 99))
+
+
 def test_tau_along_a_fresh_confined_path_reads_the_forms_of_its_confine_check():
     # the path_lab recipe; W_0 is the one grid matrix the generator never
     # checks, so it is the one miss

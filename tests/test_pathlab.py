@@ -1,6 +1,7 @@
 """Tests for path generation, phase tracking, Maslov lifting and the suite."""
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -787,6 +788,69 @@ def test_path_tracking_matches_the_per_step_loop_bit_for_bit():
             want = _loop_mu_along_path(path, start=start)
             assert mu_along_path(path, start=start).tobytes() == want.tobytes(), k
     assert crossing_count > 0 and off_points > 0
+
+
+def _tracked(path, start=None):
+    """The bytes of track_phases and of mu_along_path on the path."""
+    got = track_phases(path)
+    return (got.plus.tobytes(), got.minus.tobytes(), got.off_circle.tobytes(),
+            got.crossings, mu_along_path(path, start=start).tobytes())
+
+
+def _loop_tracked(path, start=None):
+    plus, minus, crossings, off = _loop_track_phases(path)
+    return (plus.tobytes(), minus.tobytes(), off.tobytes(), tuple(crossings),
+            _loop_mu_along_path(path, start=start).tobytes())
+
+
+def test_path_readers_match_the_per_step_loop_with_the_memo_warm_and_cold():
+    # the path_lab recipe at seed 2: a confined path read right after the
+    # walk stored its forms, then cold; a free path cold, then with the form
+    # of every grid matrix stored
+    free = [random_causal_path(_path_lab_seq(2, i, 0, 2), 1 + i % 3, steps=20,
+                               step_size=0.05) for i in range(30)]
+    for k, path in enumerate(itertools.islice(_path_lab_confined(2), 30)):
+        warm = _tracked(path, 0.0)
+        _checked_form.cache_clear()
+        assert warm == _tracked(path, 0.0) == _loop_tracked(path, 0.0), k
+    for k, path in enumerate(free):
+        _checked_form.cache_clear()
+        cold = _tracked(path)
+        for W in path.matrices:
+            _checked_form(W)
+        assert cold == _tracked(path) == _loop_tracked(path), k
+
+
+def test_readers_on_a_fresh_confined_path_form_only_its_start(monkeypatch):
+    # the walk stores the form of every step it takes, so the start, which
+    # it only checks, is the one matrix sent to _normal_form, as one row
+    form = pathlab._normal_form
+    for path in itertools.islice(_path_lab_confined(1), 6):
+        rows = []
+        with monkeypatch.context() as m:
+            m.setattr(pathlab, "_normal_form", lambda Ws: rows.append(Ws) or form(Ws))
+            for read in (track_phases, mu_along_path):
+                rows.clear()
+                read(path)
+                assert [W.tobytes() for W in rows] == [path.matrices[0].tobytes()]
+                assert rows[0].shape == (1, *path.matrices[0].shape)
+
+
+def test_a_path_matrix_changed_in_place_gets_a_fresh_form(monkeypatch):
+    # the memo is keyed by content, so a grid matrix overwritten after the
+    # walk stored its form reads the form of its new content
+    path = next(_path_lab_confined(1))
+    X = random_cone_element(5, 1)
+    old = path.matrices[5].copy()
+    path.matrices[5][...] = scipy.linalg.expm(1e-3 * X / np.linalg.norm(X)) @ old
+    form = pathlab._normal_form
+    rows = []
+    monkeypatch.setattr(pathlab, "_normal_form", lambda Ws: rows.append(Ws) or form(Ws))
+    angles = pathlab._grid_readings(path, lambda th: th.tolist(), lambda W: None)
+    assert [W.tobytes() for W in rows[0]] == [path.matrices[i].tobytes() for i in (0, 5)]
+    assert angles[5] == _normal_form(path.matrices[5]).theta.tolist()
+    assert angles[5] != _normal_form(old).theta.tolist()
+    assert _tracked(path) == _loop_tracked(path)
 
 
 def _deep_refinement_paths():

@@ -33,9 +33,13 @@ The path rows follow the benchmark's path_lab recipe: "path + tau" is a
 confined 50-step `random_causal_path` from a banded elliptic start followed
 by `tau` on every grid matrix, and "track_phases" tracks the phases of that
 path.  Both cycle over 16 seeds whose confinement succeeds, so no path's
-forms are still stored when its seed comes round again.  "free path + mu" is
-the recipe's unconfined 20-step path of step 0.05 from id followed by
-`mu_along_path` from 0, cycling over 16 seeds.
+forms are still stored when its seed comes round again, and "track_phases"
+times the reader with every form to compute.  "free path + mu" is the
+recipe's unconfined 20-step path of step 0.05 from id followed by
+`mu_along_path` from 0, cycling over 16 seeds.  "path_lab op" is the whole
+op of the recipe in its order, over the same 16 seeds: the confined path,
+`tau` on each grid matrix, `track_phases` of that path while its forms are
+stored, the free path and `mu_along_path`.
 
 The geodesic rows follow the benchmark's causal_geodesics recipe at seed 1:
 a banded elliptic W0 and the endpoint W1 of a confined 10-step path from it,
@@ -268,6 +272,15 @@ def measure(np, trees: dict) -> list:
 
         _row(np, trees, table, "free path + mu", "cycle", n,
              lambda sp: _cycled(lambda s: free_mu(sp, s), [(s,) for s in range(PATHS)]))
+
+        def path_lab_op(sp, seed, W0):
+            path = _path(sp, n, seed, W0)
+            return ([sp.tau(W) for W in path.matrices], sp.track_phases(path),
+                    free_mu(sp, seed))
+
+        _row(np, trees, table, "path_lab op", "cycle", n,
+             lambda sp: _cycled(lambda s, W0, p: path_lab_op(sp, s, W0),
+                                paths[sp.__name__]))
     geodesic = {
         "connect": lambda sp, W0, W1, Wt, Xt, Xg, P: sp.connect(W0, W1, samples=64),
         "exit_times torus": lambda sp, W0, W1, Wt, Xt, Xg, P: sp.exit_times(Wt, Xt, t_max=5e3),
