@@ -18,6 +18,7 @@ import scipy.linalg
 from .core import (
     TOL_GROUP,
     ConeStatus,
+    _cone_class,
     _eigh,
     _omega,
     _optimize,
@@ -32,6 +33,7 @@ from .elliptic import (
     _checked_form,
     _log_and_splitting,
     _stack_verdicts,
+    _symplectic_stack,
     is_positively_elliptic,
 )
 from .exceptions import (
@@ -122,7 +124,7 @@ def geodesic_flow(X: np.ndarray, W0: np.ndarray):
     eigenbasis of X is ill-conditioned.  Raises DimensionMismatchError
     when X and W0 differ in shape.
     """
-    return _flow(*_direction(X, W0))
+    return _flow(*_direction(X, W0))[0]
 
 
 def _direction(X: np.ndarray, W0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,26 +132,25 @@ def _direction(X: np.ndarray, W0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     DimensionMismatchError unless X has W0's shape."""
     W0, X = _real(W0, NotSymplecticError), require_hamiltonian(X)
     if X.shape != W0.shape:
-        raise DimensionMismatchError(
-            f"direction has shape {X.shape}, expected {W0.shape}"
-        )
+        raise DimensionMismatchError(f"direction has shape {X.shape}, "
+                                     f"expected {W0.shape}")
     return X, W0
 
 
 def _flow(X: np.ndarray, W0: np.ndarray):
-    """t -> exp(t X) @ W0 from X = V diag(d) V^{-1}, or from expm when the
-    eigenbasis of X is ill-conditioned (cond(V) >= _BASIS_COND_MAX) or eig
-    fails."""
+    """(flow, eigen): flow is t -> exp(t X) @ W0 from X = V diag(d) V^{-1},
+    eigen (d, V, V^{-1} W0), or from expm, eigen None, when the eigenbasis
+    of X is ill-conditioned (cond(V) >= _BASIS_COND_MAX) or eig fails."""
     try:
         d, V = np.linalg.eig(X)
         if np.linalg.cond(V) < _BASIS_COND_MAX:
             VW = np.linalg.inv(V) @ W0.astype(complex)
             return lambda t: np.real(
                 (V * np.exp(np.multiply.outer(t, d)[..., None, :])) @ VW
-            )
+            ), (d, V, VW)
     except np.linalg.LinAlgError:
         pass
-    return lambda t: scipy.linalg.expm(np.multiply.outer(t, X)) @ W0
+    return lambda t: scipy.linalg.expm(np.multiply.outer(t, X)) @ W0, None
 
 
 def dist_formula(W: np.ndarray) -> float:
@@ -232,10 +233,9 @@ def connect(
     try:
         X, split, B_inv = _log_and_splitting(Q)
     except NotEllipticError as exc:
-        raise NotConnectableError(
-            f"quotient not positively elliptic: {exc.reason}"
-        ) from exc
-    status = cone_status(X)
+        raise NotConnectableError(f"quotient not positively elliptic: "
+                                  f"{exc.reason}") from exc
+    status = _cone_class(X)  # X = -Omega S with S symmetric: Hamiltonian
     if not status.causal:
         raise NotCausalError(f"connecting direction has cone status {status.value}")
     if samples > 0:
@@ -255,17 +255,15 @@ def connect(
             points = geodesic_flow(X, W0)(s)
         endpoint_err = np.linalg.norm(points[-1] - W1)
         if endpoint_err > 1e-6 * max(1.0, np.linalg.norm(W1)):
-            raise NotConnectableError(
-                f"endpoint mismatch {endpoint_err:.3e} after logarithm"
-            )
+            raise NotConnectableError(f"endpoint mismatch {endpoint_err:.3e} "
+                                      "after logarithm")
         s, points = s[:-1], points[:-1]
-        inside = _stack_verdicts(points)
+        inside = _stack_verdicts(_symplectic_stack(points))
         if not inside.all():
             k = int(np.argmin(inside))
             reason = is_positively_elliptic(points[k]).reason
-            raise NotConnectableError(
-                f"geodesic leaves the region at s={s[k]:.4f}: {reason}"
-            )
+            raise NotConnectableError(f"geodesic leaves the region at "
+                                      f"s={s[k]:.4f}: {reason}")
     return GeodesicConnection(tangent=X, status=status)
 
 
@@ -279,17 +277,19 @@ def exit_times(
 
     W is in the region exactly when sym(Omega W) is positive definite (see
     `elliptic._normal_form`).  Each exit is the first root of
-    g(t) = lambda_min(sym(Omega exp(+-t X) W0)), one point of the flow of
-    `geodesic_flow` and one values-only LAPACK solve per evaluation.  Each
-    direction scans the doubling sequence s, 2s, 4s, ... <= t_max from
-    s = min(1, t_max) and stops at the first g <= 0, which brackets the root
-    with the point before it (0 for the first); brentq locates it on the
-    same g to xtol = min(tol, 1e-10), starting from the two scanned ends.  The start check puts g(0) above its
-    roundoff, 4 eps |sym(Omega W0)|, so an accepted start is never on the
-    boundary; an exit within xtol of it reads exactly 0.0.  By Krein
-    continuity (see ExitReason) the flow leaves backward through +1 and
-    forward through -1, as Krein-positive eigenvalues turn counterclockwise
-    along a causal flow.
+    g(t) = lambda_min(sym(M)), M = Omega exp(+-t X) W0, one values-only
+    LAPACK solve per evaluation; M is Re((Omega V e^{td}) V^{-1} W0) on
+    `geodesic_flow`'s eigenbasis X = V diag(d) V^{-1}, with Omega V and
+    V^{-1} W0 formed once, else Omega times the expm flow.  Each direction
+    scans s, 2s, 4s, ... <= t_max from s = min(1, t_max) and stops at the
+    first g <= 0, which brackets the root with the point before it (0 for
+    the first); brentq locates it on the same g to xtol = min(tol, 1e-10),
+    starting from the two scanned ends.  The start's verdict
+    (`elliptic._stack_verdicts`) puts g(0) above its roundoff, 4 eps
+    |sym(Omega W0)|, so an accepted start is never on the boundary; an
+    exit within xtol of it reads exactly 0.0.  By Krein continuity (see
+    ExitReason) the flow leaves backward through +1 and forward through -1,
+    as Krein-positive eigenvalues turn counterclockwise along a causal flow.
     Raises ValueError unless 0 < t_max < inf and 0 < tol < inf,
     DimensionMismatchError when X and W0 differ in shape, and
     NotEllipticError when W0 fails `is_positively_elliptic`.
@@ -298,20 +298,21 @@ def exit_times(
         raise ValueError("t_max must be positive and finite")
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
-    start = _checked_form(W0)
-    X, W0 = _direction(X, W0)
-    status = cone_status(X)
+    X, W0 = _direction(X, require_symplectic(W0, TOL_GROUP))
+    status = _cone_class(X)
     if status is ConeStatus.ZERO:
         raise ZeroDirectionError("direction is numerically zero")
     if not status.causal:
         raise OutsideConeError(f"direction has cone status {status.value}")
-    if not start.inside:
+    if not _stack_verdicts(W0[None])[0]:
         raise NotEllipticError("starting point is not positively elliptic")
-    flow = _flow(X, W0)
+    flow, eigen = _flow(X, W0)
     O = _omega(W0.shape[0] // 2)
+    if eigen is not None:
+        d, OV, VW = eigen[0], O @ eigen[1], eigen[2]
 
     def gap(t: float):
-        M = O @ flow(t)
+        M = O @ flow(t) if eigen is None else ((OV * np.exp(t * d)) @ VW).real
         return _eigh(M + M.T, vectors=False)[0][0]
 
     g0 = gap(0.0)  # > 0 at an accepted start
@@ -324,10 +325,8 @@ def exit_times(
             a, g_a, b = b, g_b, 2.0 * b
         # brentq evaluates the bracket ends first; the scan already holds them
         ends = {a: g_a, b: g_b}
-        return _optimize().brentq(
-            lambda t: ends[t] if t in ends else gap(sign * t),
-            a, b, xtol=min(tol, 1e-10),
-        )
+        return _optimize().brentq(lambda t: ends[t] if t in ends else gap(sign * t),
+                                  a, b, xtol=min(tol, 1e-10))
 
     c1, c2 = locate(-1.0), locate(1.0)
     bwd = ExitReason.EIGENVALUE_ONE if c1 < np.inf else None

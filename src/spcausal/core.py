@@ -310,7 +310,11 @@ def cone_status(X: np.ndarray, tol: float = TOL_CONE) -> ConeStatus:
     """
     if not 0 <= tol < math.inf:
         raise ValueError("tol must be non-negative and finite")
-    X = require_hamiltonian(X, tol=max(tol, TOL_HAM))
+    return _cone_class(require_hamiltonian(X, tol=max(tol, TOL_HAM)), tol)
+
+
+def _cone_class(X: np.ndarray, tol: float = TOL_CONE) -> ConeStatus:
+    """`cone_status` of an X that passed `require_hamiltonian`."""
     norm_x = float(np.linalg.norm(X))
     if norm_x <= tol:
         return ConeStatus.ZERO

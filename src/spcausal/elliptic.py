@@ -9,14 +9,14 @@ quantity in this module is a function of those angles and of the adapted
 basis realising the splitting.  W is positively elliptic exactly when
 sym(Omega W) is positive definite, and one congruence normal form of that
 matrix (`_normal_form`), for a single matrix or a stack, gives the verdict,
-the angles and the basis; a stack that needs only the verdicts stops after
-the eigenvalues of its first two stages (`_stack_verdicts`).  For a single
-matrix the form's Hermitian eigensolves call numpy's LAPACK kernel
-(?syevd/?heevd) directly (`core._eigh`): the bits of `np.linalg.eigh`
-without the wrapper's per-call overhead.  The Krein spectrum names
-the reason for a rejection and serves general spectra.  Every single-matrix
-entry reads the checked form from one memo (`_checked_form`; README, "The
-two memos").
+the angles and the basis; a stack that needs only the verdicts takes them
+from a stacked Cholesky certificate, or else from the eigenvalues of the
+form's first two stages (`_stack_verdicts`).  For a single matrix the
+form's Hermitian eigensolves call numpy's LAPACK kernel (?syevd/?heevd)
+directly (`core._eigh`): the bits of `np.linalg.eigh` without the
+wrapper's per-call overhead.  The Krein spectrum names the reason for a
+rejection and serves general spectra.  Every single-matrix entry reads the
+checked form from one memo (`_checked_form`; README, "The two memos").
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .core import (
     _eigh,
     _omega,
     _real,
+    _row_norms,
     _symplectic_check,
     block_rotation_generator,
     require_symplectic,
@@ -217,9 +218,20 @@ def _symplectic_stack(Ws: np.ndarray) -> np.ndarray:
 
 
 def _stack_verdicts(Ws: np.ndarray) -> np.ndarray:
-    """The normal form's verdicts, a boolean (N,) array, for a stack checked
-    by `_symplectic_stack`, from the congruence's eigenvalues alone."""
-    return _gram_stage(_symplectic_stack(Ws), vectors=False)[0]
+    """The normal form's verdicts, a boolean (N,) array, of a stack that
+    passed `_symplectic_stack`: `_gram_stage`'s, or all True when a stacked
+    Cholesky of P - s I succeeds, P = 2 sym(Omega W), s = 1e-6 max(1, |P|_F)
+    per row.  Success gives lambda_min(P) >= s - O(n^2 eps |P|) > 4 eps
+    lambda_max(P) and lambda_max(i Omega') <= 1 / lambda_min(P) <~ 1e6 <
+    1 / (2 sin ANGLE_BOUNDARY_BAND) ~ 5e7: `_gram_stage` accepts every row."""
+    M = _omega(Ws.shape[-1] // 2) @ Ws
+    P = M + M.swapaxes(-1, -2)
+    s = 1e-6 * np.maximum(1.0, _row_norms(P))
+    try:
+        np.linalg.cholesky(P - s[:, None, None] * np.eye(P.shape[-1]))
+        return np.ones(len(Ws), bool)
+    except np.linalg.LinAlgError:
+        return _gram_stage(Ws, vectors=False)[0]
 
 
 def _region_form(W: np.ndarray) -> _Form:

@@ -32,8 +32,8 @@ from spcausal import (
     symplectic_inverse,
     tau,
 )
-from spcausal import causal
-from spcausal.core import TOL_GROUP, _omega, _symplectic_check
+from spcausal import causal, core, elliptic
+from spcausal.core import TOL_GROUP, _eigh, _omega, _symplectic_check, is_hamiltonian
 from spcausal.elliptic import _checked_form
 from spcausal.exceptions import (
     DimensionMismatchError,
@@ -382,6 +382,41 @@ def test_stack_verdicts_on_the_geodesics_pool_are_the_single_checks(monkeypatch)
         assert (r <= TOL_GROUP * norm**2).all()
         assert _symplectic_check(P, TOL_GROUP, stack=True)[0].all()
         assert verdicts(P).tolist() == [bool(_checked_form(W).inside) for W in P]
+
+
+def test_connect_samples_on_the_geodesics_pool_pass_the_certificate(monkeypatch):
+    # the stacked Cholesky certificate settles the samples of every connect
+    # of the causal_geodesics pool, so the exact verdicts never run; a stack
+    # with one sample outside the region takes them
+    stages = []
+    gram = elliptic._gram_stage
+    monkeypatch.setattr(elliptic, "_gram_stage", lambda W, vectors: (
+        stages.append(W.shape) if not vectors else None) or gram(W, vectors))
+    for W0, W1 in _geodesics_pool():
+        connect(W0, W1, samples=64)
+    assert stages == []
+    W0, W1 = rot(0.3), rot(1.0)
+    s = np.linspace(0.0, 1.0, 66)[1:-1]
+    points = geodesic_flow(log_elliptic(W1 @ symplectic_inverse(W0)), W0)(s)
+    assert causal._stack_verdicts(points).all() and stages == []
+    points[40] = np.diag([2.0, 0.5])
+    assert causal._stack_verdicts(points).tolist() == [k != 40 for k in range(64)]
+    assert stages == [(64, 2, 2)]
+
+
+def test_a_direction_is_checked_as_hamiltonian_once(monkeypatch):
+    # exit_times checks X in _direction and classifies it without a second
+    # check; connect classifies the logarithm it assembles without one
+    checks = []
+    monkeypatch.setattr(core, "is_hamiltonian",
+                        lambda X, tol: checks.append(tol) or is_hamiltonian(X, tol))
+    exit_times(rot(0.5), standard_J(1))
+    assert len(checks) == 1
+    checks.clear()
+    connect(rot(0.3), rot(1.0))
+    assert checks == []
+    assert cone_status(-standard_J(1)) is ConeStatus.NEGATIVE_INTERIOR
+    assert len(checks) == 1
 
 
 def test_connect_takes_geodesic_flow_for_an_ill_conditioned_splitting(monkeypatch):
@@ -822,14 +857,17 @@ def _grid_exit_times(W0, X, t_max=1e3, tol=1e-8):
     return c1, c2, bwd, fwd
 
 
-def _assert_exits_equal_the_grid(cases, t_maxes=(0.5, 1e3, 5e3)):
-    """Byte-equal c1, c2 and reasons on every case and t_max; returns the
-    number of exits found past t_max (the infinite flags)."""
+def _assert_exits_equal(cases, t_maxes=(0.5, 1e3, 5e3),
+                        reference=_grid_exit_times):
+    """Byte-equal c1, c2 and reasons of exit_times and the reference on
+    every case and t_max; returns the number of exits found past t_max (the
+    infinite flags)."""
     unbracketed = 0
     for W0, X in cases:
         for t_max in t_maxes:
             et = exit_times(W0, X, t_max=t_max)
-            c1, c2, bwd, fwd = _grid_exit_times(W0, X, t_max=t_max)
+            c1, c2, bwd, fwd = reference(W0, X, t_max=t_max)
+            assert et.c1 == c1 and et.c2 == c2
             assert np.float64(et.c1).tobytes() == np.float64(c1).tobytes()
             assert np.float64(et.c2).tobytes() == np.float64(c2).tobytes()
             assert (et.backward_reason, et.forward_reason) == (bwd, fwd)
@@ -853,12 +891,12 @@ def _bench_exit_cases(seed):
 def test_exit_times_equal_the_stacked_grid_on_the_bench_pool(seed):
     # 120 calls per seed, each at t_max 0.5 (no exit bracketed for most),
     # 1e3 and 5e3
-    assert _assert_exits_equal_the_grid(_bench_exit_cases(seed)) > 0
+    assert _assert_exits_equal(_bench_exit_cases(seed)) > 0
 
 
-def test_exit_times_equal_the_stacked_grid_on_adversarial_starts():
-    # the reference cases, and the starts of
-    # test_exit_times_ill_conditioned_start that exit_times accepts
+def _adversarial_exit_cases():
+    """The reference cases, and the starts of
+    test_exit_times_ill_conditioned_start that exit_times accepts."""
     cases = _reference_cases()
     for seed in range(24):
         rng = np.random.default_rng((107, seed))
@@ -873,7 +911,11 @@ def test_exit_times_equal_the_stacked_grid_on_adversarial_starts():
                 if is_positively_elliptic(W0):
                     cases.append((W0, X / np.linalg.norm(X)))
     assert len(cases) > 60
-    _assert_exits_equal_the_grid(cases)
+    return cases
+
+
+def test_exit_times_equal_the_stacked_grid_on_adversarial_starts():
+    _assert_exits_equal(_adversarial_exit_cases())
 
 
 def _jordan_cases():
@@ -895,7 +937,51 @@ def test_exit_times_equal_the_stacked_grid_on_the_expm_flow(monkeypatch):
     calls = []
     expm = scipy.linalg.expm
     monkeypatch.setattr(scipy.linalg, "expm", lambda A: calls.append(1) or expm(A))
-    _assert_exits_equal_the_grid(_jordan_cases())
+    _assert_exits_equal(_jordan_cases())
+    assert len(calls) > 0
+
+
+def _per_point_exit_times(W0, X, t_max=1e3, tol=1e-8):
+    """exit_times with every evaluation of g one point of geodesic_flow:
+    M = Omega exp(t X) W0 formed from that point, and one values-only
+    `_eigh` of M + M^T."""
+    flow = geodesic_flow(X, W0)
+    O = omega_matrix(W0.shape[0] // 2)
+
+    def gap(t):
+        M = O @ flow(t)
+        return _eigh(M + M.T, vectors=False)[0][0]
+
+    g0 = gap(0.0)
+
+    def locate(sign):
+        a, g_a, b = 0.0, g0, min(1.0, t_max)
+        while not (g_b := gap(sign * b)) <= 0:
+            if 2.0 * b > t_max:
+                return float("inf")
+            a, g_a, b = b, g_b, 2.0 * b
+        ends = {a: g_a, b: g_b}
+        return scipy.optimize.brentq(lambda t: ends[t] if t in ends else gap(sign * t),
+                                     a, b, xtol=min(tol, 1e-10))
+
+    c1, c2 = locate(-1.0), locate(1.0)
+    return (c1, c2, ExitReason.EIGENVALUE_ONE if c1 < np.inf else None,
+            ExitReason.EIGENVALUE_MINUS_ONE if c2 < np.inf else None)
+
+
+def test_exit_times_equal_the_per_point_gap(monkeypatch):
+    # the gap on the precomputed eigenbasis, Re((Omega V e^{td}) V^{-1} W0),
+    # against one point of geodesic_flow per evaluation, byte for byte: the
+    # bench pool at seeds 1 and 2, the adversarial starts, and the Jordan
+    # directions, whose every evaluation takes the expm flow
+    cases = _bench_exit_cases(1) + _bench_exit_cases(2) + _adversarial_exit_cases()
+    jordan = _jordan_cases()
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda A: calls.append(1) or expm(A))
+    assert _assert_exits_equal(cases, (0.5, 5e3), _per_point_exit_times) > 0
+    assert not calls
+    _assert_exits_equal(jordan, (0.5, 5e3), _per_point_exit_times)
     assert len(calls) > 0
 
 

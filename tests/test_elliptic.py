@@ -261,6 +261,70 @@ def test_stack_verdicts_match_the_checked_form():
     assert sum(map(len, by_n.values())) == 4209 and 1000 < members < 3000
 
 
+def _certificate_corpus(rng, n: int) -> tuple[list, list]:
+    """Near-boundary matrices at n for the Cholesky certificate: one angle
+    1e-9 to 1e-5 from 0 or pi under conjugations of condition 1e0 to 1e8,
+    and rotations conjugated by diag(a, 1/a) in one plane, whose P has the
+    Gram margin lambda_min / lambda_max = a^-4 from 4 eps / 4 to 16 eps."""
+    near = []
+    for kappa in (1e0, 1e2, 1e4, 1e6, 1e8):
+        D = np.ones(2 * n)
+        D[0], D[n] = np.sqrt(kappa), 1 / np.sqrt(kappa)
+        S = np.diag(D) @ random_symplectic(rng, n, scale=0.3)
+        Si = symplectic_inverse(S)
+        for delta in np.geomspace(1e-9, 1e-5, 9):
+            for a in (delta, np.pi - delta):
+                theta = np.sort(np.r_[a, rng.uniform(0.5, 2.5, n - 1)])
+                near.append(S @ block_rotation(theta) @ Si)
+    margin = []
+    for r in np.geomspace(0.25, 4.0, 9):
+        D = np.ones(2 * n)
+        D[0] = (_GRAM_NOISE * r) ** -0.25
+        D[n] = 1 / D[0]
+        theta = np.r_[1.0, rng.uniform(0.5, 2.5, n - 1)]
+        margin.append(np.diag(D) @ block_rotation(theta) @ np.diag(1 / D))
+    return near, margin
+
+
+def test_certified_verdicts_equal_the_gram_stage_row_for_row(monkeypatch):
+    # _stack_verdicts' Cholesky certificate against _gram_stage's verdicts,
+    # one matrix at a time and in stacks of 16 that mix the corpus with
+    # members and non-members; a spy on _gram_stage tells which rows the
+    # certificate settled
+    gram = elliptic._gram_stage
+    calls = []
+    monkeypatch.setattr(elliptic, "_gram_stage",
+                        lambda W, vectors: calls.append(len(W)) or gram(W, vectors))
+    rng = np.random.default_rng(137)
+    certified = {True: 0, False: 0}
+    verdicts = {"near": set(), "margin": set()}
+    for n in (1, 2, 3):
+        near, margin = _certificate_corpus(rng, n)
+        for kind, Ws in (("near", near), ("margin", margin)):
+            for W in Ws:
+                calls.clear()
+                got = _stack_verdicts(_symplectic_stack([W]))
+                want = gram(W[None], vectors=False)[0]
+                assert got.dtype == bool and got.tolist() == want.tolist()
+                verdicts[kind].add(bool(want[0]))
+                if not calls:
+                    certified[bool(want[0])] += 1
+        members = [random_elliptic(rng, n, margin=0.3) for _ in range(12)]
+        hyperbolic = np.diag(np.r_[np.full(n, 2.0), np.full(n, 0.5)])
+        others = [np.eye(2 * n), -np.eye(2 * n), hyperbolic, random_symplectic(rng, n)]
+        Ws = np.array(near + margin + members + others)
+        Ws = Ws[rng.permutation(len(Ws))]
+        for k in range(0, len(Ws), 16):
+            stack = _symplectic_stack(Ws[k:k + 16])
+            assert _stack_verdicts(stack).tolist() == gram(stack, False)[0].tolist()
+        calls.clear()
+        assert _stack_verdicts(_symplectic_stack(members)).all() and not calls
+    # both verdicts on both kinds; the certificate settles members with an
+    # angle 1e-5 from 0 or pi, never a non-member
+    assert verdicts == {"near": {True, False}, "margin": {True, False}}
+    assert certified[True] > 0 and certified[False] == 0
+
+
 # The Cayley-Williamson normal form the library used before the congruence
 # form, kept as the differential reference
 def _cayley_normal_form(W: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -536,7 +600,8 @@ def _exits(W):
     return exit_times(W, standard_J(n), t_max=10.0)
 
 
-#: Every single-matrix entry that reads the memo.
+#: Every single-matrix entry that reads the memo, and exit_times, whose
+#: results must not depend on it either.
 ROUTED = (is_positively_elliptic, elliptic_angles, tau, mu_elliptic,
           dist_formula, elliptic_splitting, log_elliptic, _exits)
 
