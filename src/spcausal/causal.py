@@ -22,7 +22,6 @@ from .core import (
     _eigh,
     _omega,
     _optimize,
-    _real,
     cone_status,
     require_hamiltonian,
     require_symplectic,
@@ -41,7 +40,6 @@ from .exceptions import (
     NotCausalError,
     NotConnectableError,
     NotEllipticError,
-    NotSymplecticError,
     OutsideConeError,
     ZeroDirectionError,
 )
@@ -76,8 +74,8 @@ class ExitTimes:
 
     The flow stays in the region for t in (-c1, c2); a start on the boundary
     to working precision is not positively elliptic, so an accepted start is
-    never on it.  An exit within brentq's xtol = min(tol, 1e-10) of the start
-    reads exactly 0.0: the root is that close, not at the start.  Infinite
+    never on it.  An exit within brentq's xtol = 1e-10 of the start reads
+    exactly 0.0: the root is that close, not at the start.  Infinite
     entries flag that no exit was bracketed before t_max (the region theory
     guarantees a finite exit for nonzero causal X, so the flag means t_max
     was too small).
@@ -121,16 +119,17 @@ def geodesic_flow(X: np.ndarray, W0: np.ndarray):
 
     A scalar t gives the point; a 1-D array of N values gives the
     (N, 2n, 2n) stack of points.  Falls back to scipy.linalg.expm when the
-    eigenbasis of X is ill-conditioned.  Raises DimensionMismatchError
-    when X and W0 differ in shape.
+    eigenbasis of X is ill-conditioned.  Raises NotSymplecticError unless
+    W0 is symplectic at TOL_GROUP, and DimensionMismatchError when X and W0
+    differ in shape.
     """
     return _flow(*_direction(X, W0))[0]
 
 
 def _direction(X: np.ndarray, W0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """X after `require_hamiltonian` and the start W0 as floats;
-    DimensionMismatchError unless X has W0's shape."""
-    W0, X = _real(W0, NotSymplecticError), require_hamiltonian(X)
+    """X after `require_hamiltonian` and W0 after `require_symplectic` at
+    TOL_GROUP; DimensionMismatchError unless X has W0's shape."""
+    W0, X = require_symplectic(W0, TOL_GROUP), require_hamiltonian(X)
     if X.shape != W0.shape:
         raise DimensionMismatchError(f"direction has shape {X.shape}, "
                                      f"expected {W0.shape}")
@@ -271,7 +270,6 @@ def exit_times(
     W0: np.ndarray,
     X: np.ndarray,
     t_max: float = 1e3,
-    tol: float = 1e-8,
 ) -> ExitTimes:
     """Locate the exit parameters of exp(t X) W0 from the elliptic region.
 
@@ -283,22 +281,20 @@ def exit_times(
     V^{-1} W0 formed once, else Omega times the expm flow.  Each direction
     scans s, 2s, 4s, ... <= t_max from s = min(1, t_max) and stops at the
     first g <= 0, which brackets the root with the point before it (0 for
-    the first); brentq locates it on the same g to xtol = min(tol, 1e-10),
-    starting from the two scanned ends.  The start's verdict
+    the first); brentq locates it on the same g to xtol = 1e-10, starting
+    from the two scanned ends.  The start's verdict
     (`elliptic._stack_verdicts`) puts g(0) above its roundoff, 4 eps
     |sym(Omega W0)|, so an accepted start is never on the boundary; an
     exit within xtol of it reads exactly 0.0.  By Krein continuity (see
     ExitReason) the flow leaves backward through +1 and forward through -1,
     as Krein-positive eigenvalues turn counterclockwise along a causal flow.
-    Raises ValueError unless 0 < t_max < inf and 0 < tol < inf,
-    DimensionMismatchError when X and W0 differ in shape, and
-    NotEllipticError when W0 fails `is_positively_elliptic`.
+    Raises ValueError unless 0 < t_max < inf, NotSymplecticError unless W0
+    is symplectic at TOL_GROUP, DimensionMismatchError when X and W0 differ
+    in shape, and NotEllipticError when W0 fails `is_positively_elliptic`.
     """
     if not 0 < t_max < np.inf:
         raise ValueError("t_max must be positive and finite")
-    if not 0 < tol < np.inf:
-        raise ValueError("tol must be positive and finite")
-    X, W0 = _direction(X, require_symplectic(W0, TOL_GROUP))
+    X, W0 = _direction(X, W0)
     status = _cone_class(X)
     if status is ConeStatus.ZERO:
         raise ZeroDirectionError("direction is numerically zero")
@@ -326,7 +322,7 @@ def exit_times(
         # brentq evaluates the bracket ends first; the scan already holds them
         ends = {a: g_a, b: g_b}
         return _optimize().brentq(lambda t: ends[t] if t in ends else gap(sign * t),
-                                  a, b, xtol=min(tol, 1e-10))
+                                  a, b, xtol=1e-10)
 
     c1, c2 = locate(-1.0), locate(1.0)
     bwd = ExitReason.EIGENVALUE_ONE if c1 < np.inf else None

@@ -167,13 +167,11 @@ def _not_converged(err, flag):
 
 def _eigh(A: np.ndarray, vectors: bool = True):
     """`np.linalg.eigh(A)`, or (`np.linalg.eigvalsh(A)`, None), of a float64
-    or complex128 A: the package's one Hermitian eigensolver entry.  A single
-    matrix calls their LAPACK kernel (?syevd or ?heevd on the lower
+    or complex128 matrix or stack A: the package's one Hermitian eigensolver
+    entry.  It calls their LAPACK kernel (?syevd or ?heevd on the lower
     triangle) without the wrapper's per-call checks, under the wrapper's
     error state, so its results and warnings are numpy's; a failed solve,
     which raises the invalid flag, raises LinAlgError as in the wrapper."""
-    if A.ndim > 2:
-        return np.linalg.eigh(A) if vectors else (np.linalg.eigvalsh(A), None)
     kernels = np.linalg._umath_linalg
     with np.errstate(call=_not_converged, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):

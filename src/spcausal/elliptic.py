@@ -10,13 +10,13 @@ basis realising the splitting.  W is positively elliptic exactly when
 sym(Omega W) is positive definite, and one congruence normal form of that
 matrix (`_normal_form`), for a single matrix or a stack, gives the verdict,
 the angles and the basis; a stack that needs only the verdicts takes them
-from a stacked Cholesky certificate, or else from the eigenvalues of the
-form's first two stages (`_stack_verdicts`).  For a single matrix the
-form's Hermitian eigensolves call numpy's LAPACK kernel (?syevd/?heevd)
-directly (`core._eigh`): the bits of `np.linalg.eigh` without the
-wrapper's per-call overhead.  The Krein spectrum names the reason for a
-rejection and serves general spectra.  Every single-matrix entry reads the
-checked form from one memo (`_checked_form`; README, "The two memos").
+from a stacked Cholesky certificate, which implies the form's, or else from
+the form itself (`_stack_verdicts`).  The form's Hermitian eigensolves call
+numpy's LAPACK kernel (?syevd/?heevd) directly (`core._eigh`): the bits of
+`np.linalg.eigh` without the wrapper's per-call overhead.  The Krein
+spectrum names the reason for a rejection and serves general spectra.
+Every single-matrix entry reads the checked form from one memo
+(`_checked_form`; README, "The two memos").
 """
 
 from __future__ import annotations
@@ -136,26 +136,6 @@ class _Form(NamedTuple):
     p_max: np.ndarray
 
 
-def _gram_stage(W: np.ndarray, vectors: bool):
-    """The membership verdicts of a checked symplectic W, one matrix or a
-    stack, with the stage of the congruence (see `_normal_form`) that the
-    angles continue from: ``(inside, M, lam, G, U)`` with M = Omega W, the
-    ascending eigenvalues ``lam`` of P, the congruence G and the eigenvectors
-    U of i Omega', None unless ``vectors``: the verdict reads only the
-    eigenvalues of i Omega'.
-    """
-    O = _omega(W.shape[-1] // 2)
-    M = O @ W
-    lam, Q = _eigh(M + M.swapaxes(-1, -2))
-    positive = lam[..., 0] > _GRAM_NOISE * lam[..., -1]
-    # a non-member is carried along with its eigenvalues set to 1
-    G = Q / np.sqrt(np.where(positive[..., None], lam, 1.0))[..., None, :]
-    H = 1j * (G.swapaxes(-1, -2) @ O @ G)
-    w, U = _eigh(H, vectors)
-    inside = positive & (w[..., -1] <= _BAND_EIGENVALUE)
-    return inside, M, lam, G, U
-
-
 def _normal_form(W: np.ndarray) -> _Form:
     """Verdicts, ascending angles, eigenvectors and Gram extremes of a
     checked symplectic W, one (2n, 2n) matrix or a stack along leading axes:
@@ -181,11 +161,19 @@ def _normal_form(W: np.ndarray) -> _Form:
     asks lam_min > 4 eps lam_max, the working-precision noise of P, and
     every angle inside the boundary band, which is read from the eigenvalues
     of i Omega' alone: the angles lie in [band, pi - band] exactly when
-    lambda_max(i Omega') = 1 / (2 sin theta) is at most 1 / (2 sin band)
-    (`_gram_stage`, which the stacked verdicts share).
+    lambda_max(i Omega') = 1 / (2 sin theta) is at most 1 / (2 sin band).
+    Every region verdict of the package is this one, or the certificate of
+    `_stack_verdicts`, which implies it.
     """
     n = W.shape[-1] // 2
-    inside, M, lam, G, U = _gram_stage(W, vectors=True)
+    O = _omega(n)
+    M = O @ W
+    lam, Q = _eigh(M + M.swapaxes(-1, -2))
+    positive = lam[..., 0] > _GRAM_NOISE * lam[..., -1]
+    # a non-member is carried along with its eigenvalues set to 1
+    G = Q / np.sqrt(np.where(positive[..., None], lam, 1.0))[..., None, :]
+    w, U = _eigh(1j * (G.swapaxes(-1, -2) @ O @ G))
+    inside = positive & (w[..., -1] <= _BAND_EIGENVALUE)
     E = G @ U[..., n:]
     A = 1j * (M - M.swapaxes(-1, -2))
     c, Y = _eigh(E.conj().swapaxes(-1, -2) @ A @ E)
@@ -219,11 +207,11 @@ def _symplectic_stack(Ws: np.ndarray) -> np.ndarray:
 
 def _stack_verdicts(Ws: np.ndarray) -> np.ndarray:
     """The normal form's verdicts, a boolean (N,) array, of a stack that
-    passed `_symplectic_stack`: `_gram_stage`'s, or all True when a stacked
-    Cholesky of P - s I succeeds, P = 2 sym(Omega W), s = 1e-6 max(1, |P|_F)
-    per row.  Success gives lambda_min(P) >= s - O(n^2 eps |P|) > 4 eps
-    lambda_max(P) and lambda_max(i Omega') <= 1 / lambda_min(P) <~ 1e6 <
-    1 / (2 sin ANGLE_BOUNDARY_BAND) ~ 5e7: `_gram_stage` accepts every row."""
+    passed `_symplectic_stack`: `_normal_form(Ws).inside`, or all True when a
+    stacked Cholesky of P - s I succeeds, P = 2 sym(Omega W), s = 1e-6
+    max(1, |P|_F) per row.  Success gives lambda_min(P) >= s - O(n^2 eps |P|)
+    > 4 eps lambda_max(P) and lambda_max(i Omega') <= 1 / lambda_min(P) <~ 1e6
+    < 1 / (2 sin ANGLE_BOUNDARY_BAND) ~ 5e7: the form accepts every row."""
     M = _omega(Ws.shape[-1] // 2) @ Ws
     P = M + M.swapaxes(-1, -2)
     s = 1e-6 * np.maximum(1.0, _row_norms(P))
@@ -231,7 +219,7 @@ def _stack_verdicts(Ws: np.ndarray) -> np.ndarray:
         np.linalg.cholesky(P - s[:, None, None] * np.eye(P.shape[-1]))
         return np.ones(len(Ws), bool)
     except np.linalg.LinAlgError:
-        return _gram_stage(Ws, vectors=False)[0]
+        return _normal_form(Ws).inside
 
 
 def _region_form(W: np.ndarray) -> _Form:

@@ -10,7 +10,7 @@ derived deterministically from a single seed.
 from __future__ import annotations
 
 import copy
-import functools
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -116,12 +116,6 @@ class PhaseTrack:
     off_circle: np.ndarray | None = None
 
 
-@functools.lru_cache(maxsize=16)
-def _cone_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """eps I and -Omega at n, the constant terms of `random_cone_element`."""
-    return 1e-3 * np.eye(2 * n), -_omega(n)
-
-
 def random_cone_element(seed, n: int, scale: float = 1.0) -> np.ndarray:
     """Seeded interior cone element X = Omega^{-1} (A^T A + eps I) * scale.
     Raises ValueError unless 0 < scale < inf."""
@@ -133,8 +127,7 @@ def random_cone_element(seed, n: int, scale: float = 1.0) -> np.ndarray:
 def _cone_draws(rng, n: int, shape: tuple = ()) -> np.ndarray:
     """Omega^{-1} (A^T A + eps I) for standard normal A of shape (*shape, 2n, 2n)."""
     A = rng.standard_normal((*shape, 2 * n, 2 * n))
-    eps_I, minus_O = _cone_terms(n)
-    return minus_O @ (A.swapaxes(-1, -2) @ A + eps_I)
+    return -_omega(n) @ (A.swapaxes(-1, -2) @ A + 1e-3 * np.eye(2 * n))
 
 
 def random_symplectic(seed, n: int, scale: float = 1.0) -> np.ndarray:
@@ -209,7 +202,8 @@ def geodesic_path(
     X: np.ndarray, W0: np.ndarray, t0: float, t1: float, steps: int
 ) -> CausalPath:
     """Uniform-grid discretisation of the geodesic t -> exp(t X) W0.
-    Raises ValueError unless steps is an integer >= 1 and t0, t1 are finite."""
+    Raises ValueError unless steps is an integer >= 1 and t0, t1 are finite,
+    and `geodesic_flow`'s errors for X and W0."""
     _require_count(steps, "steps")
     for name, t in (("t0", t0), ("t1", t1)):
         if not -np.inf < t < np.inf:
@@ -441,8 +435,13 @@ def mu_along_path(path: CausalPath, start: float | None = None) -> np.ndarray:
     (`_grid_readings`; a member has nu = exp(i sum theta_k)).  A step on
     which arg(nu) turns by more than pi/2 is refined (`_walker`).  Anchored
     at ``start`` when given; otherwise at the wrapped argument of nu at the
-    first grid point, which is 0 for paths starting at id.
+    first grid point, which is 0 for paths starting at id.  Raises
+    ValueError unless ``start`` is None or a finite real number.
     """
+    if start is not None and not (isinstance(start, numbers.Real)
+                                  and -np.inf < start < np.inf):
+        raise ValueError(f"start must be None or finite, got {start!r}")
+
     def nu_arg(W):
         return float(np.angle(nu(W)))
 

@@ -17,6 +17,7 @@ from spcausal import (
     exit_times,
     finsler_G,
     geodesic_flow,
+    geodesic_path,
     is_positively_elliptic,
     krein_spectrum,
     log_elliptic,
@@ -386,12 +387,12 @@ def test_stack_verdicts_on_the_geodesics_pool_are_the_single_checks(monkeypatch)
 
 def test_connect_samples_on_the_geodesics_pool_pass_the_certificate(monkeypatch):
     # the stacked Cholesky certificate settles the samples of every connect
-    # of the causal_geodesics pool, so the exact verdicts never run; a stack
-    # with one sample outside the region takes them
+    # of the causal_geodesics pool, so the stacked normal form never runs; a
+    # stack with one sample outside the region takes it
     stages = []
-    gram = elliptic._gram_stage
-    monkeypatch.setattr(elliptic, "_gram_stage", lambda W, vectors: (
-        stages.append(W.shape) if not vectors else None) or gram(W, vectors))
+    form = elliptic._normal_form
+    monkeypatch.setattr(elliptic, "_normal_form", lambda W: (
+        stages.append(W.shape) if W.ndim == 3 else None) or form(W))
     for W0, W1 in _geodesics_pool():
         connect(W0, W1, samples=64)
     assert stages == []
@@ -526,8 +527,7 @@ def test_exit_times_errors():
     with pytest.raises(NotEllipticError):
         exit_times(np.diag([2.0, 0.5]), standard_J(1))
     for kwargs in ({"t_max": -1.0}, {"t_max": 0.0}, {"t_max": np.inf},
-                   {"t_max": np.nan}, {"tol": 0.0}, {"tol": -1e-8},
-                   {"tol": np.inf}):
+                   {"t_max": np.nan}):
         with pytest.raises(ValueError, match="must be positive and finite"):
             exit_times(rot(0.5), standard_J(1), **kwargs)
 
@@ -785,6 +785,20 @@ def test_geodesic_flow_rejects_a_start_of_another_shape():
     for X, W0 in ((standard_J(1), np.eye(4)), (standard_J(2), rot(0.5))):
         with pytest.raises(DimensionMismatchError, match="direction has shape"):
             geodesic_flow(X, W0)
+
+
+def test_geodesic_flow_checks_its_start():
+    # a start that is not symplectic at TOL_GROUP, or not finite, raises
+    # before the direction is read, in geodesic_flow and geodesic_path as in
+    # exit_times; a direction of another shape that is not Hamiltonian comes
+    # second
+    sheared, nan = np.array([[1.0, 5.0], [0.0, 3.0]]), np.full((2, 2), np.nan)
+    for W0, message in ((sheared, "symplectic residual"), (nan, "non-finite entries")):
+        for X in (standard_J(1), np.ones((4, 4))):
+            for call in (lambda: geodesic_flow(X, W0), lambda: exit_times(W0, X),
+                         lambda: geodesic_path(X, W0, 0.0, 1.0, 4)):
+                with pytest.raises(NotSymplecticError, match=message):
+                    call()
 
 
 def test_exit_times_t_max_flag():

@@ -1,7 +1,7 @@
-"""Single-matrix solves that call numpy's LAPACK kernels directly
-(`core._eigh`) and the one symplectic rule (`core._symplectic_check`),
-pinned bit for bit to the numpy paths they replaced, kept here as
-differential references."""
+"""Hermitian solves that call numpy's LAPACK kernels directly, for a matrix
+or a stack (`core._eigh`), and the one symplectic rule
+(`core._symplectic_check`), pinned bit for bit to the numpy paths they
+replaced, kept here as differential references."""
 
 import functools
 import warnings
@@ -215,12 +215,17 @@ def test_log_splitting_and_generator_match_the_numpy_reference_to_the_bit():
 
 def test_single_matrix_solves_match_numpy_at_every_size():
     # from 33 rows a workspace smaller than numpy's would change LAPACK's
-    # tridiagonal reduction
+    # tridiagonal reduction; a (k, N, N) stack, F-ordered too, loops the
+    # same kernel
     rng = np.random.default_rng(5)
     for N in (1, 2, 5, 6, 32, 33, 40):
         A = rng.standard_normal((N, N))
         C = A + 1j * rng.standard_normal((N, N))
-        for H in (A + A.T, C + C.conj().T, np.asfortranarray(A + A.T)):
+        As = rng.standard_normal((3, N, N))
+        Cs = As + 1j * rng.standard_normal((3, N, N))
+        Hs = As + As.swapaxes(1, 2)
+        for H in (A + A.T, C + C.conj().T, np.asfortranarray(A + A.T),
+                  Hs, Cs + Cs.conj().swapaxes(1, 2), np.asfortranarray(Hs)):
             w, v = _eigh(H)
             want_w, want_v = np.linalg.eigh(H)
             assert _bits(w) == _bits(want_w) and _bits(v) == _bits(want_v), N
@@ -264,7 +269,9 @@ def test_a_single_matrix_solve_warns_as_numpy_does():
 
     inf_pair = np.eye(4)
     inf_pair[0, 1] = inf_pair[1, 0] = np.inf
-    for A in (np.full((4, 4), np.inf), inf_pair):
+    stacks = [np.array([np.eye(4), A, 2 * np.eye(4)])
+              for A in (np.full((4, 4), np.inf), inf_pair, np.full((4, 4), np.nan))]
+    for A in [np.full((4, 4), np.inf), inf_pair] + stacks:
         for H in (A, A + 0j):
             want = outcome(lambda: np.linalg.eigh(H))
             assert want is not RuntimeWarning

@@ -287,14 +287,14 @@ def _certificate_corpus(rng, n: int) -> tuple[list, list]:
 
 
 def test_certified_verdicts_equal_the_gram_stage_row_for_row(monkeypatch):
-    # _stack_verdicts' Cholesky certificate against _gram_stage's verdicts,
-    # one matrix at a time and in stacks of 16 that mix the corpus with
-    # members and non-members; a spy on _gram_stage tells which rows the
-    # certificate settled
-    gram = elliptic._gram_stage
+    # _stack_verdicts' Cholesky certificate against the stacked normal
+    # form's verdicts, one matrix at a time and in stacks of 16 that mix the
+    # corpus with members and non-members; a spy on _normal_form tells which
+    # rows the certificate settled
+    form = elliptic._normal_form
     calls = []
-    monkeypatch.setattr(elliptic, "_gram_stage",
-                        lambda W, vectors: calls.append(len(W)) or gram(W, vectors))
+    monkeypatch.setattr(elliptic, "_normal_form",
+                        lambda W: calls.append(len(W)) or form(W))
     rng = np.random.default_rng(137)
     certified = {True: 0, False: 0}
     verdicts = {"near": set(), "margin": set()}
@@ -304,7 +304,7 @@ def test_certified_verdicts_equal_the_gram_stage_row_for_row(monkeypatch):
             for W in Ws:
                 calls.clear()
                 got = _stack_verdicts(_symplectic_stack([W]))
-                want = gram(W[None], vectors=False)[0]
+                want = form(W[None]).inside
                 assert got.dtype == bool and got.tolist() == want.tolist()
                 verdicts[kind].add(bool(want[0]))
                 if not calls:
@@ -316,13 +316,42 @@ def test_certified_verdicts_equal_the_gram_stage_row_for_row(monkeypatch):
         Ws = Ws[rng.permutation(len(Ws))]
         for k in range(0, len(Ws), 16):
             stack = _symplectic_stack(Ws[k:k + 16])
-            assert _stack_verdicts(stack).tolist() == gram(stack, False)[0].tolist()
+            assert _stack_verdicts(stack).tolist() == form(stack).inside.tolist()
         calls.clear()
         assert _stack_verdicts(_symplectic_stack(members)).all() and not calls
     # both verdicts on both kinds; the certificate settles members with an
     # angle 1e-5 from 0 or pi, never a non-member
     assert verdicts == {"near": {True, False}, "margin": {True, False}}
     assert certified[True] > 0 and certified[False] == 0
+
+
+def test_stacked_verdicts_at_the_band_edge_equal_the_memo_row_for_row(monkeypatch):
+    # the smallest angle within +-400 ulps of the band crossing, under exact
+    # conjugations (a power-of-two scaling of each plane and a permutation of
+    # the planes), which cross the band within the sweep, and under random
+    # ones, whose roundoff moves the crossing outside it; the certificate
+    # settles none of these stacks, so the stacked normal form decides every
+    # row
+    form = elliptic._normal_form
+    stacks = []
+    monkeypatch.setattr(elliptic, "_normal_form", lambda W: (
+        stacks.append(len(W)) if W.ndim == 3 else None) or form(W))
+    rng = np.random.default_rng(400)
+    ulps = np.arange(-400, 401, 4) * np.spacing(ANGLE_BOUNDARY_BAND)
+    for n in (1, 2, 3):
+        e, planes = rng.integers(-3, 4, n), rng.permutation(n)
+        D, perm = np.r_[2.0 ** e, 2.0 ** -e], np.r_[planes, planes + n]
+        S = random_symplectic(rng, n, scale=0.3)
+        for exact in (True, False):
+            rest = rng.uniform(0.5, 2.5, n - 1)
+            Rs = [block_rotation(np.r_[ANGLE_BOUNDARY_BAND + u, rest]) for u in ulps]
+            Ws = np.array([D[:, None] * R[np.ix_(perm, perm)] / D if exact
+                           else S @ R @ symplectic_inverse(S) for R in Rs])
+            stacks.clear()
+            got = _stack_verdicts(_symplectic_stack(Ws)).tolist()
+            want = [bool(_checked_form(W).inside) for W in Ws]
+            assert stacks == [len(Ws)] and got == want, (n, exact)
+            assert not exact or set(want) == {True, False}, n
 
 
 # The Cayley-Williamson normal form the library used before the congruence

@@ -482,6 +482,17 @@ def test_mu_lift_matches_closed_form():
         assert abs(mu[-1] - mu_elliptic(path.endpoint)) < 1e-6
 
 
+def test_mu_lift_start_must_be_none_or_a_finite_real():
+    path = geodesic_path(standard_J(1), np.eye(2), 0.0, 1.0, 4)
+    for start in (np.nan, np.inf, -np.inf, "a", 1j, np.array([0.5])):
+        with pytest.raises(ValueError, match="^start must be None or finite"):
+            mu_along_path(path, start=start)
+    free = mu_along_path(path)
+    for start in (0, 0.25, np.float64(-0.25), np.int64(1)):
+        want = free + (start - free[0])
+        assert mu_along_path(path, start=start).tobytes() == want.tobytes()
+
+
 def test_mu_lift_reversed_path():
     path = geodesic_path(standard_J(1), np.eye(2), 0.0, 1.5, 16)
     mu = mu_along_path(path)
