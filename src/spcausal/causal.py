@@ -31,9 +31,9 @@ from .core import (
 from .elliptic import (
     _checked_form,
     _log_and_splitting,
+    _rejection_reason,
     _stack_verdicts,
     _symplectic_stack,
-    is_positively_elliptic,
 )
 from .exceptions import (
     DimensionMismatchError,
@@ -214,15 +214,17 @@ def connect(
     equally spaced interior points of the connecting geodesic are checked
     as one stack of membership verdicts to stay in the region; the first
     that leaves it is named in the error (0 disables the check; a count
-    that is negative or not an integer raises ValueError).  The points come
-    from the splitting the logarithm is assembled from: with Q = B R(theta)
-    B^{-1}, exp(s X) W0 = B R(s theta) B^{-1} W0, which needs no second
-    eigensolve.  A basis with |B|_F |B^{-1}|_F >= 1e8 takes `geodesic_flow`,
-    which an accepted quotient reaches only at n = 3, within 2 % of the
-    rejection limit of sym(Omega Q).
+    that is negative, a bool or not an integer raises ValueError).  The
+    points come from the splitting the logarithm is assembled from: with
+    Q = B R(theta) B^{-1}, exp(s X) W0 = B R(s theta) B^{-1} W0, which needs
+    no second eigensolve.  A basis with |B|_F |B^{-1}|_F >= 1e8 takes the
+    flow of `geodesic_flow` without checking W0 and X again; an accepted
+    quotient reaches that bound only at n = 3, within 2 % of the rejection
+    limit of sym(Omega Q).
     Raises DimensionMismatchError when W0 and W1 differ in shape.
     """
-    if not isinstance(samples, (int, np.integer)) or samples < 0:
+    integer = isinstance(samples, (int, np.integer)) and not isinstance(samples, bool)
+    if not integer or samples < 0:
         raise ValueError("samples must be a non-negative integer")
     W0 = require_symplectic(W0, TOL_GROUP)
     W1 = require_symplectic(W1, TOL_GROUP)
@@ -251,7 +253,7 @@ def connect(
                 [c * Y[:n] - sn * Y[n:], sn * Y[:n] + c * Y[n:]], axis=-2
             )
         else:
-            points = geodesic_flow(X, W0)(s)
+            points = _flow(X, W0)[0](s)
         endpoint_err = np.linalg.norm(points[-1] - W1)
         if endpoint_err > 1e-6 * max(1.0, np.linalg.norm(W1)):
             raise NotConnectableError(f"endpoint mismatch {endpoint_err:.3e} "
@@ -260,9 +262,8 @@ def connect(
         inside = _stack_verdicts(_symplectic_stack(points))
         if not inside.all():
             k = int(np.argmin(inside))
-            reason = is_positively_elliptic(points[k]).reason
             raise NotConnectableError(f"geodesic leaves the region at "
-                                      f"s={s[k]:.4f}: {reason}")
+                                      f"s={s[k]:.4f}: {_rejection_reason(points[k])}")
     return GeodesicConnection(tangent=X, status=status)
 
 

@@ -109,7 +109,7 @@ def _parse_matrix_doc(data) -> np.ndarray:
     if "n" not in data or "matrix" not in data:
         raise MalformedInput("matrix document needs fields 'n' and 'matrix'")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise MalformedInput("'n' must be a positive integer")
     try:
         M = np.array(data["matrix"], dtype=float)

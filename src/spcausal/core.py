@@ -229,11 +229,11 @@ def _symplectic_check(M: np.ndarray, tol: float, stack: bool = False):
             norm = _row_norms(M)
             r = _row_norms(np.swapaxes(M, 1, 2) @ O @ M - O)
             return (norm < 1e154) & (r <= tol * np.maximum(norm**2, _TINY)), r
+        O = _omega(half_dim(M))  # the shape first, whatever the entries
         x = M.ravel(order="K")
         norm = math.sqrt(x.dot(x))
         if not norm < 1e154:  # non-finite, or too large to square safely
             return False, math.inf
-        O = _omega(half_dim(M))
         D = (M.T @ O @ M - O).ravel()
         r = math.sqrt(D.dot(D))
     return r <= tol * max(norm**2, _TINY), r
@@ -242,7 +242,8 @@ def _symplectic_check(M: np.ndarray, tol: float, stack: bool = False):
 def is_symplectic(M: np.ndarray, tol: float = TOL_SYMP) -> CheckResult:
     """Test the symplectic relation; residual is compared to tol * ||M||_F^2.
     Non-finite or non-real entries, or a norm of 1e154 or more, fail with
-    residual inf and no numpy warning."""
+    residual inf and no numpy warning; a shape other than 2n x 2n raises
+    (`half_dim`) whatever the entries."""
     return CheckResult(*_symplectic_check(_real(M), tol))
 
 

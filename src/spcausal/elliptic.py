@@ -9,12 +9,12 @@ quantity in this module is a function of those angles and of the adapted
 basis realising the splitting.  W is positively elliptic exactly when
 sym(Omega W) is positive definite, and one congruence normal form of that
 matrix (`_normal_form`), for a single matrix or a stack, gives the verdict,
-the angles and the basis; a stack that needs only the verdicts takes them
-from a stacked Cholesky certificate, which implies the form's, or else from
-the form itself (`_stack_verdicts`).  The form's Hermitian eigensolves call
-numpy's LAPACK kernel (?syevd/?heevd) directly (`core._eigh`): the bits of
-`np.linalg.eigh` without the wrapper's per-call overhead.  The Krein
-spectrum names the reason for a rejection and serves general spectra.
+the angles and the basis; a caller that needs only verdicts asks
+`_stack_verdicts`, which settles each row by a Cholesky certificate on either
+side of the region and forms only the rows neither settles.  The form's
+Hermitian eigensolves call numpy's LAPACK kernel (?syevd/?heevd) directly
+(`core._eigh`): the bits of `np.linalg.eigh` without the wrapper's overhead.
+The Krein spectrum names the reason for a rejection and serves general spectra.
 Every single-matrix entry reads the checked form from one memo
 (`_checked_form`; README, "The two memos").
 """
@@ -36,6 +36,7 @@ from .core import (
     _row_norms,
     _symplectic_check,
     block_rotation_generator,
+    half_dim,
     require_symplectic,
     symmetrized_form,
     symplectic_inverse,
@@ -162,8 +163,8 @@ def _normal_form(W: np.ndarray) -> _Form:
     every angle inside the boundary band, which is read from the eigenvalues
     of i Omega' alone: the angles lie in [band, pi - band] exactly when
     lambda_max(i Omega') = 1 / (2 sin theta) is at most 1 / (2 sin band).
-    Every region verdict of the package is this one, or the certificate of
-    `_stack_verdicts`, which implies it.
+    Every region verdict of the package is this one, or a certificate of
+    `_stack_verdicts` that implies it.
     """
     n = W.shape[-1] // 2
     O = _omega(n)
@@ -196,10 +197,12 @@ def _checked_form(W: np.ndarray) -> _Form:
     return form
 
 
-def _symplectic_stack(Ws: np.ndarray) -> np.ndarray:
+def _symplectic_stack(Ws) -> np.ndarray:
     """An (N, 2n, 2n) stack as floats after the symplectic check at TOL_GROUP;
-    the first matrix that fails raises with the single-matrix message."""
+    rows that are not 2n x 2n raise `half_dim`'s error before any product,
+    and the first matrix that fails raises with the single-matrix message."""
     Ws = _real(Ws, NotSymplecticError)
+    half_dim(Ws[0])
     for W in Ws[~_symplectic_check(Ws, TOL_GROUP, stack=True)[0]]:
         require_symplectic(W, TOL_GROUP)
     return Ws
@@ -207,19 +210,25 @@ def _symplectic_stack(Ws: np.ndarray) -> np.ndarray:
 
 def _stack_verdicts(Ws: np.ndarray) -> np.ndarray:
     """The normal form's verdicts, a boolean (N,) array, of a stack that
-    passed `_symplectic_stack`: `_normal_form(Ws).inside`, or all True when a
-    stacked Cholesky of P - s I succeeds, P = 2 sym(Omega W), s = 1e-6
-    max(1, |P|_F) per row.  Success gives lambda_min(P) >= s - O(n^2 eps |P|)
+    passed `_symplectic_stack`, each row settled by itself.  With
+    P = 2 sym(Omega W) and s = 1e-6 max(1, |P|_F), by Demmel's bound (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed. 2002, Thm 10.7)
+    a Cholesky factor of P - s I proves lambda_min(P) >= s - O(n^2 eps |P|)
     > 4 eps lambda_max(P) and lambda_max(i Omega') <= 1 / lambda_min(P) <~ 1e6
-    < 1 / (2 sin ANGLE_BOUNDARY_BAND) ~ 5e7: the form accepts every row."""
+    < 1 / (2 sin ANGLE_BOUNDARY_BAND) ~ 5e7, so the form accepts the row, and
+    a failed factor of P + s I proves lambda_min(P) <= -s + O(n^2 eps |P|)
+    < 0, so the form rejects it.  Only the rows neither settles are formed."""
     M = _omega(Ws.shape[-1] // 2) @ Ws
     P = M + M.swapaxes(-1, -2)
-    s = 1e-6 * np.maximum(1.0, _row_norms(P))
-    try:
-        np.linalg.cholesky(P - s[:, None, None] * np.eye(P.shape[-1]))
-        return np.ones(len(Ws), bool)
-    except np.linalg.LinAlgError:
-        return _normal_form(Ws).inside
+    sI = (1e-6 * np.maximum(1.0, _row_norms(P)))[:, None, None] * np.eye(P.shape[-1])
+    chol = np.linalg._umath_linalg.cholesky_lo
+    with np.errstate(all="ignore"):  # the kernel returns a failed factor as NaN
+        inside = np.isfinite(chol(P - sI)[:, 0, 0])
+        if len(rest := np.flatnonzero(~inside)):  # formed unless P + s I fails
+            rest = rest[np.isfinite(chol(P[rest] + sI[rest])[:, 0, 0])]
+    if len(rest):
+        inside[rest] = _normal_form(Ws[rest]).inside
+    return inside
 
 
 def _region_form(W: np.ndarray) -> _Form:

@@ -45,6 +45,7 @@ from .causal import (
 from .elliptic import (
     _checked_form,
     _normal_form,
+    _stack_verdicts,
     _symplectic_stack,
     _tau_of,
     elliptic_angles,
@@ -193,8 +194,9 @@ def random_torus_pair(seed, n: int):
 
 
 def _require_count(value, name: str) -> None:
-    """Raise ValueError unless value is an integer >= 1 (numpy's too)."""
-    if not isinstance(value, (int, np.integer)) or value < 1:
+    """Raise ValueError unless value is an integer >= 1 (numpy's too; not a bool)."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or value < 1:
         raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
 
 
@@ -341,11 +343,14 @@ def _grid_readings(path: CausalPath, members: Callable, read: Callable) -> list:
     members off the rows of the stacked angles, and `read` every other
     matrix.  Stored forms are read first (``peek``); only the rest are checked
     and formed, as one stack.  Raises DimensionMismatchError unless the grid
-    and the matrices have at least steps + 1 entries."""
+    and the matrices have at least steps + 1 entries and the matrices one
+    shape, even when their forms are stored."""
     if min(len(path.grid), len(path.matrices)) <= path.steps:
         raise DimensionMismatchError(
             f"{path.steps} steps need steps + 1 grid points and matrices, "
             f"got {len(path.grid)} and {len(path.matrices)}")
+    if len({W.shape for W in map(np.asarray, path.matrices)}) > 1:
+        raise DimensionMismatchError("path matrices differ in shape")
     # each a stored form (inside, theta, ...) or None, then the misses' rows
     found = [_checked_form.peek(W) for W in path.matrices]
     miss = [i for i, f in enumerate(found) if f is None]
@@ -517,8 +522,8 @@ def _broken_geodesic_max(seed, dims, trials):
         Y = random_cone_element(rng, n)
         M = scipy.linalg.expm(a * X + 0.05 * Y / np.linalg.norm(Y))
         # connect's quotients are M and W M^{-1}; it raises on a non-causal log
-        if not (_checked_form(M).inside
-                and _checked_form(W @ symplectic_inverse(M)).inside):
+        pair = _symplectic_stack([M, W @ symplectic_inverse(M)])
+        if not _stack_verdicts(pair).all():
             continue
         conn_in = connect(np.eye(2 * n), M, samples=0)
         conn_out = connect(M, W, samples=0)
@@ -661,8 +666,8 @@ def _diamond_bounded(seed, dims, trials):
         Y = Y / np.linalg.norm(Y)
         M = scipy.linalg.expm(float(rng.uniform(0.0, 0.5)) * Y) @ W0
         # W1 M^{-1} is connect's quotient
-        if not (_checked_form(M).inside
-                and _checked_form(W1 @ symplectic_inverse(M)).inside):
+        pair = _symplectic_stack([M, W1 @ symplectic_inverse(M)])
+        if not _stack_verdicts(pair).all():
             continue
         connect(M, W1, samples=0)
         max_norm = max(max_norm, float(np.linalg.norm(M)))
@@ -706,7 +711,7 @@ def _quasimorphism_defect(seed, dims, trials):
         V = random_elliptic(rng, n)
         W = random_elliptic(rng, n)
         VW = V @ W
-        if not _checked_form(VW).inside:
+        if not _stack_verdicts(_symplectic_stack([VW])).all():
             continue
         defect = max(defect, abs(mu_elliptic(VW) - mu_elliptic(V) - mu_elliptic(W)))
         pairs += 1

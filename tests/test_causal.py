@@ -303,6 +303,12 @@ def test_connect_rejects_a_non_integral_sample_count():
         assert connect(rot(0.3), rot(1.0), samples=good).status is ConeStatus.INTERIOR
 
 
+def test_connect_rejects_a_bool_sample_count():
+    for bad in (True, False, np.bool_(True)):
+        with pytest.raises(ValueError, match="^samples must be a non-negative integer$"):
+            connect(rot(0.3), rot(1.0), samples=bad)
+
+
 def test_connect_rejects_endpoints_of_different_shapes():
     with pytest.raises(DimensionMismatchError, match="W1 has shape"):
         connect(rot(0.3), block_rotation([0.5, 1.0]))
@@ -386,9 +392,11 @@ def test_stack_verdicts_on_the_geodesics_pool_are_the_single_checks(monkeypatch)
 
 
 def test_connect_samples_on_the_geodesics_pool_pass_the_certificate(monkeypatch):
-    # the stacked Cholesky certificate settles the samples of every connect
-    # of the causal_geodesics pool, so the stacked normal form never runs; a
-    # stack with one sample outside the region takes it
+    # the Cholesky certificates settle the samples of every connect of the
+    # causal_geodesics pool, so the stacked normal form never runs; a clear
+    # non-member among the samples is settled out by itself, and a member
+    # within s of the boundary, which neither certificate settles, is the
+    # only row formed
     stages = []
     form = elliptic._normal_form
     monkeypatch.setattr(elliptic, "_normal_form", lambda W: (
@@ -402,7 +410,10 @@ def test_connect_samples_on_the_geodesics_pool_pass_the_certificate(monkeypatch)
     assert causal._stack_verdicts(points).all() and stages == []
     points[40] = np.diag([2.0, 0.5])
     assert causal._stack_verdicts(points).tolist() == [k != 40 for k in range(64)]
-    assert stages == [(64, 2, 2)]
+    assert stages == []
+    points[40] = rot(1e-7)
+    assert causal._stack_verdicts(points).all()
+    assert stages == [(1, 2, 2)]
 
 
 def test_a_direction_is_checked_as_hamiltonian_once(monkeypatch):
@@ -423,8 +434,9 @@ def test_a_direction_is_checked_as_hamiltonian_once(monkeypatch):
 def test_connect_takes_geodesic_flow_for_an_ill_conditioned_splitting(monkeypatch):
     # a quotient the region accepts has cond_2(B)^2 <= cond(sym(Omega Q)),
     # below 1 / (4 eps), so its splitting basis B reaches the bound only in
-    # a sliver at n = 3; lowered to 1, every connect takes geodesic_flow,
-    # with the same tangent, verdicts and failure message
+    # a sliver at n = 3; lowered to 1, every connect takes geodesic_flow's
+    # flow (_flow) on the W0 and X it has, with the same tangent, verdicts
+    # and failure message, and checks neither again: no Hamiltonian check
     pairs = _connectable_pairs(117, 6) + [(rot(2.5), rot(3.5))]
     before = []
     for W0, W1 in pairs:
@@ -432,11 +444,12 @@ def test_connect_takes_geodesic_flow_for_an_ill_conditioned_splitting(monkeypatc
             before.append(connect(W0, W1).tangent)
         except NotConnectableError as exc:
             before.append(str(exc))
-    calls = []
-    flow = causal.geodesic_flow
+    calls, checks = [], []
+    flow = causal._flow
     monkeypatch.setattr(causal, "_BASIS_COND_MAX", 1.0)
-    monkeypatch.setattr(causal, "geodesic_flow",
-                        lambda X, W0: calls.append(1) or flow(X, W0))
+    monkeypatch.setattr(causal, "_flow", lambda X, W0: calls.append(1) or flow(X, W0))
+    monkeypatch.setattr(core, "is_hamiltonian",
+                        lambda X, tol: checks.append(tol) or is_hamiltonian(X, tol))
     for (W0, W1), want in zip(pairs, before):
         try:
             got = connect(W0, W1).tangent
@@ -446,7 +459,7 @@ def test_connect_takes_geodesic_flow_for_an_ill_conditioned_splitting(monkeypatc
             assert got == want
         else:
             assert np.array_equal(got, want)
-    assert len(calls) == len(pairs)
+    assert len(calls) == len(pairs) and checks == []
 
 
 # -- exit times -------------------------------------------------------------

@@ -229,6 +229,15 @@ def test_malformed_input_exit_code_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_a_bool_n_is_malformed(tmp_path, capsys):
+    # JSON true is not the count 1, as 1.0 is not
+    for n in (True, 1.0):
+        p = tmp_path / "bool.json"
+        p.write_text(json.dumps({"n": n, "matrix": rot(0.3).tolist()}))
+        code, out = run_cli(capsys, ["check", "--elliptic", str(p)])
+        assert code == 2 and "'n' must be a positive integer" in out["error"]
+
+
 def test_missing_file_exit_code_2(capsys):
     code, out = run_cli(capsys, ["dist", "/nonexistent/file.json"])
     assert code == 2

@@ -26,7 +26,7 @@ from spcausal import (
     symplectic_inverse,
     tau,
 )
-from spcausal.core import _real, symmetrized_form
+from spcausal.core import _real, require_symplectic, symmetrized_form
 from spcausal.exceptions import (
     DimensionMismatchError,
     NotHamiltonianError,
@@ -322,6 +322,23 @@ def test_an_empty_matrix_raises_a_dimension_mismatch():
               krein_spectrum, is_positively_elliptic):
         with pytest.raises(DimensionMismatchError, match="expected a 2n x 2n matrix"):
             f(E)
+
+
+def test_a_shape_error_does_not_depend_on_the_entries():
+    # a 2 x 3 or 3 x 3 matrix raises its shape error, whether its entries are
+    # finite, NaN or too large to square, before any norm screen
+    for shape, error, message in (((2, 3), DimensionMismatchError,
+                                   r"^expected a 2n x 2n matrix, got shape \(2, 3\)$"),
+                                  ((3, 3), OddDimensionError, r"^dimension 3 is odd$")):
+        for value in (1.0, np.nan, 1e200):
+            M = np.full(shape, value)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for f in (is_symplectic, require_symplectic, is_positively_elliptic,
+                          tau, krein_spectrum):
+                    with pytest.raises(error, match=message) as exc:
+                        f(M)
+                    assert type(exc.value) is error, (shape, value, f)
 
 
 def _asarray_real(M, error=None):

@@ -1,5 +1,6 @@
 """Hermitian solves that call numpy's LAPACK kernels directly, for a matrix
-or a stack (`core._eigh`), and the one symplectic rule
+or a stack (`core._eigh`), the Cholesky kernel of the verdict certificates
+(`elliptic._stack_verdicts`) and the one symplectic rule
 (`core._symplectic_check`), pinned bit for bit to the numpy paths they
 replaced, kept here as differential references."""
 
@@ -29,6 +30,7 @@ from spcausal.elliptic import (
     _BAND_EIGENVALUE,
     _GRAM_NOISE,
     _normal_form,
+    _stack_verdicts,
     _symplectic_stack,
     elliptic_splitting,
     is_positively_elliptic,
@@ -278,6 +280,45 @@ def test_a_single_matrix_solve_warns_as_numpy_does():
             assert outcome(lambda: _eigh(H)) == want
             want = outcome(lambda: (np.linalg.eigvalsh(H),))
             assert outcome(lambda: _eigh(H, vectors=False)) == want
+
+
+def test_the_cholesky_kernel_matches_numpy_row_by_row():
+    # _stack_verdicts' kernel on P -+ s I of the mixed sample, as stacks per
+    # n, and on random (3, N, N) stacks of definite and indefinite rows: a
+    # row that factors has the bits of np.linalg.cholesky, a row that fails
+    # is all NaN, and under _stack_verdicts' error state no warning escapes
+    chol = np.linalg._umath_linalg.cholesky_lo
+    rng = np.random.default_rng(41)
+    stacks = []
+    for n in (1, 2, 3):
+        Ws = np.array([W for W in _inputs()[:3000] if W.shape[0] == 2 * n])
+        M = _omega(n) @ Ws
+        P = M + M.swapaxes(1, 2)
+        sI = (1e-6 * np.maximum(1.0, _row_norms(P)))[:, None, None] * np.eye(2 * n)
+        stacks += [P - sI, P + sI]
+    for N in (1, 2, 5, 6, 32, 33, 40):
+        A = rng.standard_normal((3, N, N))
+        H = A @ A.swapaxes(1, 2)
+        stacks += [H + np.eye(N), H - np.eye(N), np.asfortranarray(H) + 1e-3 * np.eye(N)]
+    failed = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for H in stacks:
+            with np.errstate(all="ignore"):
+                L = chol(H)
+            for k, A in enumerate(H):
+                try:
+                    want = np.linalg.cholesky(A)
+                except np.linalg.LinAlgError:
+                    assert np.isnan(L[k]).all(), k
+                    failed += 1
+                    continue
+                assert _bits(L[k]) == _bits(want), k
+        for n in (1, 2, 3):
+            Ws = np.array([W for W in _inputs()[:3000] if W.shape[0] == 2 * n])
+            Ws = _symplectic_stack(Ws[_symplectic_check(Ws, 1e-7, stack=True)[0]])
+            assert _stack_verdicts(Ws).tolist() == _normal_form(Ws).inside.tolist()
+    assert 2000 < failed < 5000
 
 
 def test_tau_monotone_fails_on_a_path_through_a_non_member(monkeypatch):

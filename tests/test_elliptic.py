@@ -286,11 +286,56 @@ def _certificate_corpus(rng, n: int) -> tuple[list, list]:
     return near, margin
 
 
-def test_certified_verdicts_equal_the_gram_stage_row_for_row(monkeypatch):
-    # _stack_verdicts' Cholesky certificate against the stacked normal
+def _certificates(W: np.ndarray) -> tuple[bool, bool]:
+    """(P - s I factors, P + s I fails to factor) for a checked W, with
+    P = 2 sym(Omega W) and s = 1e-6 max(1, |P|_F), through np.linalg.cholesky:
+    the accept and the reject certificate of `_stack_verdicts`."""
+    M = _omega(W.shape[0] // 2) @ W
+    P = M + M.T
+    sI = 1e-6 * max(1.0, np.linalg.norm(P)) * np.eye(len(P))
+    factors = []
+    for A in (P - sI, P + sI):
+        try:
+            np.linalg.cholesky(A)
+            factors.append(True)
+        except np.linalg.LinAlgError:
+            factors.append(False)
+    return factors[0], not factors[1]
+
+
+def _mixed_certificate_sample(rng, n: int, count: int) -> list:
+    """count matrices at n: members, general symplectic matrices, conjugated
+    rotations with one angle 1e-9 to 1e-6 from 0 or pi, and conjugated
+    rotations with one negative angle (an indefinite Krein signature)."""
+    out = []
+    for k in range(count):
+        kind = k % 4
+        if kind == 0:
+            out.append(random_elliptic(rng, n, margin=0.05))
+            continue
+        if kind == 1:
+            out.append(random_symplectic(rng, n, scale=rng.uniform(0.2, 2.0)))
+            continue
+        theta = np.sort(rng.uniform(0.5, 2.5, n))
+        if kind == 2:
+            delta = 10 ** rng.uniform(-9, -6)
+            theta[0] = delta if rng.random() < 0.5 else np.pi - delta
+        else:
+            theta[0] = -theta[0]
+        S = random_symplectic(rng, n, scale=rng.uniform(0.2, 1.0))
+        out.append(S @ block_rotation(theta) @ symplectic_inverse(S))
+    return out
+
+
+def test_certified_verdicts_equal_the_normal_form_row_for_row(monkeypatch):
+    # _stack_verdicts' two Cholesky certificates against the stacked normal
     # form's verdicts, one matrix at a time and in stacks of 16 that mix the
-    # corpus with members and non-members; a spy on _normal_form tells which
-    # rows the certificate settled
+    # near-boundary corpus with members and non-members; a spy on
+    # _normal_form tells which rows the certificates settled.  On a mixed
+    # sample of 4500 rows, a row is formed exactly when neither certificate
+    # (computed here through np.linalg.cholesky) settles it; the accept
+    # certificate never settles a non-member, the reject certificate never
+    # a member
     form = elliptic._normal_form
     calls = []
     monkeypatch.setattr(elliptic, "_normal_form",
@@ -319,10 +364,35 @@ def test_certified_verdicts_equal_the_gram_stage_row_for_row(monkeypatch):
             assert _stack_verdicts(stack).tolist() == form(stack).inside.tolist()
         calls.clear()
         assert _stack_verdicts(_symplectic_stack(members)).all() and not calls
-    # both verdicts on both kinds; the certificate settles members with an
-    # angle 1e-5 from 0 or pi, never a non-member
+    # both verdicts on both kinds; the accept certificate settles members
+    # with an angle 1e-5 from 0 or pi, and no row of this corpus is clear
+    # enough of the region for the reject certificate
     assert verdicts == {"near": {True, False}, "margin": {True, False}}
     assert certified[True] > 0 and certified[False] == 0
+    settled = {"in": 0, "out": 0, "formed": 0}
+    for n in (1, 2, 3):
+        sample = _mixed_certificate_sample(rng, n, 1500)
+        for W in sample:
+            accept, reject = _certificates(W)
+            calls.clear()
+            got = bool(_stack_verdicts(_symplectic_stack([W]))[0])
+            want = bool(form(W).inside)
+            assert got is want
+            assert not accept or want  # settled in: a member
+            assert not reject or not want  # settled out: a non-member
+            assert calls == ([] if accept or reject else [1])
+            settled["in" if accept else "out" if reject else "formed"] += 1
+        stack = _symplectic_stack(sample)
+        calls.clear()
+        assert _stack_verdicts(stack).tolist() == form(stack).inside.tolist()
+        assert sum(calls) == sum(not any(_certificates(W)) for W in sample)
+    assert min(settled.values()) > 1000 and sum(settled.values()) == 4500
+    # one stack with rows settled in, settled out and formed, in and out
+    Ws = [rot(1.0), np.diag([2.0, 0.5]), rot(1e-7), rot(5e-9), rot(2.0)]
+    calls.clear()
+    assert _stack_verdicts(_symplectic_stack(Ws)).tolist() == [True, False, True,
+                                                               False, True]
+    assert calls == [2]
 
 
 def test_stacked_verdicts_at_the_band_edge_equal_the_memo_row_for_row(monkeypatch):

@@ -33,6 +33,7 @@ from spcausal import (
     random_torus_pair,
     standard_J,
     symplectic_inverse,
+    tau,
     track_phases,
     verify_suite,
 )
@@ -46,6 +47,7 @@ from spcausal.exceptions import (
     NotConnectableError,
     NotEllipticError,
     NotSymplecticError,
+    OddDimensionError,
 )
 from spcausal.krein import _spectrum, nu
 from spcausal.pathlab import (
@@ -931,6 +933,50 @@ def test_a_malformed_path_raises_dimension_mismatch():
     assert path_length(short_matrices) == path_length(p)
 
 
+def test_a_path_of_malformed_matrices_raises_a_shape_error():
+    # odd, non-square and mixed matrices, the mixed ones also when both
+    # forms are stored, which the stack check would not see, raise a typed
+    # error before any product
+    I2, I4 = np.eye(2), np.eye(4)
+    R2, R4 = block_rotation([0.5]), block_rotation([0.5, 0.7])
+    tau(R2), tau(R4)  # both forms stored
+
+    def path(*matrices):
+        steps = len(matrices) - 1
+        return CausalPath(np.arange(steps + 1.0), (matrices[0],) * steps, matrices)
+
+    cases = ((path(np.eye(3), np.eye(3)), OddDimensionError, r"^dimension 3 is odd$"),
+             (path(np.ones((2, 3)), np.ones((2, 3))), DimensionMismatchError,
+              r"^expected a 2n x 2n matrix, got shape \(2, 3\)$"),
+             (path(I2, I4), DimensionMismatchError, "^path matrices differ in shape$"),
+             (path(R2, R4), DimensionMismatchError, "^path matrices differ in shape$"))
+    for p, error, message in cases:
+        for along in (track_phases, mu_along_path):
+            with pytest.raises(error, match=message) as exc:
+                along(p)
+            assert type(exc.value) is error
+    # and so does a stack that is not 3-D or of odd rows
+    for Ws, error in ((np.ones((2, 2)), DimensionMismatchError),
+                      (np.ones((1, 3, 3)), OddDimensionError)):
+        with pytest.raises(error):
+            _symplectic_stack(Ws)
+
+
+def test_a_bool_is_not_a_count():
+    J, I = standard_J(1), np.eye(2)
+    cases = [
+        (lambda: random_causal_path(0, True, 3), "n must be >= 1"),
+        (lambda: random_causal_path(0, 1, True), "steps must be >= 1"),
+        (lambda: geodesic_path(J, I, 0.0, 1.0, True), "steps must be >= 1"),
+        (lambda: verify_suite(1, True, 2), "n must be >= 1"),
+        (lambda: verify_suite(1, 1, True), "trials must be >= 1"),
+    ]
+    for make, message in cases:
+        with pytest.raises(ValueError, match=f"^{message} and an integer, got True$") as exc:
+            make()
+        assert type(exc.value) is ValueError
+
+
 def test_counts_must_be_integers_and_times_finite():
     J, I = standard_J(1), np.eye(2)
     cases = [
@@ -1105,6 +1151,83 @@ def test_registry_samplers_compute_no_krein_spectrum(name):
     _spectrum.cache_clear()
     PROPERTIES[name](42, (2,), trials)
     assert _spectrum.cache_info().misses == 0
+
+
+# The three samplers' draw loops as they decided acceptance from the form
+# memo's verdict, _checked_form(...).inside, kept as the differential
+# reference of the stacked verdicts; each returns the sha256 of every
+# accepted candidate (M, or VW), in order.
+def _memo_broken_geodesic_max(seed, dims, trials):
+    rng = np.random.default_rng(_spawn(seed, 20_000))
+    accepted, guard = [], 0
+    while len(accepted) < trials and guard < 50 * trials:
+        guard += 1
+        n = dims[int(rng.integers(len(dims)))]
+        W = random_elliptic_banded(rng, n, lo=0.4, hi=2.6)
+        X = log_elliptic(W)
+        a = float(rng.uniform(0.2, 0.8))
+        Y = random_cone_element(rng, n)
+        M = scipy.linalg.expm(a * X + 0.05 * Y / np.linalg.norm(Y))
+        if _checked_form(M).inside and _checked_form(W @ symplectic_inverse(M)).inside:
+            accepted.append(hashlib.sha256(M.tobytes()).hexdigest())
+    return accepted
+
+
+def _memo_diamond_bounded(seed, dims, trials):
+    rng = np.random.default_rng(_spawn(seed, 90_000))
+    ends = {}
+    for n in dims:
+        W0 = _diamond_base(n)
+        Z = random_cone_element(rng, n)
+        ends[n] = W0, scipy.linalg.expm(0.8 * Z / np.linalg.norm(Z)) @ W0
+    accepted, guard = [], 0
+    while len(accepted) < trials and guard < 100 * trials:
+        guard += 1
+        W0, W1 = ends[dims[len(accepted) % len(dims)]]
+        Y = random_cone_element(rng, W0.shape[0] // 2)
+        Y = Y / np.linalg.norm(Y)
+        M = scipy.linalg.expm(float(rng.uniform(0.0, 0.5)) * Y) @ W0
+        if _checked_form(M).inside and _checked_form(W1 @ symplectic_inverse(M)).inside:
+            accepted.append(hashlib.sha256(M.tobytes()).hexdigest())
+    return accepted
+
+
+def _memo_quasimorphism_defect(seed, dims, trials):
+    rng = np.random.default_rng(_spawn(seed, 160_000))
+    accepted, guard = [], 0
+    while len(accepted) < trials and guard < 50 * trials:
+        guard += 1
+        n = dims[len(accepted) % len(dims)]
+        VW = random_elliptic(rng, n) @ random_elliptic(rng, n)
+        if _checked_form(VW).inside:
+            accepted.append(hashlib.sha256(VW.tobytes()).hexdigest())
+    return accepted
+
+
+@pytest.mark.parametrize("name, reference", [
+    ("broken_geodesic_max", _memo_broken_geodesic_max),
+    ("diamond_bounded", _memo_diamond_bounded),
+    ("quasimorphism_defect", _memo_quasimorphism_defect),
+])
+def test_registry_samplers_accept_the_candidates_of_the_memo_verdict(
+        monkeypatch, name, reference):
+    # the stacked verdicts accept the candidates the memoised form accepts,
+    # by the hash of each accepted M or VW, the first row of each stack
+    accepted = []
+    verdicts = pathlab._stack_verdicts
+
+    def spy(Ws):
+        inside = verdicts(Ws)
+        if inside.all():
+            accepted.append(hashlib.sha256(Ws[0].tobytes()).hexdigest())
+        return inside
+
+    monkeypatch.setattr(pathlab, "_stack_verdicts", spy)
+    for seed in (42, 7, 11):
+        accepted.clear()
+        PROPERTIES[name](seed, (1, 2, 3), 30)
+        want = reference(seed, (1, 2, 3), 30)
+        assert accepted == want and len(want) == 30, seed
 
 
 # -- suite ------------------------------------------------------------------

@@ -52,6 +52,15 @@ samples of the geodesic from W0 to W1.  Since the stacked Cholesky
 certificate, `_stack_verdicts` takes a stack `_symplectic_stack` has
 checked, and that check is no longer in the row (it is in "connect").
 Each cycles over GEODESICS inputs per n, more than the form memo holds.
+
+The registry sampler rows time one call of the rejection samplers
+`diamond_bounded` and `broken_geodesic_max` of `pathlab.PROPERTIES` at
+seed 42, dims (n,) and SAMPLER_TRIALS accepted candidates, each call
+after clearing the form memo, so that no call reads forms an earlier one
+stored.  The cost of a call depends on its seed, so every call takes the
+same one.  Most of a `diamond_bounded` call is the membership verdicts of
+the candidates it rejects; `broken_geodesic_max` accepts nearly every
+candidate.
 """
 
 from __future__ import annotations
@@ -80,6 +89,8 @@ POOL = 128
 PATHS = 16
 #: Distinct inputs per n in the geodesic rows.
 GEODESICS = 96
+#: Accepted candidates per call in the registry sampler rows.
+SAMPLER_TRIALS = 10
 #: Target seconds of calls per tree and block.
 REPEAT_SECONDS = 0.02
 SCREEN = (["check", "--elliptic"], ["spectrum"], ["nu"])
@@ -303,6 +314,13 @@ def measure(np, trees: dict) -> list:
         for name, f in geodesic.items():
             _row(np, trees, table, name, "cycle", n,
                  lambda sp: _cycled(lambda *a: f(sp, *a), cases))
+    for name in ("diamond_bounded", "broken_geodesic_max"):
+        for n in (1, 2, 3):
+            def sampler(sp):
+                sp.elliptic._checked_form.cache_clear()
+                return sp.pathlab.PROPERTIES[name](42, (n,), SAMPLER_TRIALS)
+
+            _row(np, trees, table, name, "repeat", n, lambda sp: lambda: sampler(sp))
     return table
 
 
@@ -343,7 +361,7 @@ def main(argv=None) -> int:
 
     trees["after"] = spcausal
     for tree in trees.values():
-        for sub in ("cli", "core", "elliptic", "exceptions"):
+        for sub in ("cli", "core", "elliptic", "exceptions", "pathlab"):
             importlib.import_module(f"{tree.__name__}.{sub}")
     text = json.dumps({"meta": _metadata(), "rows": measure(np, trees)}, indent=1)
     if args.out:
