@@ -91,7 +91,7 @@ class EllipticSplitting:
     basis: np.ndarray
 
     def generator(self) -> np.ndarray:
-        """The Hamiltonian X with exp(X) = W, assembled from the splitting."""
+        """The logarithm X with exp(X) = W, `log_elliptic(W)` to the bit."""
         return self._ambient(block_rotation_generator(self.angles))[0]
 
     def complex_structure(self, k: int) -> np.ndarray:
@@ -100,9 +100,10 @@ class EllipticSplitting:
         return self._ambient(block_rotation_generator(np.eye(self.n)[k]))[0]
 
     def _ambient(self, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """B K B^{-1} for the basis B, with B^{-1}."""
+        """B K B^{-1} for the basis B, projected onto sp(2n) as
+        -Omega sym(Omega B K B^{-1}), with B^{-1}."""
         B_inv = np.linalg.inv(self.basis)
-        return self.basis @ K @ B_inv, B_inv
+        return -_omega(self.n) @ symmetrized_form(self.basis @ K @ B_inv), B_inv
 
 
 def _rejection_reason(W: np.ndarray) -> str:
@@ -144,7 +145,8 @@ def _normal_form(W: np.ndarray) -> _Form:
     and ``Y`` (..., n, n) such that column k of E Y is an eigenvector for
     exp(i theta_k), with (E Y)* Omega (E Y) = -i diag(1 / (2 sin theta)),
     and ``p_min`` and ``p_max``, the extreme eigenvalues of P below.
-    ``theta``, ``E`` and ``Y`` are meaningful only where ``inside`` holds.
+    ``theta``, ``E`` and ``Y`` are meaningful only where ``inside`` holds,
+    and read-only, as every reader of a stored form shares them.
 
     W is positively elliptic exactly when P = 2 sym(Omega W) = M + M^T, with
     M = Omega W, is positive definite (Krein's strong-stability theory, see
@@ -181,20 +183,20 @@ def _normal_form(W: np.ndarray) -> _Form:
     # the largest c_k gives the smallest angle, so theta is ascending; copied
     # contiguous, as numpy's log too picks its loop by stride (tau, dist)
     theta = np.arctan2(1.0, c)[..., ::-1].copy()
-    return _Form(inside, theta, E, Y[..., ::-1], lam[..., 0], lam[..., -1])
+    Y = Y[..., ::-1]
+    for a in (theta, E, Y):
+        a.setflags(write=False)
+    return _Form(inside, theta, E, Y, lam[..., 0], lam[..., -1])
 
 
 @_content_memo(64)
 def _checked_form(W: np.ndarray) -> _Form:
     """`_normal_form` of one matrix W after `require_symplectic(W, TOL_GROUP)`,
-    memoised by content; its arrays are read-only.  `random_causal_path`
-    stores the forms of its steps here (``prime``), and the path readers
-    take stored forms before they compute any (``peek``)."""
+    memoised by content.  `random_causal_path` stores the forms of its steps
+    here (``prime``), and the path readers take stored forms before they
+    compute any (``peek``)."""
     require_symplectic(W, TOL_GROUP)
-    form = _normal_form(W)
-    for a in form[1:4]:
-        a.setflags(write=False)
-    return form
+    return _normal_form(W)
 
 
 def _symplectic_stack(Ws) -> np.ndarray:
@@ -304,7 +306,7 @@ def _log_and_splitting(
             IllConditionedWarning,
         )
     X, B_inv = split._ambient(block_rotation_generator(split.angles))
-    return -_omega(split.n) @ symmetrized_form(X), split, B_inv
+    return X, split, B_inv
 
 
 def log_elliptic(W: np.ndarray) -> np.ndarray:

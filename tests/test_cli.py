@@ -229,6 +229,24 @@ def test_malformed_input_exit_code_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_malformed_documents_name_their_fault(tmp_path, capsys):
+    # each exits 2 with the exact error text
+    one = json.dumps({"n": 1, "matrix": rot(0.3).tolist()})
+    cases = (
+        (["dist"], '"abc"', "matrix document must be a JSON object"),
+        (["dist"], "[42]", "matrix document must be a JSON object"),
+        (["dist"], '{"n": 1}', "matrix document needs fields 'n' and 'matrix'"),
+        (["dist"], '{"n": 1, "matrix": [[1, 0], [0, NaN]]}',
+         "'matrix' contains non-finite entries"),
+        (["connect"], one, "expected 2 matrix document(s), got 1"),
+    )
+    for argv, text, error in cases:
+        p = tmp_path / "doc.json"
+        p.write_text(text)
+        code, out = run_cli(capsys, [*argv, str(p)])
+        assert (code, out["error"]) == (2, error), text
+
+
 def test_a_bool_n_is_malformed(tmp_path, capsys):
     # JSON true is not the count 1, as 1.0 is not
     for n in (True, 1.0):

@@ -5,6 +5,7 @@ or a stack (`core._eigh`), the Cholesky kernel of the verdict certificates
 replaced, kept here as differential references."""
 
 import functools
+import itertools
 import warnings
 from types import SimpleNamespace
 
@@ -15,10 +16,14 @@ from spcausal import (
     CausalPath,
     block_rotation,
     block_rotation_generator,
+    is_hamiltonian,
     is_symplectic,
     pathlab,
+    random_symplectic,
+    symplectic_inverse,
 )
 from spcausal.core import (
+    TOL_HAM,
     _eigh,
     _omega,
     _row_norms,
@@ -74,14 +79,19 @@ def _numpy_is_symplectic(M, tol: float = 1e-9) -> tuple[bool, float]:
     return r <= tol * max(norm**2, 1e-300), r
 
 
+def _projected(X: np.ndarray) -> np.ndarray:
+    """X projected onto sp(2n) as -Omega sym(Omega X)."""
+    return -_omega(X.shape[0] // 2) @ symmetrized_form(X)
+
+
 def _numpy_log(W) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The logarithm of a member W, its splitting basis and the
-    unsymmetrised generator B K B^{-1} of `EllipticSplitting.generator`."""
+    """The logarithm of a member W, its splitting basis and the unprojected
+    generator B K B^{-1}, which the splitting's generator once returned."""
     theta, E, Y = _numpy_normal_form(np.asarray(W, dtype=float))[1:4]
     V = E @ Y * np.sqrt(2 * np.sin(theta))
     B = np.sqrt(2) * np.hstack([V.real, -V.imag])
     X = B @ block_rotation_generator(theta) @ np.linalg.inv(B)
-    return -_omega(theta.size) @ symmetrized_form(X), B, X
+    return _projected(X), B, X
 
 
 def _bits(a) -> tuple:
@@ -201,18 +211,53 @@ def test_log_splitting_and_generator_match_the_numpy_reference_to_the_bit():
         except SymplecticDomainError:
             continue
         members += 1
-        want_log, want_basis, want_generator = _numpy_log(W)
+        want_log, want_basis, unprojected = _numpy_log(W)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert _bits(log_elliptic(W)) == _bits(want_log), k
         split = elliptic_splitting(W)
         assert _bits(split.basis) == _bits(want_basis), k
-        assert _bits(split.generator()) == _bits(want_generator), k
+        # the generator is B K B^{-1} projected onto sp(2n): the logarithm
+        assert _bits(split.generator()) == _bits(_projected(unprojected)), k
         S = np.zeros((2 * split.n, 2 * split.n))
         S[split.n, 0], S[0, split.n] = 1.0, -1.0
-        want = split.basis @ S @ np.linalg.inv(split.basis)
+        want = _projected(split.basis @ S @ np.linalg.inv(split.basis))
         assert _bits(split.complex_structure(0)) == _bits(want), k
     assert members > 1000
+
+
+def _conjugated_rotations():
+    """S R(theta) S^{-1} for random symplectic S of scale 0.4 to 3.0, angles
+    in (0.2, pi - 0.2): ill-conditioned splittings of region elements."""
+    rng = np.random.default_rng(5)
+    for scale in (0.4, 0.8, 1.2, 1.6, 2.0, 3.0):
+        for k in range(300):
+            n = 1 + k % 3
+            theta = np.sort(rng.uniform(0.2, np.pi - 0.2, n))
+            S = random_symplectic(rng, n, scale)
+            yield S @ block_rotation(theta) @ symplectic_inverse(S)
+
+
+def test_the_splitting_generator_is_the_logarithm_and_hamiltonian():
+    # the unprojected B K B^{-1} fails the Hamiltonian check at TOL_HAM on
+    # 34 of these members, each with cond(B) >= 1.67e4, so that
+    # cone_status(generator()) raised on them; the projected generator is
+    # the logarithm and exactly Hamiltonian
+    members = unprojected_fails = 0
+    for k, W in enumerate(itertools.chain(_inputs()[:3000], _conjugated_rotations())):
+        if not is_positively_elliptic(W):
+            continue
+        members += 1
+        split = elliptic_splitting(W)
+        X = split.generator()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert _bits(X) == _bits(log_elliptic(W)), k
+        assert is_hamiltonian(X, tol=0), k
+        for j in range(split.n):
+            assert is_hamiltonian(split.complex_structure(j), tol=0), (k, j)
+        unprojected_fails += not is_hamiltonian(_numpy_log(W)[2], TOL_HAM)
+    assert members == 1206 + 1796 and unprojected_fails == 34
 
 
 def test_single_matrix_solves_match_numpy_at_every_size():

@@ -784,6 +784,17 @@ def test_memo_results_are_copies_of_read_only_forms():
             a[...] = 0
 
 
+def test_the_normal_form_makes_its_arrays_read_only():
+    # one rule for a matrix and a stack: the memo, a walk's primed rows and
+    # the path readers share theta, E and Y as the form made them
+    Ws = np.array([random_elliptic(k, 2) for k in range(3)])
+    for form in (_normal_form(Ws[0]), _normal_form(Ws)):
+        for a in (form.theta, form.E, form.Y):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+
 def test_memo_never_stores_an_error():
     off = rot(0.5)
     off[0, 1] += 1e-3

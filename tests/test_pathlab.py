@@ -467,6 +467,20 @@ def test_track_phases_crossing_recorded():
                for _, lab, val in track.crossings)
 
 
+def test_track_phases_reads_a_path_of_nested_lists_as_its_arrays():
+    # as mu_along_path does: the half-dimension comes from the checked shape
+    paths = [geodesic_path(standard_J(1), scipy.linalg.expm(0.3 * standard_J(1)),
+                           0.0, np.pi, 16),
+             random_causal_path(4, 2, 12, step_size=0.2)]
+    for path in paths:
+        nested = CausalPath(grid=path.grid, tangents=path.tangents,
+                            matrices=tuple(W.tolist() for W in path.matrices))
+        got, want = track_phases(nested), track_phases(path)
+        for name in ("grid", "plus", "minus", "off_circle"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.crossings == want.crossings
+
+
 # -- Maslov lifting ---------------------------------------------------------
 
 def test_mu_lift_full_rotation():
@@ -1211,10 +1225,12 @@ def _memo_quasimorphism_defect(seed, dims, trials):
 ])
 def test_registry_samplers_accept_the_candidates_of_the_memo_verdict(
         monkeypatch, name, reference):
-    # the stacked verdicts accept the candidates the memoised form accepts,
-    # by the hash of each accepted M or VW, the first row of each stack
+    # the samplers accept the candidates the memoised form accepts, by the
+    # hash of each accepted M or VW: the first row of each accepted stack,
+    # or for broken_geodesic_max, whose connect calls decide, the M of each
+    # connect(M, W) that returns (asked only once connect(id, M) returned)
     accepted = []
-    verdicts = pathlab._stack_verdicts
+    verdicts, connect = pathlab._stack_verdicts, pathlab.connect
 
     def spy(Ws):
         inside = verdicts(Ws)
@@ -1222,7 +1238,16 @@ def test_registry_samplers_accept_the_candidates_of_the_memo_verdict(
             accepted.append(hashlib.sha256(Ws[0].tobytes()).hexdigest())
         return inside
 
-    monkeypatch.setattr(pathlab, "_stack_verdicts", spy)
+    def connect_spy(W0, W1, samples=64):
+        conn = connect(W0, W1, samples=samples)
+        if not np.array_equal(W0, np.eye(len(W0))):
+            accepted.append(hashlib.sha256(W0.tobytes()).hexdigest())
+        return conn
+
+    if name == "broken_geodesic_max":
+        monkeypatch.setattr(pathlab, "connect", connect_spy)
+    else:
+        monkeypatch.setattr(pathlab, "_stack_verdicts", spy)
     for seed in (42, 7, 11):
         accepted.clear()
         PROPERTIES[name](seed, (1, 2, 3), 30)

@@ -207,8 +207,12 @@ def _interleave(np, calls) -> dict:
     timers["before"].timeit(1)
     timers["after"].timeit(1)
     number = 1
+    # calibrated on "before", with "after" making as many calls, so that a
+    # cycling row gives both sides the same inputs in every block
     while (t := timers["before"].timeit(number)) < REPEAT_SECONDS / 8:
+        timers["after"].timeit(number)
         number *= 2
+    timers["after"].timeit(number)
     number = max(1, round(number * REPEAT_SECONDS / t))
     us: dict = {side: [] for side in SIDES}
     for b in range(BLOCKS):
