@@ -47,8 +47,8 @@ from .exceptions import (
 # the closure branch of a checked W reads the memo _spectrum
 from .krein import _phases, _spectrum, krein_spectrum  # noqa: F401
 
-#: Condition number of an eigenbasis or splitting basis at and above which a
-#: flow is no longer assembled from it.
+#: Condition number of an eigenbasis at and above which a flow is no longer
+#: assembled from it.
 _BASIS_COND_MAX = 1e8
 
 
@@ -99,12 +99,12 @@ class GeodesicConnection:
     status: ConeStatus
 
 
-def finsler_G(X: np.ndarray, tol: float = 1e-9) -> float:
+def finsler_G(X: np.ndarray) -> float:
     """Lorentz-Finsler Lagrangian det(X)^{1/2n} on the closed cone.
 
-    Exactly zero on the cone boundary; raises OutsideConeError elsewhere.
+    Exactly zero on the TOL_CONE boundary band; raises OutsideConeError elsewhere.
     """
-    status = cone_status(X, tol)
+    status = cone_status(X)
     if status is ConeStatus.BOUNDARY:
         return 0.0
     if status is not ConeStatus.INTERIOR:
@@ -217,10 +217,7 @@ def connect(
     that is negative, a bool or not an integer raises ValueError).  The
     points come from the splitting the logarithm is assembled from: with
     Q = B R(theta) B^{-1}, exp(s X) W0 = B R(s theta) B^{-1} W0, which needs
-    no second eigensolve.  A basis with |B|_F |B^{-1}|_F >= 1e8 takes the
-    flow of `geodesic_flow` without checking W0 and X again; an accepted
-    quotient reaches that bound only at n = 3, within 2 % of the rejection
-    limit of sym(Omega Q).
+    no second eigensolve.
     Raises DimensionMismatchError when W0 and W1 differ in shape.
     """
     integer = isinstance(samples, (int, np.integer)) and not isinstance(samples, bool)
@@ -242,18 +239,13 @@ def connect(
     if samples > 0:
         # the samples, then the endpoint s = 1
         s = np.linspace(0.0, 1.0, samples + 2)[1:]
-        B, n = split.basis, split.n
-        # the Frobenius condition number, an upper bound of the 2-norm one
-        if np.linalg.norm(B) * np.linalg.norm(B_inv) < _BASIS_COND_MAX:
-            # R(s theta) rotates the rows (p_k, q_k) of B^{-1} W0
-            Y = B_inv @ W0
-            st = np.multiply.outer(s, split.angles)[..., None]
-            c, sn = np.cos(st), np.sin(st)
-            points = B @ np.concatenate(
-                [c * Y[:n] - sn * Y[n:], sn * Y[:n] + c * Y[n:]], axis=-2
-            )
-        else:
-            points = _flow(X, W0)[0](s)
+        # R(s theta) rotates the rows (p_k, q_k) of B^{-1} W0
+        Y, n = B_inv @ W0, split.n
+        st = np.multiply.outer(s, split.angles)[..., None]
+        c, sn = np.cos(st), np.sin(st)
+        points = split.basis @ np.concatenate(
+            [c * Y[:n] - sn * Y[n:], sn * Y[:n] + c * Y[n:]], axis=-2
+        )
         endpoint_err = np.linalg.norm(points[-1] - W1)
         if endpoint_err > 1e-6 * max(1.0, np.linalg.norm(W1)):
             raise NotConnectableError(f"endpoint mismatch {endpoint_err:.3e} "

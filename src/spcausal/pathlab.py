@@ -36,6 +36,8 @@ from .core import (
 )
 from .causal import (
     ExitReason,
+    _direction,
+    _flow,
     connect,
     dist_formula,
     exit_times,
@@ -89,12 +91,12 @@ class CausalPath:
     def endpoint(self) -> np.ndarray:
         return self.matrices[-1]
 
-    def validate(self, drift_tol: float = DRIFT_TOL) -> None:
-        """Check the CausalPath invariants; raises on violation."""
+    def validate(self) -> None:
+        """Check the invariants, symplecticity at DRIFT_TOL; raises on violation."""
         if not len(self.grid) == len(self.matrices) == len(self.tangents) + 1:
             raise DimensionMismatchError("grid/tangent/matrix counts are inconsistent")
         for i, W in enumerate(self.matrices):
-            chk = is_symplectic(W, tol=drift_tol)
+            chk = is_symplectic(W, tol=DRIFT_TOL)
             if not chk:
                 raise DriftExceededError(
                     f"symplectic residual {chk.residual:.3e} at grid index {i}"
@@ -117,12 +119,9 @@ class PhaseTrack:
     off_circle: np.ndarray | None = None
 
 
-def random_cone_element(seed, n: int, scale: float = 1.0) -> np.ndarray:
-    """Seeded interior cone element X = Omega^{-1} (A^T A + eps I) * scale.
-    Raises ValueError unless 0 < scale < inf."""
-    if not 0 < scale < np.inf:
-        raise ValueError("scale must be positive and finite")
-    return _cone_draws(np.random.default_rng(seed), n) * scale
+def random_cone_element(seed, n: int) -> np.ndarray:
+    """Seeded interior cone element X = Omega^{-1} (A^T A + eps I)."""
+    return _cone_draws(np.random.default_rng(seed), n)
 
 
 def _cone_draws(rng, n: int, shape: tuple = ()) -> np.ndarray:
@@ -211,8 +210,8 @@ def geodesic_path(
         if not -np.inf < t < np.inf:
             raise ValueError(f"{name} must be finite, got {t!r}")
     grid = np.linspace(t0, t1, steps + 1)
-    flow = geodesic_flow(X, W0)
-    matrices = tuple(flow(grid))
+    X, W0 = _direction(X, W0)  # the float X the flow is built from
+    matrices = tuple(_flow(X, W0)[0](grid))
     tangents = tuple(X.copy() for _ in range(steps))
     return CausalPath(grid=grid, tangents=tangents, matrices=matrices)
 
@@ -390,8 +389,10 @@ def track_phases(path: CausalPath) -> PhaseTrack:
     (`_grid_readings`; a member with angles theta has the raw phases
     (theta, -theta)) and joined by nearest-angle assignment per label, a
     step whose phase jump exceeds pi/4 refined (`_walker`).  Off-circle grid
-    points are flagged and their phases set to NaN.  The crossings of
-    multiples of pi are read off the tracked phases after the walk.
+    points are flagged and their phases set to NaN, and so is the end of a
+    step whose halving meets an off-circle midpoint: its phases cannot be
+    continued through the excursion.  The crossings of multiples of pi are
+    read off the tracked phases after the walk.
     """
     def match(state, labeled):
         if labeled is None:

@@ -21,7 +21,11 @@ from spcausal import (
 from spcausal import cli
 from spcausal.cli import build_parser, main
 from spcausal.core import TOL_CONE, TOL_HAM
-from spcausal.exceptions import DimensionMismatchError, OutsideConeError
+from spcausal.exceptions import (
+    DimensionMismatchError,
+    DriftExceededError,
+    OutsideConeError,
+)
 
 
 def rot(theta, n=1):
@@ -287,14 +291,20 @@ def test_path_verify_and_suite(capsys):
 
 
 def test_path_verify_reports_violation(monkeypatch, capsys):
-    # e^{-tJ} runs backwards in time, so its tangents leave the cone
+    # e^{-tJ} runs backwards in time, so its tangents leave the cone; a
+    # matrix moved by 1e-5 drifts past DRIFT_TOL at its grid index
     backwards = geodesic_path(-standard_J(1), np.eye(2), 0.0, 1.0, 4)
     short = CausalPath(backwards.grid, backwards.tangents[:-1], backwards.matrices)
+    forward = geodesic_path(standard_J(1), np.eye(2), 0.0, 1.0, 4)
+    moved = list(forward.matrices)
+    moved[2] = moved[2] + 1e-5
+    drifted = CausalPath(forward.grid, forward.tangents, tuple(moved))
     for path, error, message in (
         (backwards, OutsideConeError, "not cone-admissible"),
         (short, DimensionMismatchError, "counts are inconsistent"),
+        (drifted, DriftExceededError, "at grid index 2"),
     ):
-        with pytest.raises(error):
+        with pytest.raises(error, match=message):
             path.validate()
         monkeypatch.setattr("spcausal.cli.random_causal_path",
                             lambda *args, path=path, **kw: path)
@@ -302,6 +312,9 @@ def test_path_verify_reports_violation(monkeypatch, capsys):
         assert code == 0
         assert out["result"]["invariants_ok"] is False
         assert message in out["result"]["violation"]
+        # a drifted matrix cannot be phase-tracked, so its points are not counted
+        drift = error is DriftExceededError
+        assert (out["result"]["off_circle_points"] is None) is drift
 
 
 def test_determinism(tmp_path, capsys):

@@ -75,12 +75,6 @@ def test_random_cone_element_interior_and_deterministic():
         np.testing.assert_array_equal(X, random_cone_element(seed, 2))
 
 
-def test_random_cone_element_rejects_scale():
-    for scale in (0.0, -1.0, np.inf, -np.inf, np.nan):
-        with pytest.raises(ValueError, match="scale"):
-            random_cone_element(0, 1, scale=scale)
-
-
 def test_random_symplectic_rejects_a_non_finite_scale():
     for scale in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="scale"):
@@ -148,6 +142,27 @@ def test_geodesic_path_rejects_steps_below_one():
         with pytest.raises(ValueError, match="steps"):
             geodesic_path(standard_J(1), np.eye(2), 0.0, 1.0, steps)
     assert geodesic_path(standard_J(1), np.eye(2), 0.0, 1.0, 1).steps == 1
+
+
+def test_geodesic_path_keeps_the_float_direction_it_checked():
+    # a list or int direction is stored as the float X the flow is built
+    # from, so the walker's refinement steps exp((dt / 2) X) on it: two
+    # steps of pi on e^{tJ} are each refined
+    J = standard_J(1)
+    want = geodesic_path(J, np.eye(2), 0.0, 2 * np.pi, 2)
+    track, lift = track_phases(want), mu_along_path(want)
+    for X, W0 in ((J.tolist(), np.eye(2).tolist()),
+                  (J.astype(int), np.eye(2, dtype=int))):
+        path = geodesic_path(X, W0, 0.0, 2 * np.pi, 2)
+        assert all(T.dtype == np.float64 for T in path.tangents)
+        for got, ref in zip(path.tangents + path.matrices,
+                            want.tangents + want.matrices):
+            assert got.tobytes() == ref.tobytes()
+        got = track_phases(path)
+        for name in ("grid", "plus", "minus", "off_circle"):
+            assert getattr(got, name).tobytes() == getattr(track, name).tobytes()
+        assert got.crossings == track.crossings
+        assert mu_along_path(path).tobytes() == lift.tobytes()
 
 
 def test_random_causal_path_invariants():
@@ -479,6 +494,36 @@ def test_track_phases_reads_a_path_of_nested_lists_as_its_arrays():
         for name in ("grid", "plus", "minus", "off_circle"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         assert got.crossings == want.crossings
+
+
+def test_a_step_through_an_off_circle_midpoint_flags_its_end():
+    # one step from R(theta0) along X = S (omega J) S^{-1}, S = diag(a, 1/a),
+    # whose ends are elliptic and whose midpoint is hyperbolic: the phase
+    # jump is halved, the midpoint is off circle, and the end's phases
+    # cannot be continued through it
+    J = standard_J(1)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        a, omega, theta0, dt = (rng.uniform(lo, hi) for lo, hi in
+                                ((0.5, 3), (0.2, 2), (0.2, 3), (0.5, 3)))
+        S = np.diag([a, 1 / a])
+        X = S @ (omega * J) @ np.linalg.inv(S)
+        W0 = block_rotation([theta0])
+        ends = [W0, scipy.linalg.expm(dt * X) @ W0]
+        mid = scipy.linalg.expm(dt / 2 * X) @ W0
+        if max(abs(np.trace(W)) for W in ends) < 2 < abs(np.trace(mid)):
+            break
+    else:
+        pytest.fail("no step with an off-circle midpoint drawn")
+    path = CausalPath(grid=np.array([0.0, dt]), tangents=(X,), matrices=tuple(ends))
+    track = track_phases(path)
+    assert track.off_circle.tolist() == [False, True]
+    assert track.plus[0] == pytest.approx([theta0], abs=1e-12)
+    assert np.isnan(track.plus[1]).all() and np.isnan(track.minus[1]).all()
+    mu = mu_along_path(path)
+    assert mu[0] == pytest.approx(theta0 / (2 * np.pi), abs=1e-12)
+    turns = mu[1] - np.angle(nu(ends[1])) / (2 * np.pi)
+    assert abs(turns - round(turns)) <= 1e-12
 
 
 # -- Maslov lifting ---------------------------------------------------------
@@ -1159,12 +1204,28 @@ def test_registry_samplers_match_the_diagnosing_reference(name):
 
 
 @pytest.mark.parametrize("name", sorted(_VERDICT_SAMPLERS))
-def test_registry_samplers_compute_no_krein_spectrum(name):
-    # a rejected candidate needs its verdict, not the reason for it
-    trials = _VERDICT_SAMPLERS[name][1]
+def test_registry_samplers_compute_no_krein_spectrum(name, monkeypatch):
+    # a rejected candidate needs its verdict, not the reason for it; but
+    # broken_geodesic_max's candidates are decided by connect, whose error
+    # names the reason: one spectrum per reject, at criterion 2's size,
+    # whose draw holds a reject
+    rejects = []
+
+    def spy(*args, **kwargs):
+        try:
+            return connect(*args, **kwargs)
+        except NotConnectableError:
+            rejects.append(args)
+            raise
+
+    monkeypatch.setattr(pathlab, "connect", spy)
+    dims, trials = (2,), _VERDICT_SAMPLERS[name][1]
+    if name == "broken_geodesic_max":
+        dims, trials = (1, 2, 3), 200
     _spectrum.cache_clear()
-    PROPERTIES[name](42, (2,), trials)
-    assert _spectrum.cache_info().misses == 0
+    PROPERTIES[name](42, dims, trials)
+    assert _spectrum.cache_info().misses == len(rejects)
+    assert len(rejects) >= (name == "broken_geodesic_max")
 
 
 # The three samplers' draw loops as they decided acceptance from the form
