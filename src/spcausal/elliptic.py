@@ -322,7 +322,7 @@ def log_elliptic(W: np.ndarray) -> np.ndarray:
 
 def _tau_of(theta: np.ndarray) -> np.ndarray:
     """The time function of angles (..., n), summed over the last axis."""
-    return np.sum(np.log(theta) - np.log(np.pi - theta), axis=-1)
+    return np.add.reduce(np.log(theta) - np.log(np.pi - theta), axis=-1)
 
 
 def tau(W: np.ndarray) -> float:
@@ -332,7 +332,7 @@ def tau(W: np.ndarray) -> float:
 
 def mu_elliptic(W: np.ndarray) -> float:
     """Maslov value (theta_1 + ... + theta_n) / (2 pi) of the canonical lift."""
-    return float(np.sum(_region_form(W).theta) / (2 * np.pi))
+    return float(np.add.reduce(_region_form(W).theta) / (2 * np.pi))
 
 
 def minus_inverse(W: np.ndarray) -> np.ndarray:

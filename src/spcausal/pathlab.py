@@ -13,6 +13,7 @@ import copy
 import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import add, lt, sub
 
 import numpy as np
 import scipy.linalg
@@ -325,13 +326,49 @@ def _labeled_args(W: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return np.array(ph.plus), np.array(ph.minus)
 
 
-def _match(prev: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, float]:
-    """Continuous continuation of prev onto the raw phases (mod 2 pi)."""
-    diff = _wrap(raw[None, :] - prev[:, None])
+def _match(prev: list[float], raw: list[float] | np.ndarray) -> tuple[list, float]:
+    """Continuous continuation of the phases prev onto the raw phases (mod
+    2 pi): the new phases prev_j + d_j and the largest |d_j|, where d pairs
+    each prev_j with one raw phase by the assignment of least squared
+    wrapped difference, cost C_jk = wrap(raw_k - prev_j)^2.
+
+    The assignment solver, and with it the import of scipy.optimize, runs
+    only when its answer is in doubt.  The rank order is certain to be its
+    answer, and d_j = wrap(r_j - prev_j) on floats gives its bits, when
+    prev rises strictly; raw rises strictly (r = raw) or falls strictly (r
+    = raw reversed, as a member's minus reading -theta does); no difference
+    wraps (max r - min prev < pi and max prev - min r < pi); and the Monge
+    gap 2 gp gr of the squared cost, gp and gr the least gaps of prev and
+    r, exceeds 2^-30 (one phase has one assignment).  Otherwise (ties, near
+    ties, wrapped pairs, an unsorted prev after a crossing) the solver
+    decides on the raw phases in their given order.
+
+    The bound, with u = 2^-53 and x = r_k - prev_j exact.  In the exact
+    costs x^2 an assignment that moves m rows costs at least m gp gr more
+    than the rank order: by Abel summation over prev's gaps, it breaks at
+    least m/2 of the cuts between prev's ranks, each for at least 2 gp gr.
+    A cost is computed as fl(w^2), w = wrap(fl(x)) with |fl(x)| < pi:
+    fl(x) rounds by at most pi u and wrap's add and subtract by 2 pi u and
+    pi u (its % is exact on [0, 2 pi)), so |w| and |x| differ by under 13 u
+    and |fl(w^2) - x^2| < 13 u 2 pi + pi^2 u < 92 u < eta = 2^-46.  The m
+    moved rows shift the computed difference by at most 2 m eta, so the
+    rank order stays the unique optimum of the computed costs while 2 gp gr
+    > 4 eta = 2^-44.  The floor 2^-30 leaves a factor 2^14 for the rounding
+    of the two gaps and of the solver's own sums of costs and duals.
+    """
+    r = raw[::-1] if raw[0] > raw[-1] else raw
+    if (all(map(lt, prev, prev[1:])) and all(map(lt, r, r[1:]))
+            and r[-1] - prev[0] < np.pi and prev[-1] - r[0] < np.pi
+            and (len(r) == 1 or 2 * min(map(sub, prev[1:], prev))
+                 * min(map(sub, r[1:], r)) > 2.0 ** -30)):
+        d = list(map(_wrap, map(sub, r, prev)))
+        return list(map(add, prev, d)), max(map(abs, d))
+    prev = np.asarray(prev)
+    diff = _wrap(np.asarray(raw)[None, :] - prev[:, None])
     # unlike |diff|, the squared cost never ties phases that move together
     rows, cols = _optimize().linear_sum_assignment(diff**2)
     d = diff[rows, cols]  # the cost is square: rows are every row, in order
-    return prev + d, max(map(abs, d.tolist()), default=0.0)
+    return (prev + d).tolist(), max(map(abs, d.tolist()))
 
 
 def _grid_readings(path: CausalPath, members: Callable, read: Callable) -> list:
@@ -388,9 +425,13 @@ def track_phases(path: CausalPath) -> PhaseTrack:
     The grid points' phases are read from the stored matrices
     (`_grid_readings`; a member with angles theta has the raw phases
     (theta, -theta)) and joined by nearest-angle assignment per label, a
-    step whose phase jump exceeds pi/4 refined (`_walker`).  Off-circle grid
-    points are flagged and their phases set to NaN, and so is the end of a
-    step whose halving meets an off-circle midpoint: its phases cannot be
+    step whose phase jump exceeds pi/4 refined (`_walker`).  The walk
+    carries the phases as lists of floats; `_match` continues them in rank
+    order where that is certain to be the assignment, as on a path of
+    members with distinct angles, and solves the assignment only at ties,
+    near ties, wrapped pairs or an unsorted state.  Off-circle grid points
+    are flagged and their phases set to NaN, and so is the end of a step
+    whose halving meets an off-circle midpoint: its phases cannot be
     continued through the excursion.  The crossings of multiples of pi are
     read off the tracked phases after the walk.
     """
@@ -402,23 +443,23 @@ def track_phases(path: CausalPath) -> PhaseTrack:
 
     walk = _walker(_labeled_args, match, PHASE_JUMP,
                    "phase jump above pi/4 after refinement is exhausted")
-    raw = _grid_readings(path, lambda th: zip(th, -th), _labeled_args)
+    raw = _grid_readings(path, lambda th: zip(th.tolist(), (-th).tolist()),
+                         _labeled_args)
     N = path.steps
     n = np.shape(path.matrices[0])[0] // 2
-    plus = np.full((N + 1, n), np.nan)
-    minus = np.full((N + 1, n), np.nan)
-    off = np.zeros(N + 1, dtype=bool)
+    states = []  # (plus, minus) as lists of floats, or None off circle
     for i in range(N + 1):
-        if i == 0 or off[i - 1]:  # a start: the raw phases, sorted
-            result = raw[i] and (np.sort(raw[i][0]), np.sort(raw[i][1]))
+        if i == 0 or states[-1] is None:  # a start: the raw phases, sorted
+            state = raw[i] and (np.sort(raw[i][0]).tolist(),
+                                np.sort(raw[i][1]).tolist())
         else:
-            result = walk((plus[i - 1], minus[i - 1]), path.matrices[i - 1],
-                          path.tangents[i - 1], path.grid[i] - path.grid[i - 1],
-                          raw[i])[0]
-        if result is None:
-            off[i] = True
-        else:
-            plus[i], minus[i] = result
+            state = walk(states[-1], path.matrices[i - 1], path.tangents[i - 1],
+                         path.grid[i] - path.grid[i - 1], raw[i])[0]
+        states.append(state)
+    off = np.array([s is None for s in states])
+    nan = [np.nan] * n
+    plus, minus = (np.array([nan if s is None else s[k] for s in states])
+                   for k in (0, 1))
     # on a step between on-circle points, a phase whose floor(phase / pi)
     # moves from k0 to k1 crosses k pi for each k in (min, max] of the two
     F = np.floor(np.hstack([plus, minus]) / np.pi)

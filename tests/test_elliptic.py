@@ -651,6 +651,35 @@ def test_mu_conjugation_invariant():
     )
 
 
+def test_tau_and_mu_sum_to_the_bits_of_np_sum():
+    # the reductions of tau and mu are np.add.reduce: the bits of np.sum for
+    # the members of the mixed sample, one row at a time and as stacks, and
+    # for sorted angle rows at n = 1 to 17
+    def by_np_sum(theta):
+        return np.sum(np.log(theta) - np.log(np.pi - theta), axis=-1)
+
+    members = {}
+    for i in range(600):
+        W = differential_sample(i)
+        form = _normal_form(require_symplectic(W, TOL_GROUP))
+        if form.inside:
+            members.setdefault(len(form.theta), []).append(form.theta)
+            assert tau(W) == float(by_np_sum(form.theta))
+            assert mu_elliptic(W) == float(np.sum(form.theta) / (2 * np.pi))
+    assert sorted(members) == [1, 2, 3] and sum(map(len, members.values())) > 200
+    rng = np.random.default_rng(29)
+    for n in range(1, 18):
+        members.setdefault(n, []).extend(
+            np.sort(rng.uniform(1e-3, np.pi - 1e-3, (40, n)), axis=1))
+    for n, rows in members.items():
+        stack = np.array(rows)
+        assert elliptic._tau_of(stack).tobytes() == by_np_sum(stack).tobytes(), n
+        for theta in rows:
+            assert elliptic._tau_of(theta).tobytes() == by_np_sum(theta).tobytes(), n
+            # mu_elliptic's reduction of one matrix's angles
+            assert np.add.reduce(theta).tobytes() == np.sum(theta).tobytes(), n
+
+
 # -- minus_inverse ----------------------------------------------------------
 
 def test_minus_inverse_rotation():

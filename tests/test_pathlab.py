@@ -1066,6 +1066,98 @@ def test_wrap_of_a_float_matches_the_array_form_to_the_bit():
         assert np.float64(got).tobytes() == np.float64(_loop_wrap(a)).tobytes(), a
 
 
+class _SolverSpy:
+    """`scipy.optimize` as `pathlab._optimize` returns it, counting the
+    assignment solves."""
+
+    def __init__(self):
+        self.costs = []
+
+    def linear_sum_assignment(self, cost):
+        self.costs.append(cost)
+        return scipy.optimize.linear_sum_assignment(cost)
+
+
+def _match_cases():
+    """(kind, prev, raw, skips) at n = 1 to 4; skips tells whether the rank
+    order is certain, or None where that depends on the draw."""
+    rng = np.random.default_rng(29)
+    for n, _ in itertools.product((1, 2, 3, 4), range(12)):
+        prev = np.linspace(-1.2, 1.2, n) + rng.uniform(-0.1, 0.1, n)
+        raw = prev + rng.uniform(-0.3, 0.3, n)
+        narrow = np.linspace(-0.9, 0.6, n) + rng.uniform(-0.05, 0.05, n)
+        theta = np.sort(rng.uniform(0.3, 1.8, n))
+        turned = np.sort(theta + rng.uniform(0.0, 0.05, n))
+        yield "separated", prev, raw, True
+        yield "descending", prev, raw[::-1], True
+        yield "above pi/4", narrow, narrow + rng.uniform(0.8, 0.9, n), True
+        yield "member plus", theta, turned, True
+        yield "member minus", np.sort(-theta), -turned, True
+        # near pi the raw phases come back from -pi: the cost wraps
+        edge = np.pi - 0.05 - 0.02 * np.arange(n)[::-1]
+        yield "straddles pi", edge, _wrap(edge + rng.uniform(0.06, 0.08, n)), False
+        yield "straddles -pi", -edge[::-1], _wrap(-edge[::-1] - 0.07), False
+        if n == 1:
+            continue
+        yield "unsorted prev", prev[::-1].copy(), raw, False
+        for gap in (0.0, 1e-12, 1e-8, 1e-6):
+            tied = prev.copy()
+            tied[1] = tied[0] + gap
+            rtied = raw.copy()
+            rtied[1] = rtied[0] + gap
+            certain = None if gap > 1e-12 else False
+            yield f"prev gap {gap}", tied, raw, certain
+            yield f"raw gap {gap}", prev, rtied, certain
+            yield f"both gap {gap}", tied, rtied, None if gap > 1e-8 else False
+        ulp = prev.copy()
+        ulp[1] = np.nextafter(ulp[0], np.inf)
+        rulp = raw.copy()
+        rulp[1] = np.nextafter(rulp[0], np.inf)
+        yield "prev 1 ulp", ulp, raw, False
+        yield "raw 1 ulp", prev, rulp, False
+
+
+def test_match_agrees_with_the_solver_loop_bit_for_bit(monkeypatch):
+    spy = _SolverSpy()
+    monkeypatch.setattr(pathlab, "_optimize", lambda: spy)
+    kinds = {}
+    for kind, prev, raw, skips in _match_cases():
+        want, jump = _loop_match(prev, raw)
+        # raw comes as a list from a member's angles, as an array otherwise
+        for reading in (raw.tolist(), raw):
+            solves = len(spy.costs)
+            got, got_jump = _match(prev.tolist(), reading)
+            solved = len(spy.costs) > solves
+            assert np.array(got).tobytes() == want.tobytes(), (kind, prev, raw)
+            assert np.float64(got_jump).tobytes() == np.float64(jump).tobytes(), kind
+            assert skips is None or solved is not skips, (kind, prev, raw)
+            kinds.setdefault(kind, set()).add(solved)
+    # both paths are reached, also among the draws at gaps of 1e-8 and 1e-6
+    assert {False, True} <= set().union(*kinds.values())
+    assert kinds["prev gap 1e-06"] == kinds["raw gap 1e-08"] == {False}
+    assert kinds["both gap 1e-06"] == {True}
+
+
+def test_tracking_the_path_lab_recipe_never_solves_an_assignment(monkeypatch):
+    spy = _SolverSpy()
+    monkeypatch.setattr(pathlab, "_optimize", lambda: spy)
+    steps = 0
+    for seed in (1, 2, 3):
+        for path in _path_lab_confined(seed):
+            track_phases(path)
+            steps += path.steps
+    assert spy.costs == [] and steps == 3 * 60 * 50
+    # tied phases leave the rank order in doubt: a free path from id, where
+    # every phase is 0, and a confined path from a rotation by [1, 1]
+    tied = [random_causal_path(_path_lab_seq(1, 2, 0, 2), 2, steps=20, step_size=0.05),
+            random_causal_path(29, 2, steps=20, step_size=0.02, confine=True,
+                               W_start=block_rotation([1.0, 1.0]))]
+    for k, path in enumerate(tied):
+        spy.costs.clear()
+        assert _tracked(path) == _loop_tracked(path), k
+        assert spy.costs, k
+
+
 def test_track_phases_keeps_columns_on_equal_speed_geodesics():
     # exp(t S J S^-1) S R(theta) S^-1 turns every angle at unit speed: the
     # Krein-positive phases interleave and move together, and each column

@@ -34,7 +34,12 @@ confined 50-step `random_causal_path` from a banded elliptic start followed
 by `tau` on every grid matrix, and "track_phases" tracks the phases of that
 path.  Both cycle over 16 seeds whose confinement succeeds, so no path's
 forms are still stored when its seed comes round again, and "track_phases"
-times the reader with every form to compute.  "free path + mu" is the
+times the reader with every form to compute.  "track_phases warm" tracks the
+first of those paths, made again just before its row so that the memo holds
+the forms its walk stored, as in the path_lab op; it repeats on that one
+path, since the memo (64 forms) holds one path's 51 grid matrices but not
+two.  Its start, which the walk only checks, is formed on every call, as in
+the op.  "free path + mu" is the
 recipe's unconfined 20-step path of step 0.05 from id followed by
 `mu_along_path` from 0, cycling over 16 seeds.  "path_lab op" is the whole
 op of the recipe in its order, over the same 16 seeds: the confined path,
@@ -283,6 +288,13 @@ def measure(np, trees: dict) -> list:
              lambda sp: _cycled(lambda *a: path_tau(sp, *a), paths[sp.__name__]))
         _row(np, trees, table, "track_phases", "cycle", n,
              lambda sp: _cycled(lambda s, W0, p: sp.track_phases(p), paths[sp.__name__]))
+
+        def warm_track(sp):
+            seed, W0, _ = paths[sp.__name__][0]
+            path = _path(sp, n, seed, W0)
+            return lambda: sp.track_phases(path)
+
+        _row(np, trees, table, "track_phases warm", "repeat", n, warm_track)
 
         def free_mu(sp, seed):
             free = sp.random_causal_path(seed, n, steps=20, step_size=0.05)
